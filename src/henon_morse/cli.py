@@ -37,11 +37,12 @@ from .liouville import (
 from .nonlinearity import pure_power
 from .radial_bvp import (
     ProblemParams,
+    action_energy,
     relative_residual,
     shoot_nodal,
     shoot_positive,
 )
-from .spectral import morse_index
+from .spectral import lambda_ell, morse_index
 
 RESIDUAL_GATE = 1e-4          # relative ODE defect for stored profiles
 TRANSFORMED_GATE = 1e-3       # half-line defect for interpolated (stored) data
@@ -108,8 +109,6 @@ def _sweep_row(job):
     try:
         nodes = _parse_branch(branch_spec)
         profile = _solve_branch(params, nodes, tol, grid)
-        from .radial_bvp import action_energy
-
         row["amplitude"] = list(profile.amplitude)
         row["energy"] = action_energy(profile)
         row["relative_residual"] = relative_residual(profile)
@@ -236,8 +235,6 @@ def cmd_verify(args):
         rep = morse_index(profile, mesh=args.mesh)
         stable_ell = next((ell for ell, _, neg in rep.per_ell if neg == 0), None)
         if stable_ell is not None:
-            from .spectral import lambda_ell
-
             lam = lambda_ell(stable_ell, profile.params.N)
             rng = np.random.default_rng(20260809)
             qmin = np.inf

@@ -11,10 +11,16 @@ Taylor expansion at eps = 1e-6 (the (N-1)/r term is removably singular for
 regular radial data) and uses an adaptive Dormand-Prince 5(4) pair, after
 which the solution is resampled onto a uniform certification grid.
 
-Positive solutions come from bisection on the first boundary zero of the
-initial value problem; k-node solutions use the interior zero count of the
-IVP solution as the monotone discriminator.  Every returned profile should
-be certified through ``residual`` before spectral post-processing.
+With mu = 0 (both components on the diagonal ansatz) the problem is
+invariant under u -> lambda^sigma u(lambda r), sigma = (2 + alpha)/(p - 2),
+so one shot from unit amplitude, stopped at its (k+1)-th zero r_k, gives
+the k-node amplitude r_k^sigma exactly.  With mu > 0 the amplitude comes
+from bisection on the interior zero count of the IVP solution, a monotone
+discriminator.  Either way the final profile is checked for its boundary
+value and node count before it is returned, and it should be certified
+through ``residual`` before spectral post-processing.  For N >= 3 and
+p >= 2(N + alpha)/(N - 2) no solution exists (Pohozaev identity), which is
+reported before any shot.
 """
 
 from __future__ import annotations
@@ -59,15 +65,10 @@ class ProblemParams:
 
     @property
     def critical_exponent(self):
-        """2N/(N-2) for N >= 3, infinity in the plane."""
-        return math.inf if self.N == 2 else 2.0 * self.N / (self.N - 2.0)
-
-    def check_subcritical(self):
-        if not self.f.p < self.critical_exponent:
-            raise ValueError(
-                f"p = {self.f.p} is not subcritical for N = {self.N} "
-                f"(2* = {self.critical_exponent})"
-            )
+        """Henon critical exponent 2(N+alpha)/(N-2) for N >= 3, infinity in the plane."""
+        if self.N == 2:
+            return math.inf
+        return 2.0 * (self.N + self.alpha) / (self.N - 2.0)
 
 
 @dataclass
@@ -154,10 +155,13 @@ def _blowup_event():
     return event
 
 
-def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN):
-    """Adaptive integration of the IVP; returns a dense evaluator on [0, 1].
+def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
+                     r_end=1.0, events=()):
+    """Adaptive integration of the IVP; returns a dense evaluator on [0, r_end].
 
-    Raises OverflowBlowUp when the guard triggers before the boundary.
+    ``events`` are extra solve_ivp events; the radii where they fired are kept
+    on the evaluator as ``t_events``, and a terminal one ends the integration
+    there.  Raises OverflowBlowUp when the guard triggers first.
     """
     d = (float(d[0]), float(d[1]))
     if d == (0.0, 0.0):
@@ -183,15 +187,15 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN):
             f"could not find a valid series start for amplitude {d}"
         )
     sol = solve_ivp(
-        _ivp_rhs(params), (eps, 1.0), y0, method="RK45",
-        rtol=rtol, atol=atol, dense_output=True, events=_blowup_event(),
+        _ivp_rhs(params), (eps, r_end), y0, method="RK45",
+        rtol=rtol, atol=atol, dense_output=True, events=[_blowup_event(), *events],
     )
-    if sol.status == 1:
+    if sol.t_events[0].size:
         raise OverflowBlowUp(
             f"|u|+|v| exceeded {BLOWUP_GUARD:.0e} at r = {sol.t[-1]:.6f} "
             f"for amplitude {d}"
         )
-    if sol.status != 0:
+    if sol.status == -1:
         raise NoConverge(f"IVP integration failed: {sol.message}")
 
     def evaluate(r):
@@ -207,6 +211,7 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN):
             out[:, ~small] = sol.sol(r[~small])
         return out[:, 0] if scalar else out
 
+    evaluate.t_events = sol.t_events[1:]
     return evaluate
 
 
@@ -323,50 +328,104 @@ def _bisect_amplitude(params, want_zeros, tol, diagonal=False):
     return amplitude
 
 
+def _scaling_amplitude(params, k, diagonal=False):
+    """Exact k-node amplitude for mu = 0 from one unit-amplitude shot.
+
+    With mu = 0 and a p-homogeneous F, u_lam(r) = lam^sigma u(lam r) with
+    sigma = (2 + alpha)/(p - 2) solves the equation whenever u does.  If u
+    starts at 1 and has its (k+1)-th zero at r_k, then u_lam with lam = r_k
+    has k interior zeros, vanishes at r = 1 and starts at r_k^sigma.  The
+    shot stops at r_cap = AMPLITUDE_CAP^(1/sigma), so a missing zero means no
+    amplitude up to the cap works, as for the bisection.
+    """
+    sigma = (2.0 + params.alpha) / (params.f.p - 2.0)
+    r_cap = AMPLITUDE_CAP ** (1.0 / sigma)
+
+    def zero(r, y):
+        return y[0]
+
+    zero.terminal = k + 1
+    try:
+        dense = _integrate_dense(params, (1.0, 1.0 if diagonal else 0.0),
+                                 rtol=1e-12, atol=1e-12, r_end=r_cap, events=[zero])
+    except OverflowBlowUp as exc:
+        raise NoBracket(f"the unit-amplitude shot blew up: {exc}") from exc
+    zeros = dense.t_events[0]
+    if zeros.size <= k:
+        raise NoBracket(
+            f"the unit-amplitude shot has {zeros.size} zeros below r = {r_cap:.6g}: "
+            f"no {k}-node solution for amplitudes up to {AMPLITUDE_CAP:.0e}"
+        )
+    return float(zeros[k]) ** sigma
+
+
+def _require_subcritical(params):
+    """NoBracket when p reaches the Henon critical exponent.
+
+    For N >= 3, mu1, mu2 >= 0 and p >= 2(N+alpha)/(N-2) the Pohozaev identity
+    rules out every nontrivial radial solution (Ni 1982).
+    """
+    crit = params.critical_exponent
+    if params.f.p >= crit:
+        raise NoBracket(
+            f"p = {params.f.p:g} is not below the Henon critical exponent "
+            f"2(N+alpha)/(N-2) = {crit:g} for N = {params.N}, alpha = {params.alpha:g}: "
+            f"by the Pohozaev identity there is no nontrivial solution"
+        )
+
+
+def _shoot_branch(params, k, tol, grid_size, diagonal):
+    """Profile with k interior zeros and u(1) = 0, checked before it is returned."""
+    _require_subcritical(params)
+    if params.mu1 == 0.0 and (params.mu2 == 0.0 or not diagonal):
+        amplitude = _scaling_amplitude(params, k, diagonal)
+    else:
+        amplitude = _bisect_amplitude(params, want_zeros=k, tol=tol, diagonal=diagonal)
+    d = (amplitude, amplitude if diagonal else 0.0)
+    profile = integrate_radial_ivp(params, d, grid_size, rtol=1e-12, atol=1e-12)
+    boundary = abs(float(profile.u[-1]))
+    if boundary > tol:
+        raise NoConverge(
+            f"boundary value |u(1)| = {boundary:.3e} above tolerance {tol:.1e} "
+            f"at amplitude {amplitude:.12g}"
+        )
+    zeros = count_interior_zeros(profile, refine=4)
+    if zeros != k:
+        raise NoConverge(
+            f"profile at amplitude {amplitude:.12g} has {zeros} interior zeros, not {k}"
+        )
+    return profile
+
+
 def shoot_positive(params, tol=1e-10, grid_size=4000):
     """Positive radial solution with u > 0 on [0,1) and u(1) = 0 within tol.
 
-    Scalar problems (second component identically zero) bisect on the first
-    boundary zero; symmetric systems (a1 = a2, mu1 = mu2) use the diagonal
-    ansatz u = v, which reduces to a scalar shoot.
+    Scalar problems (second component identically zero) shoot on the first
+    component; symmetric systems (a1 = a2, mu1 = mu2) use the diagonal ansatz
+    u = v, which reduces to a scalar shoot.
     """
-    symmetric = params.f.a1 == params.f.a2 and params.mu1 == params.mu2
-    scalar = True
+    diagonal = False
     if params.f.family == "quartic_coupled" and params.f.b > 0:
         # coupled system: only the symmetric diagonal ansatz is supported here
-        if not symmetric:
+        if not (params.f.a1 == params.f.a2 and params.mu1 == params.mu2):
             raise ValueError(
                 "shoot_positive handles scalar problems or symmetric systems; "
                 "use shoot_system_newton for general systems"
             )
-        scalar = False
-
-    if scalar:
-        amplitude = _bisect_amplitude(params, want_zeros=0, tol=tol)
-        d = (amplitude, 0.0)
-    else:
-        amplitude = _bisect_amplitude(params, want_zeros=0, tol=tol, diagonal=True)
-        d = (amplitude, amplitude)
-    return integrate_radial_ivp(params, d, grid_size, rtol=1e-12, atol=1e-12)
+        diagonal = True
+    return _shoot_branch(params, 0, tol, grid_size, diagonal)
 
 
 def shoot_nodal(params, nodes, tol=1e-10, grid_size=4000):
     """Scalar radial solution with exactly ``nodes`` interior zeros.
 
-    Uses the interior zero count of the IVP solution, which is non-decreasing
-    in the amplitude, as the bisection discriminator.  nodes = 0 delegates to
-    the positive shoot.
+    nodes = 0 delegates to the positive shoot.
     """
     if nodes < 0:
         raise ValueError("nodes must be nonnegative")
     if nodes == 0:
         return shoot_positive(params, tol=tol, grid_size=grid_size)
-    amplitude = _bisect_amplitude(params, want_zeros=nodes, tol=tol)
-    profile = integrate_radial_ivp(params, (amplitude, 0.0), grid_size,
-                                   rtol=1e-12, atol=1e-12)
-    if count_interior_zeros(profile, refine=4) != nodes:
-        raise NoConverge("converged amplitude does not reproduce the requested node count")
-    return profile
+    return _shoot_branch(params, nodes, tol, grid_size, diagonal=False)
 
 
 def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):

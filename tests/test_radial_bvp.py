@@ -9,7 +9,9 @@ from henon_morse.radial_bvp import (
     EPS_ORIGIN,
     ProblemParams,
     RadialProfile,
+    _bisect_amplitude,
     _integrate_dense,
+    _scaling_amplitude,
     _taylor_start,
     action_energy,
     count_interior_zeros,
@@ -89,8 +91,10 @@ def test_positive_shoot_against_collocation(solve):
 
 
 def test_positive_shoot_certificates(solve):
-    for N, alpha in ((3, 0.0), (2, 4.0)):
-        prof = solve(N, alpha)
+    # the last case sits below the Henon critical exponent 2(N+alpha)/(N-2) = 8;
+    # its steeper profile needs the finer grid for the O(h^2) residual floor
+    for N, alpha, p, grid in ((3, 0.0, 4.0, 4000), (2, 4.0, 4.0, 4000), (3, 1.0, 6.0, 8000)):
+        prof = solve(N, alpha, p=p, grid=grid)
         assert np.all(prof.u[:-1] >= 0)
         assert abs(prof.u[-1]) <= 1e-9
         assert residual(prof) <= 1e-4
@@ -98,12 +102,13 @@ def test_positive_shoot_certificates(solve):
 
 
 def test_supercritical_has_no_bracket():
-    # ball-supercritical exponent: the shot never crosses the boundary zero
-    params = ProblemParams(N=3, alpha=0.0, mu1=0.0, mu2=0.0, f=pure_power(8))
-    with pytest.raises(NoBracket):
-        from henon_morse.radial_bvp import shoot_positive
+    # p >= 2(N+alpha)/(N-2): ball-supercritical, and exactly critical for N = 4, p = 4
+    from henon_morse.radial_bvp import shoot_positive
 
-        shoot_positive(params, tol=1e-8)
+    for N, p in ((3, 8), (4, 4)):
+        params = ProblemParams(N=N, alpha=0.0, mu1=0.0, mu2=0.0, f=pure_power(p))
+        with pytest.raises(NoBracket):
+            shoot_positive(params, tol=1e-8)
 
 
 def test_nodal_shoot(solve):
@@ -114,6 +119,30 @@ def test_nodal_shoot(solve):
     # nodal amplitude exceeds the positive amplitude at identical parameters
     pos = solve(2, 2.0)
     assert prof.amplitude[0] > pos.amplitude[0]
+
+
+@pytest.mark.parametrize("N, alpha, nodes, f", [
+    (2, 4.0, 0, pure_power(4)),
+    (2, 2.0, 2, pure_power(4)),
+    (3, 1.0, 0, pure_power(4)),
+    (2, 4.0, 0, quartic_coupled(b=0.5)),
+])
+def test_scaling_solve_matches_bisection(N, alpha, nodes, f):
+    # the mu = 0 scaling solve and the mu > 0 bisection check each other
+    params = ProblemParams(N=N, alpha=alpha, mu1=0.0, mu2=0.0, f=f)
+    diagonal = f.b > 0
+    scaled = _scaling_amplitude(params, nodes, diagonal=diagonal)
+    bisected = _bisect_amplitude(params, nodes, tol=1e-10, diagonal=diagonal)
+    assert scaled == pytest.approx(bisected, rel=1e-9)
+
+
+def test_planar_substitution_scales_amplitude(solve):
+    # N = 2: s = r^((2+alpha)/2) maps the alpha problem to alpha = 0, and for
+    # p = 4 the centre value picks up the factor 1 + alpha/2
+    base = solve(2, 0.0).amplitude[0]
+    for alpha in (4.0, 20.0):
+        assert solve(2, alpha).amplitude[0] == pytest.approx((1.0 + alpha / 2.0) * base,
+                                                             rel=1e-9)
 
 
 def test_nodal_delegates_to_positive(solve):
