@@ -36,6 +36,7 @@ from .liouville import (
 )
 from .nonlinearity import pure_power
 from .radial_bvp import (
+    RESIDUAL_GATE,
     ProblemParams,
     action_energy,
     relative_residual,
@@ -44,7 +45,6 @@ from .radial_bvp import (
 )
 from .spectral import lambda_ell, morse_index
 
-RESIDUAL_GATE = 1e-4          # relative ODE defect for stored profiles
 TRANSFORMED_GATE = 1e-3       # half-line defect for interpolated (stored) data
 POHOZAEV_GATE = 1e-6          # relative slack tolerance
 IDENTITY_GATE = 1e-5          # integral identity mismatch

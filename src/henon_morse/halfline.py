@@ -36,6 +36,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import HypothesisViolated, MeshTooCoarse
 from .nonlinearity import NonlinearityF
+from .pencil import lowest_eigenpair
 from .radial_bvp import ProblemParams
 
 DEFAULT_HORIZON_SCALE = 30.0
@@ -396,80 +397,26 @@ def build_weighted_forms(U, gamma, delta, lam, mesh):
     return A, B, ts
 
 
-def _count_below(d11, d12, d22, off, bw, s):
-    """#{pencil eigenvalues < s} by block LDL^T inertia of A - s B."""
-    from .spectral import _block_tridiag_inertia
-    from .errors import SingularPivot
-
-    for nudge in (0.0, 1e-13, -1e-13, 1e-12):
-        sh = s + nudge * (1.0 + abs(s))
-        try:
-            return _block_tridiag_inertia(d11 - sh * bw, d12, d22 - sh * bw, off)
-        except SingularPivot:
-            continue
-    raise SingularPivot(f"persistent zero pivot near shift {s}")
-
-
 def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
     """Minimum of the weighted quadratic form under the e^(-delta t) normalization.
 
     Returns (mu_min, (tmesh, h1, h2)): the smallest generalized eigenvalue of
-    the weighted stiffness against the e^(-delta t) mass, located by Sturm
-    bisection on the block factorization inertia (robust against the huge
-    dynamic range of the weights), plus its eigenfunction from inverse
-    iteration, normalized to unit weighted mass with h(0) = 0.  mu_min < 0
-    iff some admissible test function makes the form negative.
+    the weighted stiffness against the e^(-delta t) mass and its
+    eigenfunction, normalized to unit weighted mass with h(0) = 0, from
+    ``pencil.lowest_eigenpair`` (Sturm bisection on the block factorization
+    inertia, robust against the huge dynamic range of the weights, then
+    inverse iteration).  mu_min < 0 iff some admissible test function makes
+    the form negative.
     """
     if not (delta > gamma > 0):
         raise ValueError("need delta > gamma > 0")
-    blocks = _weighted_blocks(U, gamma, delta, lam, mesh)
-    d11, d12, d22, off, bw, ts = blocks
+    *pencil, ts = _weighted_blocks(U, gamma, delta, lam, mesh)
 
     # the U term is the only negative contribution, so mu_min >= -sup lam_max(U)
     tr = 0.5 * (np.asarray(U.m11) + np.asarray(U.m22))
     disc = np.sqrt(0.25 * (np.asarray(U.m11) - np.asarray(U.m22)) ** 2 + np.asarray(U.m12) ** 2)
     ubar = float(max(np.max(tr + disc), 0.0))
-    lo = -ubar - 1.0
-    while _count_below(*blocks[:5], lo) > 0:
-        lo = 2.0 * lo - 1.0
-    hi = 1.0
-    while _count_below(*blocks[:5], hi) < 1:
-        hi = 2.0 * hi + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _count_below(*blocks[:5], mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-        if (hi - lo) <= 1e-13 * (1.0 + abs(hi)):
-            break
-    mu_min = 0.5 * (lo + hi)
-
-    # inverse iteration for the eigenvector at a shift just below mu_min
-    from scipy.linalg import solve_banded
-
-    n = len(d11)
-    sigma = mu_min - 1e-6 * (1.0 + abs(mu_min))
-    ab = np.zeros((5, 2 * n))
-    diag = np.empty(2 * n)
-    diag[0::2] = d11 - sigma * bw
-    diag[1::2] = d22 - sigma * bw
-    ab[2] = diag
-    ab[1, 1::2] = d12          # (j, j+1) entries
-    ab[3, 0::2] = d12
-    ab[0, 2::2] = off          # (j, j+2) entries
-    ab[0, 3::2] = off
-    ab[4, 0:-2:2] = off
-    ab[4, 1:-2:2] = off
-    Bv = np.empty(2 * n)
-    Bv[0::2] = bw
-    Bv[1::2] = bw
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(2 * n)
-    for _ in range(6):
-        x = solve_banded((2, 2), ab, Bv * x)
-        x = x / math.sqrt(float(np.dot(Bv * x, x)))
-    y = x
+    mu_min, y = lowest_eigenpair(pencil, -ubar - 1.0, seed=12345)
     h1 = np.concatenate([[0.0], y[0::2]])
     h2 = np.concatenate([[0.0], y[1::2]])
 

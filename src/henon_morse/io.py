@@ -14,9 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .halfline import TransformedProfile
+from .errors import HypothesisViolated
+from .halfline import TransformedProfile, pohozaev_check, transformed_residual
 from .nonlinearity import NonlinearityF
-from .radial_bvp import ProblemParams, RadialProfile
+from .radial_bvp import (
+    ProblemParams,
+    RadialProfile,
+    action_energy,
+    relative_residual,
+    residual,
+)
 
 
 def _timestamp():
@@ -83,8 +90,6 @@ def save_profile(profile: RadialProfile, basepath, extra=None):
     base = Path(basepath)
     _write_csv(base.with_suffix(".csv"), ["r", "u", "v", "du", "dv"],
                [profile.grid, profile.u, profile.v, profile.du, profile.dv])
-    from .radial_bvp import action_energy, relative_residual, residual
-
     header = {
         "kind": "radial_profile",
         "params": params_to_dict(profile.params),
@@ -114,9 +119,6 @@ def save_transformed(tp: TransformedProfile, basepath, extra=None):
     base = Path(basepath)
     _write_csv(base.with_suffix(".csv"), ["t", "u", "v", "du", "dv"],
                [tp.tgrid, tp.u, tp.v, tp.du, tp.dv])
-    from .errors import HypothesisViolated
-    from .halfline import pohozaev_check, transformed_residual
-
     try:
         pc = pohozaev_check(tp)
         pohozaev = {"lhs": pc.lhs, "rhs": pc.rhs, "slack": pc.slack,

@@ -12,7 +12,8 @@ window (a, b) some compactly supported pair phi makes
 
 strictly negative.  ``instability_witness`` certifies this by computing the
 smallest Dirichlet eigenvalue of -d^2/dt^2 - s D2F(u, v) on the window
-together with its minimizer, which doubles as an explicit witness.
+together with its minimizer (``pencil.lowest_eigenpair``), which doubles as
+an explicit witness.
 
 The module also provides the two constructive ingredients used by the
 blow-up machinery: logarithmic cutoffs psi_n = phi(ln t / n) u approximating
@@ -30,7 +31,8 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .errors import NonTermination, OverflowBlowUp
-from .nonlinearity import NonlinearityF
+from .nonlinearity import NonlinearityF, golden_min
+from .pencil import lowest_eigenpair
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -111,9 +113,8 @@ def lower_mass_window(traj, eps, refine=2000):
     golden-section and each mass integrated on its own window subgrid, so
     masses of congruent windows agree to quadrature precision.
     """
+    # deferred: importing scipy.signal roughly doubles the package import time
     from scipy.signal import find_peaks
-
-    from .nonlinearity import _golden_min
 
     t = traj.tgrid
     dt = t[1] - t[0]
@@ -134,7 +135,7 @@ def lower_mass_window(traj, eps, refine=2000):
                 vals = traj.dense(x)
                 return -(abs(float(vals[0])) ** p + abs(float(vals[1])) ** p)
 
-            c, _ = _golden_min(neg_density, c - dt, c + dt, tol=1e-13)
+            c, _ = golden_min(neg_density, c - dt, c + dt, tol=1e-13)
         if c - eps < t[0] or c + eps > t[-1]:
             continue
         if traj.dense is not None:
@@ -180,50 +181,8 @@ def instability_witness(traj, window, mesh=800):
     if not (traj.tgrid[0] <= a < b <= traj.tgrid[-1]):
         raise ValueError("window must lie inside the trajectory domain")
     d11, d12, d22, off, bw, ts, h = _window_blocks(traj, a, b, mesh)
-
-    from .halfline import _count_below
-
-    blocks = (d11, d12, d22, off, bw)
-    fuu_max = float(np.max(np.abs(d11))) / h + 2.0
-    lo = -fuu_max
-    while _count_below(*blocks, lo) > 0:
-        lo = 2.0 * lo - 1.0
-    hi = 1.0
-    while _count_below(*blocks, hi) < 1:
-        hi = 2.0 * hi + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _count_below(*blocks, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-        if (hi - lo) <= 1e-13 * (1.0 + abs(hi)):
-            break
-    q_min = 0.5 * (lo + hi)
-
-    from scipy.linalg import solve_banded
-
-    n = len(d11)
-    sigma = q_min - 1e-6 * (1.0 + abs(q_min))
-    ab = np.zeros((5, 2 * n))
-    diag = np.empty(2 * n)
-    diag[0::2] = d11 - sigma * bw
-    diag[1::2] = d22 - sigma * bw
-    ab[2] = diag
-    ab[1, 1::2] = d12
-    ab[3, 0::2] = d12
-    ab[0, 2::2] = off
-    ab[0, 3::2] = off
-    ab[4, 0:-2:2] = off
-    ab[4, 1:-2:2] = off
-    Bv = np.empty(2 * n)
-    Bv[0::2] = bw
-    Bv[1::2] = bw
-    rng = np.random.default_rng(4242)
-    x = rng.standard_normal(2 * n)
-    for _ in range(6):
-        x = solve_banded((2, 2), ab, Bv * x)
-        x = x / math.sqrt(float(np.dot(Bv * x, x)))
+    lo = -(float(np.max(np.abs(d11))) / h + 2.0)
+    q_min, x = lowest_eigenpair((d11, d12, d22, off, bw), lo, seed=4242)
     tfull = np.concatenate([[a], ts, [b]])
     phi1 = np.concatenate([[0.0], x[0::2], [0.0]])
     phi2 = np.concatenate([[0.0], x[1::2], [0.0]])

@@ -26,7 +26,7 @@ PURE_POWER = "pure_power"
 QUARTIC_COUPLED = "quartic_coupled"
 
 
-def _golden_min(fun, lo, hi, tol=1e-12):
+def golden_min(fun, lo, hi, tol=1e-12):
     """Golden-section minimum of a unimodal-enough fun, seeded by coarse sampling."""
     xs = np.linspace(lo, hi, 2001)
     vals = np.array([fun(x) for x in xs])
@@ -116,11 +116,6 @@ class NonlinearityF:
         fvv = 3.0 * self.a2 * np.square(v) + self.b * np.square(u)
         return fuu, fuv, fvv
 
-    def hess_matrix(self, u, v):
-        """Hessian as a 2x2 array at a single point."""
-        fuu, fuv, fvv = self.hess(u, v)
-        return np.array([[fuu, fuv], [fuv, fvv]], dtype=float)
-
     def coercivity_constant(self):
         """min of F on the l^p sphere |u|^p + |v|^p = 1 (strictly positive).
 
@@ -139,7 +134,7 @@ class NonlinearityF:
             v = y ** 0.25
             return float(self.value(u, v))
 
-        _, fmin = _golden_min(on_p_sphere, 0.0, math.pi / 2.0)
+        _, fmin = golden_min(on_p_sphere, 0.0, math.pi / 2.0)
         return fmin
 
     def growth_constant(self):
@@ -151,7 +146,7 @@ class NonlinearityF:
         def neg_on_circle(theta):
             return -float(self.value(math.cos(theta), math.sin(theta)))
 
-        _, fneg = _golden_min(neg_on_circle, 0.0, math.pi / 2.0)
+        _, fneg = golden_min(neg_on_circle, 0.0, math.pi / 2.0)
         return -fneg
 
 

@@ -38,6 +38,7 @@ from .nonlinearity import NonlinearityF
 EPS_ORIGIN = 1e-6
 BLOWUP_GUARD = 1e12
 AMPLITUDE_CAP = 1e8
+RESIDUAL_GATE = 1e-5  # relative ODE defect of a certified profile
 
 
 def sphere_area(N):
@@ -524,15 +525,15 @@ def relative_residual(profile):
     return residual(profile) / scale
 
 
-def is_certified(profile, rel_tol=1e-5):
-    return profile.is_trivial or relative_residual(profile) <= rel_tol
+def is_certified(profile):
+    return profile.is_trivial or relative_residual(profile) <= RESIDUAL_GATE
 
 
-def require_certified(profile, rel_tol=1e-5):
-    if not is_certified(profile, rel_tol):
+def require_certified(profile):
+    if not is_certified(profile):
         raise DegenerateInput(
             f"profile failed certification: relative residual "
-            f"{relative_residual(profile):.3e} > {rel_tol:.1e}"
+            f"{relative_residual(profile):.3e} > {RESIDUAL_GATE:.1e}"
         )
 
 

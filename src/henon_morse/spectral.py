@@ -34,11 +34,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import SingularPivot
+from .pencil import count_below
 from .radial_bvp import RadialProfile, require_certified
 
 ZERO_BAND = 1e-10
-PIVOT_TINY = 1e-300
 
 
 def lambda_ell(ell, N):
@@ -89,8 +88,10 @@ class MorseReport:
 
 
 def build_sector(profile: RadialProfile, ell: int) -> SturmLiouvilleSpec:
-    """Sector potential V(r) = r^alpha D2F(u, v) - diag(mu1, mu2) on the profile grid."""
-    require_certified(profile)
+    """Sector potential V(r) = r^alpha D2F(u, v) - diag(mu1, mu2) on the profile grid.
+
+    Expects a certified profile (``morse_index`` checks it once).
+    """
     p = profile.params
     w = profile.grid ** p.alpha
     fuu, fuv, fvv = p.f.hess(profile.u, profile.v)
@@ -112,8 +113,8 @@ def _interp_potential(spec, rs):
     return v11, v12, v22
 
 
-def _assemble_blocks(spec, mesh, shift):
-    """Blocks of A - shift B for the conservative FD discretization.
+def _assemble_blocks(spec, mesh):
+    """Pencil (d11, d12, d22, off, mass) of the conservative FD discretization.
 
     Nodes r_i = i h, i = 1..mesh-1 (Dirichlet at r = 1 drops node mesh); the
     r = 0 end has no boundary row: the flux to the left of node 1 vanishes
@@ -121,7 +122,6 @@ def _assemble_blocks(spec, mesh, shift):
     w = 0 for l >= 1 (centrifugal decay).
     """
     h = 1.0 / mesh
-    n = mesh - 1
     r = h * np.arange(1, mesh)
     rho = r ** (spec.N - 1)
     k_half = (h * (np.arange(mesh) + 0.5)) ** (spec.N - 1)  # r_{i+1/2}^(N-1), i=0..mesh-1
@@ -130,61 +130,17 @@ def _assemble_blocks(spec, mesh, shift):
     cent = spec.lambda_ell / (r * r)
     mass = h * rho
 
-    # diagonal 2x2 blocks: stiffness + node terms - shift * mass
-    d11 = np.empty(n)
-    d22 = np.empty(n)
-    d12 = np.empty(n)
-    # fluxes on both sides of node i (i starts at 1)
+    # diagonal 2x2 blocks: stiffness + node terms; fluxes on both sides of node i
     left = k_half[:-1] / h   # k_{i-1/2}
     right = k_half[1:] / h   # k_{i+1/2}
     stiff = left + right
     if spec.ell == 0:
-        stiff = stiff.copy()
         stiff[0] -= left[0]  # reflection: no flux through r = 0
-    d11[:] = stiff + mass * (cent - v11) - shift * mass
-    d22[:] = stiff + mass * (cent - v22) - shift * mass
-    d12[:] = mass * (-v12)
-    off = -right[:-1]  # coupling of node i to node i+1, i = 1..n-1
-    return d11, d12, d22, off
-
-
-def _sym22_eigsigns(a, b, c):
-    """Inertia contribution of the symmetric block [[a, b], [b, c]]."""
-    det = a * c - b * b
-    tr = a + c
-    disc = math.sqrt(max(0.25 * tr * tr - det, 0.0))
-    lam1 = 0.5 * tr - disc
-    lam2 = 0.5 * tr + disc
-    scale = abs(a) + abs(b) + abs(c) + PIVOT_TINY
-    if min(abs(lam1), abs(lam2)) <= 1e-14 * scale:
-        raise SingularPivot("factorization pivot at machine zero")
-    return (1 if lam1 < 0 else 0) + (1 if lam2 < 0 else 0)
-
-
-def _block_tridiag_inertia(d11, d12, d22, off):
-    """Negative-pivot count of the symmetric block-tridiagonal matrix.
-
-    Runs the block LDL^T Schur recursion d_i <- D_i - c_i d_{i-1}^{-1} c_i
-    (off blocks are scalar multiples of the identity) and sums the 2x2 pivot
-    inertias; exact in exact arithmetic by Sylvester's law.
-    """
-    n = d11.shape[0]
-    neg = 0
-    a, b, c = d11[0], d12[0], d22[0]
-    neg += _sym22_eigsigns(a, b, c)
-    for i in range(1, n):
-        w = off[i - 1]
-        det = a * c - b * b
-        if abs(det) <= PIVOT_TINY:
-            raise SingularPivot("singular 2x2 pivot block")
-        w2 = w * w / det
-        # c_i d^{-1} c_i with c_i = w I: w^2 * inverse(d)
-        sa = d11[i] - w2 * c
-        sb = d12[i] + w2 * b
-        sc = d22[i] - w2 * a
-        a, b, c = sa, sb, sc
-        neg += _sym22_eigsigns(a, b, c)
-    return neg
+    d11 = stiff + mass * (cent - v11)
+    d22 = stiff + mass * (cent - v22)
+    d12 = mass * (-v12)
+    off = -right[:-1]  # coupling of node i to node i+1, i = 1..mesh-2
+    return d11, d12, d22, off, mass
 
 
 def count_negative_eigenvalues(spec, mesh=1000, shift=0.0):
@@ -192,13 +148,12 @@ def count_negative_eigenvalues(spec, mesh=1000, shift=0.0):
 
     The discrete pencil A w = mu B w (B diagonal positive from the r^(N-1)
     weight) has as many eigenvalues below the shift as A - shift B has
-    negative pivots.  Raises SingularPivot on a machine-zero pivot; callers
-    retry with the shift perturbed by +-1e-12.
+    negative pivots (``pencil.count_below``, which retries a machine-zero
+    pivot at a nudged shift and raises SingularPivot only if it persists).
     """
     if mesh < 200:
         raise ValueError("mesh must be at least 200")
-    blocks = _assemble_blocks(spec, mesh, shift)
-    return _block_tridiag_inertia(*blocks)
+    return count_below(_assemble_blocks(spec, mesh), shift)
 
 
 def count_negative_with_band(spec, mesh=1000, band=ZERO_BAND):
@@ -207,18 +162,8 @@ def count_negative_with_band(spec, mesh=1000, band=ZERO_BAND):
     Eigenvalues within the band of zero are structurally ambiguous at this
     resolution and are flagged instead of counted negative.
     """
-    def robust(shift):
-        for delta in (0.0, 1e-12, -1e-12, 3e-12):
-            try:
-                return count_negative_eigenvalues(spec, mesh, shift + delta)
-            except SingularPivot:
-                continue
-        raise SingularPivot(
-            f"persistent zero pivot near shift {shift} at mesh {mesh}"
-        )
-
-    strict = robust(-band)
-    loose = robust(band)
+    strict = count_negative_eigenvalues(spec, mesh, -band)
+    loose = count_negative_eigenvalues(spec, mesh, band)
     return strict, loose != strict
 
 
@@ -227,8 +172,8 @@ def sector_nonneg_certificate(profile):
 
     Sectors with l(l+N-2) at or above this value are nonnegative without any
     discretization, because lambda/r^2 dominates V pointwise on (0, 1].
+    Expects a certified profile (``morse_index`` checks it once).
     """
-    require_certified(profile)
     p = profile.params
     r = profile.grid
     w = r ** p.alpha

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of analytic Hessians, dense sphere sampling
-instead of golden-section refinement, oscillation counting instead of
-matrix inertia, collocation instead of shooting, fixed-step RK4 instead
-of the adaptive integrator.
+instead of golden-section refinement, oscillation counting or dense
+symmetric eigensolves instead of matrix inertia, collocation instead of
+shooting, fixed-step RK4 instead of the adaptive integrator.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import simpson, solve_bvp, solve_ivp
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 
@@ -212,6 +213,25 @@ def harmonic_dimension(N, ell):
                 L[index[tuple(e2)], j] += e[i] * (e[i] - 1)
     rank = np.linalg.matrix_rank(L)
     return len(src) - rank
+
+
+def dense_pencil(d11, d12, d22, off, bw):
+    """Dense (A, B) of a block-tridiagonal pencil, component-major ordering.
+
+    Unknowns are ordered (w1_0..w1_{n-1}, w2_0..w2_{n-1}), unlike the
+    interleaved layout of the banded code, and assembled with plain numpy.
+    """
+    off = np.asarray(off, dtype=float)
+    T = np.diag(off, 1) + np.diag(off, -1)
+    C = np.diag(np.asarray(d12, dtype=float))
+    A = np.block([[np.diag(d11) + T, C], [C, np.diag(d22) + T]])
+    B = np.diag(np.concatenate([bw, bw]).astype(float))
+    return A, B
+
+
+def dense_pencil_eigvals(d11, d12, d22, off, bw):
+    """Ascending eigenvalues of A w = mu B w from a dense symmetric-definite solve."""
+    return eigh(*dense_pencil(d11, d12, d22, off, bw), eigvals_only=True)
 
 
 # ---------------------------------------------------------------------------

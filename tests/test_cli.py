@@ -122,13 +122,16 @@ def test_verify_detects_corruption(tmp_path, solve):
     bad = RadialProfile(prof.params, prof.grid, 1.1 * prof.u, prof.v,
                         1.1 * prof.du, prof.dv,
                         (1.1 * prof.amplitude[0], 0.0))
-    save_profile(bad, tmp_path / "profile")
-    rc = main(["verify", "--profile", str(tmp_path / "profile"),
-               "--out", str(tmp_path / "report.json"), "--mesh", "600"])
-    assert rc == 1
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert not report["checks"]["radial_residual"]["pass"]
-    assert not report["checks"]["transformed_residual"]["pass"]
+    # relative residual 2.2e-5: above the certification gate that morse_index applies
+    coarse = solve(2, 20.0, nodes=1)
+    for name, profile in (("corrupted", bad), ("coarse", coarse)):
+        save_profile(profile, tmp_path / name)
+        rc = main(["verify", "--profile", str(tmp_path / name),
+                   "--out", str(tmp_path / f"{name}.json"), "--mesh", "600"])
+        assert rc == 1
+        report = json.loads((tmp_path / f"{name}.json").read_text())
+        assert not report["checks"]["radial_residual"]["pass"]
+        assert not report["checks"]["transformed_residual"]["pass"]
 
 
 def test_verify_trivial_profile(tmp_path):

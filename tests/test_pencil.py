@@ -1,0 +1,102 @@
+"""The block-tridiagonal pencil kernel against dense symmetric eigensolves."""
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from henon_morse.errors import SingularPivot
+from henon_morse.pencil import _negative_pivots, count_below, lowest_eigenpair
+
+from oracles import dense_pencil, dense_pencil_eigvals
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def pencils(draw, max_nodes=8):
+    """(d11, d12, d22, off, bw) with bounded entries and a positive mass."""
+    n = draw(st.integers(1, max_nodes))
+    entry = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    mass = st.floats(0.1, 4.0, allow_nan=False, allow_infinity=False)
+
+    def vec(k, el):
+        return np.array(draw(st.lists(el, min_size=k, max_size=k)), dtype=float)
+
+    return vec(n, entry), vec(n, entry), vec(n, entry), vec(n - 1, entry), vec(n, mass)
+
+
+def answer_or_reject(fn, *args):
+    """fn(*args), with the declared SingularPivot breakdown discarded as an example.
+
+    Hypothesis fails the test when it has to discard too many examples, so a
+    kernel that broke down routinely would not pass.
+    """
+    try:
+        return fn(*args)
+    except SingularPivot:
+        reject()
+
+
+@PROPERTY
+@given(pencils(), st.lists(st.floats(-12.0, 12.0, allow_nan=False), min_size=1, max_size=6))
+def test_count_below_matches_dense_oracle(pencil, shifts):
+    eig = dense_pencil_eigvals(*pencil)
+    # below and above the whole spectrum, plus shifts clear of every eigenvalue
+    span = 1.0 + float(np.max(np.abs(eig)))
+    for s in [-2.0 * span, 2.0 * span] + shifts:
+        if np.min(np.abs(eig - s)) <= 1e-8 * span:
+            continue
+        assert answer_or_reject(count_below, pencil, s) == int(np.sum(eig < s))
+
+
+@PROPERTY
+@given(pencils(), st.floats(-20.0, 0.5, allow_nan=False))
+def test_lowest_eigenpair_matches_dense_oracle(pencil, lo):
+    eig = dense_pencil_eigvals(*pencil)
+    mu, x = answer_or_reject(lowest_eigenpair, pencil, lo, 7)
+    assert abs(mu - eig[0]) <= 1e-10 * (1.0 + abs(eig[0]))
+    A, B = dense_pencil(*pencil)
+    y = np.concatenate([x[0::2], x[1::2]])  # interleaved -> component-major
+    assert float(y @ B @ y) == pytest.approx(1.0, rel=1e-12)
+    scale = np.linalg.norm(A, 2) + (1.0 + abs(mu)) * np.linalg.norm(B, 2)
+    assert np.linalg.norm(A @ y - mu * (B @ y)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_singular_first_pivot_is_nudged(n):
+    # A - sB has the exactly singular first pivot [[1, 2], [2, 4]] at s = 2,
+    # while the coupling to the other nodes keeps s clear of the spectrum
+    s = 2.0
+    d11 = np.full(n, 3.0)
+    d12 = np.full(n, 0.5)
+    d22 = np.full(n, -1.0)
+    bw = np.full(n, 0.5)
+    d11[0], d12[0], d22[0] = 2.0, 2.0, 5.0
+    off = np.full(n - 1, -0.75)
+    pencil = (d11, d12, d22, off, bw)
+    with pytest.raises(SingularPivot):
+        _negative_pivots(d11 - s * bw, d12, d22 - s * bw, off)
+    eig = dense_pencil_eigvals(*pencil)
+    assert np.min(np.abs(eig - s)) > 1e-6
+    assert count_below(pencil, s) == int(np.sum(eig < s))
+
+
+def test_persistent_singular_pivot_raises():
+    # a rank-one first pivot far larger than every shift nudge stays singular,
+    # though the pencil's eigenvalues (about -0.62, 1.0, 1.62, 2e6) avoid 0
+    big = 1e6
+    pencil = (np.array([big, 1.0]), np.array([big, 0.0]), np.array([big, 1.0]),
+              np.array([-1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(SingularPivot):
+        count_below(pencil, 0.0)
+
+
+def test_bisection_stops_in_a_zero_pivot_band():
+    # one node, rank-one block: eigenvalues 0 and 32; near 0 the pivot stays
+    # singular under every shift nudge, so bisection ends on the pinned bracket
+    pencil = (np.array([2.0]), np.array([2.0]), np.array([2.0]),
+              np.array([]), np.array([0.125]))
+    mu, x = lowest_eigenpair(pencil, -1.0, seed=7)
+    assert abs(mu) <= 1e-10
+    assert abs(x[0] + x[1]) <= 1e-8 * abs(x[0])

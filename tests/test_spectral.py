@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from henon_morse.errors import DegenerateInput
 from henon_morse.nonlinearity import pure_power
 from henon_morse.radial_bvp import ProblemParams, integrate_radial_ivp
 from henon_morse.spectral import (
@@ -196,6 +197,12 @@ def test_ground_state_index_one(solve):
     assert report.mesh_stable
     assert report.counts()[0] == 1
     assert all(neg == 0 for ell, _, neg in report.per_ell if ell >= 1)
+
+
+def test_morse_index_rejects_uncertified_profile(solve):
+    # the single certification gate sits at morse_index entry
+    with pytest.raises(DegenerateInput):
+        morse_index(solve(2, 4.0).scaled(1.1), mesh=400)
 
 
 def test_morse_report_shape(solve):
