@@ -93,9 +93,13 @@ def cmd_solve(args):
     extra = {"branch": raw.get("branch", "positive"),
              "tool": {"grid": args.grid, "tol": args.tol}}
     hio.save_profile(profile, out / "profile", extra=extra)
+    rel = relative_residual(profile)
     print(f"wrote {out / 'profile'}.csv/.json  "
-          f"(amplitude {profile.amplitude[0]:.6g}, "
-          f"relative residual {relative_residual(profile):.3e})")
+          f"(amplitude {profile.amplitude[0]:.6g}, relative residual {rel:.3e})")
+    if rel > RESIDUAL_GATE:
+        print(f"profile not certified: relative residual {rel:.3e} > {RESIDUAL_GATE:g}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

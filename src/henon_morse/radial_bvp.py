@@ -14,13 +14,13 @@ which the solution is resampled onto a uniform certification grid.
 With mu = 0 (both components on the diagonal ansatz) the problem is
 invariant under u -> lambda^sigma u(lambda r), sigma = (2 + alpha)/(p - 2),
 so one shot from unit amplitude, stopped at its (k+1)-th zero r_k, gives
-the k-node amplitude r_k^sigma exactly.  With mu > 0 the amplitude comes
-from bisection on the interior zero count of the IVP solution, a monotone
-discriminator.  Either way the final profile is checked for its boundary
-value and node count before it is returned, and it should be certified
-through ``residual`` before spectral post-processing.  For N >= 3 and
-p >= 2(N + alpha)/(N - 2) no solution exists (Pohozaev identity), which is
-reported before any shot.
+the k-node amplitude r_k^sigma exactly.  With mu > 0 the interior zero
+count brackets the amplitude and Illinois steps on (-1)^k u(1; d) close the
+bracket to tol (1 + d) with |u(1)| <= tol.  Either way the final profile is
+checked for its boundary value and node count before it is returned, and it
+should be certified through ``residual`` before spectral post-processing.
+For N >= 3 and p >= 2(N + alpha)/(N - 2) no solution exists (Pohozaev
+identity), which is reported before any shot.
 """
 
 from __future__ import annotations
@@ -222,9 +222,13 @@ def integrate_radial_ivp(params, d, grid_size=4000, rtol=1e-10, atol=1e-10):
     No boundary condition is imposed at r = 1; the result is a shooting
     candidate sampled on the uniform certification grid.
     """
+    return _sample(params, d, _integrate_dense(params, d, rtol=rtol, atol=atol), grid_size)
+
+
+def _sample(params, d, dense, grid_size):
+    """Profile sampled from the dense evaluator of the shot with centre values d."""
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    dense = _integrate_dense(params, d, rtol=rtol, atol=atol)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     vals = dense(grid)
     vals[:, 0] = [d[0], d[1], 0.0, 0.0]
@@ -235,33 +239,39 @@ def integrate_radial_ivp(params, d, grid_size=4000, rtol=1e-10, atol=1e-10):
 
 
 def _shot(params, d_pair, rtol=1e-12, atol=1e-12, n_probe=2000):
-    """One shot: returns (boundary value u(1), interior zero count of u).
+    """One shot: returns (boundary value u(1), interior zero count of u, evaluator).
 
     Zeros are counted strictly inside (0, 1 - band); blow-up before the
-    boundary counts as infinitely many crossings.
+    boundary counts as infinitely many crossings and has no evaluator.
     """
     try:
         dense = _integrate_dense(params, d_pair, rtol=rtol, atol=atol)
     except OverflowBlowUp:
-        return -math.inf, 10 ** 6
+        return -math.inf, 10 ** 6, None
     rs = np.linspace(EPS_ORIGIN, 1.0, n_probe)
     u = dense(rs)[0]
     interior = u[rs < 1.0 - 1.5 / n_probe]
     sign = np.sign(interior)
     sign[sign == 0] = 1.0
     zeros = int(np.count_nonzero(np.diff(sign)))
-    return float(u[-1]), zeros
+    return float(u[-1]), zeros, dense
 
 
 def _bisect_amplitude(params, want_zeros, tol, diagonal=False):
-    """Amplitude bisection on the monotone zero-count discriminator.
+    """The amplitude of ``_amplitude_shot``: zero-count bracket, then Illinois steps."""
+    return _amplitude_shot(params, want_zeros, tol, diagonal)[0]
 
-    Below the k-node root the shot has exactly k interior zeros and u(1)
-    carries the sign (-1)^k; above it, either the (k+1)-th zero already shows
-    up in the interior count or it still hides next to r = 1, in which case
-    the flipped boundary sign exposes it.
+
+def _amplitude_shot(params, k, tol, diagonal=False):
+    """k-node amplitude and the evaluator of its shot, bracketed on the zero count.
+
+    Below the root a shot has k interior zeros and g(d) = (-1)^k u(1; d) > 0;
+    above it the (k+1)-th zero shows in the count or, next to r = 1, in g < 0.
+    While the low end has k zeros and the high end k or k+1 with g < 0, g is
+    continuous with one sign change and steps are Illinois (regula falsi that
+    halves the weight of an end kept twice); otherwise they bisect.  Stops when
+    the bracket is below tol (1 + d) and the best k-zero shot has |u(1)| <= tol.
     """
-    k = want_zeros
     parity = 1.0 if k % 2 == 0 else -1.0
 
     def shot(d):
@@ -273,45 +283,49 @@ def _bisect_amplitude(params, want_zeros, tol, diagonal=False):
         return z == k and parity * bv < 0.0
 
     d_lo = max(tol, 1e-6)
-    bv_lo, z_lo = shot(d_lo)
+    bv_lo, z_lo, _ = shot(d_lo)
     shrink = 0
     while crossed(bv_lo, z_lo) and shrink < 40:
         d_lo /= 4.0
-        bv_lo, z_lo = shot(d_lo)
+        bv_lo, z_lo, _ = shot(d_lo)
         shrink += 1
     if crossed(bv_lo, z_lo):
         raise NoBracket("discriminator already crossed at the smallest amplitude")
 
     d_hi = max(1.0, 2 * d_lo)
-    bv_hi, z_hi = shot(d_hi)
-    genuine_crossing = crossed(bv_hi, z_hi) and math.isfinite(bv_hi)
+    bv_hi, z_hi, _ = shot(d_hi)
     while not crossed(bv_hi, z_hi):
+        d_lo, bv_lo, z_lo = d_hi, bv_hi, z_hi
         d_hi *= 2.0
         if d_hi > AMPLITUDE_CAP:
             raise NoBracket(
                 f"no sign change of the shooting discriminator for "
                 f"amplitudes up to {AMPLITUDE_CAP:.0e}"
             )
-        bv_hi, z_hi = shot(d_hi)
-        genuine_crossing = crossed(bv_hi, z_hi) and math.isfinite(bv_hi)
+        bv_hi, z_hi, _ = shot(d_hi)
+    genuine_crossing = math.isfinite(bv_hi)
 
+    g_lo, g_hi = parity * bv_lo, parity * bv_hi  # Illinois weights of the ends
+    kept = 0  # end kept by the last step: +1 low, -1 high
     best = None
     for _ in range(300):
-        mid = 0.5 * (d_lo + d_hi)
-        bv, z = shot(mid)
+        illinois = z_lo == k and z_hi - k in (0, 1) and g_hi < 0.0
+        d = d_lo + g_lo * (d_hi - d_lo) / (g_lo - g_hi) if illinois else d_lo
+        if not d_lo < d < d_hi:  # a bisection step, or a secant point lost to rounding
+            d = 0.5 * (d_lo + d_hi)
+        bv, z, dense = shot(d)
         if crossed(bv, z):
-            d_hi = mid
-            if math.isfinite(bv):
-                genuine_crossing = True
+            g_lo *= 0.5 if kept == 1 else 1.0
+            d_hi, g_hi, z_hi, kept = d, parity * bv, z, 1
+            genuine_crossing |= math.isfinite(bv)
         else:
-            d_lo = mid
-        if z == k:
-            # both sides carry k interior zeros close to the root
-            if best is None or abs(bv) < best[1]:
-                best = (mid, abs(bv))
-        if (d_hi - d_lo) <= tol * (1.0 + mid) and best is not None and best[1] <= tol:
-            break
-        if (d_hi - d_lo) <= 4e-16 * mid:
+            g_hi *= 0.5 if kept == -1 else 1.0
+            d_lo, g_lo, z_lo, kept = d, parity * bv, z, -1
+        # both sides carry k interior zeros close to the root
+        if z == k and (best is None or abs(bv) < best[1]):
+            best = (d, abs(bv), dense)
+        if (d_hi - d_lo) <= 4e-16 * d or (
+                (d_hi - d_lo) <= tol * (1.0 + d) and best is not None and best[1] <= tol):
             break
     if best is None or (not genuine_crossing and best[1] > tol):
         # the only "crossings" seen were integration breakdowns, not boundary
@@ -320,13 +334,13 @@ def _bisect_amplitude(params, want_zeros, tol, diagonal=False):
             "no boundary crossing below the series-start validity limit "
             "(parameters outside the solvable regime)"
         )
-    amplitude, boundary = best
+    amplitude, boundary, dense = best
     if boundary > tol:
         raise NoConverge(
             f"boundary value {boundary:.3e} above tolerance {tol:.1e} "
-            f"after exhausting the bisection bracket"
+            f"after exhausting the amplitude bracket"
         )
-    return amplitude
+    return amplitude, dense
 
 
 def _scaling_amplitude(params, k, diagonal=False):
@@ -337,7 +351,7 @@ def _scaling_amplitude(params, k, diagonal=False):
     starts at 1 and has its (k+1)-th zero at r_k, then u_lam with lam = r_k
     has k interior zeros, vanishes at r = 1 and starts at r_k^sigma.  The
     shot stops at r_cap = AMPLITUDE_CAP^(1/sigma), so a missing zero means no
-    amplitude up to the cap works, as for the bisection.
+    amplitude up to the cap works, as for the zero-count bracket.
     """
     sigma = (2.0 + params.alpha) / (params.f.p - 2.0)
     r_cap = AMPLITUDE_CAP ** (1.0 / sigma)
@@ -379,11 +393,12 @@ def _shoot_branch(params, k, tol, grid_size, diagonal):
     """Profile with k interior zeros and u(1) = 0, checked before it is returned."""
     _require_subcritical(params)
     if params.mu1 == 0.0 and (params.mu2 == 0.0 or not diagonal):
-        amplitude = _scaling_amplitude(params, k, diagonal)
+        amplitude, dense = _scaling_amplitude(params, k, diagonal), None
     else:
-        amplitude = _bisect_amplitude(params, want_zeros=k, tol=tol, diagonal=diagonal)
+        amplitude, dense = _amplitude_shot(params, k, tol, diagonal)
     d = (amplitude, amplitude if diagonal else 0.0)
-    profile = integrate_radial_ivp(params, d, grid_size, rtol=1e-12, atol=1e-12)
+    profile = _sample(params, d, dense or _integrate_dense(params, d, rtol=1e-12, atol=1e-12),
+                      grid_size)
     boundary = abs(float(profile.u[-1]))
     if boundary > tol:
         raise NoConverge(

@@ -72,6 +72,20 @@ def test_solve_writes_certified_profile(tmp_path):
     assert header["amplitude"][0] == pytest.approx(6.8968486, rel=1e-6)
 
 
+def test_solve_flags_uncertified_profile(tmp_path, capsys):
+    # relative residual 2.19e-5 at grid 4000, above the 1e-5 certification gate
+    pfile = tmp_path / "params.json"
+    write_params(pfile, N=2, alpha=20.0, branch="nodal:1")
+    rc = main(["solve", "--params", str(pfile), "--out", str(tmp_path / "run"),
+               "--grid", "4000"])
+    assert rc == 1
+    assert "profile not certified: relative residual" in capsys.readouterr().err
+    assert (tmp_path / "run" / "profile.csv").exists()
+    rc = main(["verify", "--profile", str(tmp_path / "run" / "profile"),
+               "--out", str(tmp_path / "report.json"), "--mesh", "600"])
+    assert rc == 1
+
+
 def test_solve_deterministic_modulo_timestamp(tmp_path):
     pfile = tmp_path / "params.json"
     write_params(pfile, alpha=1.0)

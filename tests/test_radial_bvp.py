@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from henon_morse import radial_bvp
 from henon_morse.errors import DegenerateInput, NoBracket, OverflowBlowUp
 from henon_morse.nonlinearity import pure_power, quartic_coupled
 from henon_morse.radial_bvp import (
@@ -22,6 +23,8 @@ from henon_morse.radial_bvp import (
     quadratic_part,
     relative_residual,
     residual,
+    shoot_nodal,
+    shoot_positive,
     shoot_system_newton,
 )
 
@@ -88,6 +91,32 @@ def test_positive_shoot_against_collocation(solve):
         prof = solve(N, alpha)
         oracle_amp = collocation_positive_amplitude(params_for(N, alpha))
         assert prof.amplitude[0] == pytest.approx(oracle_amp, rel=1e-6)
+
+
+def test_mu_positive_shoot_against_collocation(solve):
+    # mu > 0 takes the bracket plus Illinois path, not the scaling solve
+    for alpha in (1.0, 2.0):
+        prof = solve(3, alpha, mu=1.0)
+        oracle_amp = collocation_positive_amplitude(params_for(3, alpha, mu=1.0))
+        assert prof.amplitude[0] == pytest.approx(oracle_amp, rel=1e-7)
+
+
+def test_mu_positive_shot_budget(monkeypatch):
+    # Illinois steps need far fewer integrations than the 41 and 46 of plain
+    # bisection; the returned shot is sampled, not integrated again
+    real = radial_bvp._integrate_dense
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial_bvp, "_integrate_dense", counted)
+    params = params_for(3, 1.0, mu=1.0)
+    for shoot in (lambda: shoot_positive(params), lambda: shoot_nodal(params, 1)):
+        calls.clear()
+        shoot()
+        assert len(calls) <= 18, calls
 
 
 def test_positive_shoot_certificates(solve):
