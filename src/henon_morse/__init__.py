@@ -1,4 +1,9 @@
-"""Radial solves, Morse indices and half-line stability checks on the unit ball."""
+"""Radial solves, Morse indices and half-line stability checks on the unit ball.
+
+The modules (``radial_bvp``, ``spectral``, ``halfline``, ``liouville``,
+``pencil``, ``nonlinearity``, ``io``, ``cli``) are the Python API; the package
+root re-exports only the error types.
+"""
 
 from .errors import (
     DegenerateInput,
@@ -10,53 +15,6 @@ from .errors import (
     NonTermination,
     OverflowBlowUp,
     SingularPivot,
-)
-from .halfline import (
-    MatrixPotential,
-    PohozaevCheck,
-    TransformedProfile,
-    eval_Qk,
-    inverse_transform,
-    pohozaev_check,
-    pohozaev_lower_bound,
-    stability_potential,
-    transform_profile,
-    transformed_residual,
-    weighted_eigen_min,
-)
-from .liouville import (
-    FULL_LINE,
-    HALF_LINE,
-    LimitTrajectory,
-    cutoff_sequence,
-    doubling_point,
-    energy_of,
-    instability_witness,
-    integrate_limit_system,
-    lower_mass_window,
-)
-from .nonlinearity import NonlinearityF, pure_power, quartic_coupled
-from .radial_bvp import (
-    ProblemParams,
-    RadialProfile,
-    action_energy,
-    integrate_radial_ivp,
-    nehari_project,
-    relative_residual,
-    residual,
-    shoot_nodal,
-    shoot_positive,
-    shoot_system_newton,
-)
-from .spectral import (
-    MorseReport,
-    SturmLiouvilleSpec,
-    build_sector,
-    count_negative_eigenvalues,
-    lambda_ell,
-    morse_index,
-    sector_nonneg_certificate,
-    sh_multiplicity,
 )
 
 __version__ = "0.1.0"

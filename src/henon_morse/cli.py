@@ -41,7 +41,6 @@ from .radial_bvp import (
     action_energy,
     relative_residual,
     shoot_nodal,
-    shoot_positive,
 )
 from .spectral import lambda_ell, morse_index
 
@@ -62,12 +61,6 @@ def _parse_branch(spec):
     raise ValueError(f"unknown branch {spec!r} (use 'positive' or 'nodal:k')")
 
 
-def _solve_branch(params, nodes, tol, grid):
-    if nodes == 0:
-        return shoot_positive(params, tol=tol, grid_size=grid)
-    return shoot_nodal(params, nodes, tol=tol, grid_size=grid)
-
-
 def _load_params_file(path, need_alpha=True):
     try:
         raw = hio.read_json(path)
@@ -82,11 +75,14 @@ def _load_params_file(path, need_alpha=True):
 
 def cmd_solve(args):
     raw, base_params = _load_params_file(args.params)
-    branch = _parse_branch(raw.get("branch", "positive"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        profile = _solve_branch(base_params, branch, args.tol, args.grid)
+        nodes = _parse_branch(raw.get("branch", "positive"))
+        profile = shoot_nodal(base_params, nodes, tol=args.tol, grid_size=args.grid)
+    except ValueError as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
     except (NoBracket, NoConverge) as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -106,13 +102,10 @@ def cmd_solve(args):
 def _sweep_row(job):
     """One fully certified sweep row; returns a plain dict (worker-safe)."""
     raw, alpha, branch_spec, grid, mesh, tol, horizon = job
-    d = dict(raw)
-    d["alpha"] = alpha
-    params = hio.params_from_dict(d)
     row = {"alpha": alpha, "branch": branch_spec, "status": "ok", "reason": ""}
     try:
-        nodes = _parse_branch(branch_spec)
-        profile = _solve_branch(params, nodes, tol, grid)
+        params = hio.params_from_dict({**raw, "alpha": alpha})
+        profile = shoot_nodal(params, _parse_branch(branch_spec), tol=tol, grid_size=grid)
         row["amplitude"] = list(profile.amplitude)
         row["energy"] = action_energy(profile)
         row["relative_residual"] = relative_residual(profile)
@@ -131,7 +124,8 @@ def _sweep_row(job):
                                "slack": pc.slack, "band": pc.tail_band}
         except HypothesisViolated as exc:
             row["pohozaev"] = {"skipped": str(exc)}
-    except HenonMorseError as exc:
+    except (HenonMorseError, ValueError) as exc:
+        # a parameter error fails this row only, like a solver error
         row["status"] = "failed"
         row["reason"] = f"{type(exc).__name__}: {exc}"
     return row

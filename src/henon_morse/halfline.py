@@ -342,13 +342,6 @@ def pohozaev_lower_bound(f: NonlinearityF, N, p=None):
     return (2.0 * N / p) * inner ** (2.0 / (p - 2.0))
 
 
-def _interp_matrix(U, ts):
-    m11 = np.interp(ts, U.tgrid, U.m11)
-    m12 = np.interp(ts, U.tgrid, U.m12)
-    m22 = np.interp(ts, U.tgrid, U.m22)
-    return m11, m12, m22
-
-
 def _weighted_blocks(U, gamma, delta, lam, mesh):
     """Block-tridiagonal arrays of the weighted forms over [0, T].
 
@@ -364,7 +357,7 @@ def _weighted_blocks(U, gamma, delta, lam, mesh):
     k_half = np.exp(-gamma * (ts[:-1] + 0.5 * ht)) / ht
     node_w = np.full(mesh + 1, ht)
     node_w[0] = node_w[-1] = 0.5 * ht
-    m11, m12, m22 = _interp_matrix(U, ts)
+    m11, m12, m22 = (np.interp(ts, U.tgrid, m) for m in (U.m11, U.m12, U.m22))
     eg = np.exp(-gamma * ts)
     ed = np.exp(-delta * ts)
 
@@ -377,24 +370,6 @@ def _weighted_blocks(U, gamma, delta, lam, mesh):
     off = -k_half[i[:-1]]
     bw = w * ed[i]
     return d11, d12, d22, off, bw, ts
-
-
-def build_weighted_forms(U, gamma, delta, lam, mesh):
-    """Dense (A, B, tmesh) of the weighted forms, interleaved (h1_i, h2_i)."""
-    d11, d12, d22, off, bw, ts = _weighted_blocks(U, gamma, delta, lam, mesh)
-    n = len(d11)
-    A = np.zeros((2 * n, 2 * n))
-    B = np.zeros(2 * n)
-    for i in range(n):
-        j = 2 * i
-        A[j, j] = d11[i]
-        A[j + 1, j + 1] = d22[i]
-        A[j, j + 1] = A[j + 1, j] = d12[i]
-        if i < n - 1:
-            A[j, j + 2] = A[j + 2, j] = off[i]
-            A[j + 1, j + 3] = A[j + 3, j + 1] = off[i]
-        B[j] = B[j + 1] = bw[i]
-    return A, B, ts
 
 
 def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):

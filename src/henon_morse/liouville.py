@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
@@ -41,7 +41,10 @@ BLOWUP_GUARD = 1e12
 
 @dataclass
 class LimitTrajectory:
-    """A sampled trajectory of the autonomous limit system."""
+    """A sampled trajectory of the autonomous limit system.
+
+    ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T].
+    """
 
     f: NonlinearityF
     interval: str
@@ -51,7 +54,7 @@ class LimitTrajectory:
     v: np.ndarray
     du: np.ndarray
     dv: np.ndarray
-    dense: Optional[Callable] = field(default=None, repr=False, compare=False)
+    dense: Callable = field(repr=False, compare=False)
 
     @property
     def is_trivial(self):
@@ -77,7 +80,8 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
     tgrid = np.linspace(0.0, T, steps + 1)
     if (u0, v0, du0, dv0) == (0.0, 0.0, 0.0, 0.0):
         z = np.zeros_like(tgrid)
-        return LimitTrajectory(f, interval, scale, tgrid, z, z.copy(), z.copy(), z.copy())
+        return LimitTrajectory(f, interval, scale, tgrid, z, z.copy(), z.copy(), z.copy(),
+                               dense=lambda t: np.zeros((4,) + np.shape(t)))
 
     def rhs(t, y):
         fu, fv = f.grad(y[0], y[1])
@@ -109,9 +113,9 @@ def lower_mass_window(traj, eps, refine=2000):
     mass is the integral over (center - eps, center + eps).  For a nontrivial
     bounded trajectory the masses stay above a common positive bound.
 
-    With a dense evaluator available, peak centers are polished by
-    golden-section and each mass integrated on its own window subgrid, so
-    masses of congruent windows agree to quadrature precision.
+    Peak centers are polished by golden-section on the dense evaluator and
+    each mass is integrated on its own window subgrid, so masses of
+    congruent windows agree to quadrature precision.
     """
     # deferred: importing scipy.signal roughly doubles the package import time
     from scipy.signal import find_peaks
@@ -127,25 +131,19 @@ def lower_mass_window(traj, eps, refine=2000):
     if float(np.max(g)) == 0.0:
         return []
     peaks, _ = find_peaks(g, distance=max(int(round(1.0 / dt)), 1))
+
+    def neg_density(x):
+        vals = traj.dense(x)
+        return -(abs(float(vals[0])) ** p + abs(float(vals[1])) ** p)
+
     out = []
     for idx in peaks:
-        c = float(t[idx])
-        if traj.dense is not None:
-            def neg_density(x):
-                vals = traj.dense(x)
-                return -(abs(float(vals[0])) ** p + abs(float(vals[1])) ** p)
-
-            c, _ = golden_min(neg_density, c - dt, c + dt, tol=1e-13)
+        c, _ = golden_min(neg_density, float(t[idx]) - dt, float(t[idx]) + dt, tol=1e-13)
         if c - eps < t[0] or c + eps > t[-1]:
             continue
-        if traj.dense is not None:
-            ts = np.linspace(c - eps, c + eps, refine + 1)
-            vals = traj.dense(ts)
-            mass = float(simpson(density_arrays(vals[0], vals[1]), x=ts))
-        else:
-            m = (t >= c - eps) & (t <= c + eps)
-            mass = float(simpson(g[m], x=t[m]))
-        out.append((c, mass))
+        ts = np.linspace(c - eps, c + eps, refine + 1)
+        vals = traj.dense(ts)
+        out.append((c, float(simpson(density_arrays(vals[0], vals[1]), x=ts))))
     return out
 
 
@@ -153,13 +151,8 @@ def _window_blocks(traj, a, b, mesh):
     """Dirichlet FD blocks of -d^2/dt^2 - s D2F(u, v) on (a, b)."""
     h = (b - a) / mesh
     ts = a + h * np.arange(1, mesh)  # interior nodes
-    if traj.dense is not None:
-        vals = traj.dense(ts)
-        u, v = vals[0], vals[1]
-    else:
-        u = np.interp(ts, traj.tgrid, traj.u)
-        v = np.interp(ts, traj.tgrid, traj.v)
-    fuu, fuv, fvv = traj.f.hess(u, v)
+    vals = traj.dense(ts)
+    fuu, fuv, fvv = traj.f.hess(vals[0], vals[1])
     s = traj.scale
     d11 = 2.0 / h - h * s * fuu
     d22 = 2.0 / h - h * s * fvv
@@ -199,13 +192,8 @@ def witness_quadrature(traj, pair):
     ts, phi1, phi2 = pair
     h = ts[1] - ts[0]
     grad = float(np.sum(np.diff(phi1) ** 2 + np.diff(phi2) ** 2) / h)
-    if traj.dense is not None:
-        vals = traj.dense(ts)
-        u, v = vals[0], vals[1]
-    else:
-        u = np.interp(ts, traj.tgrid, traj.u)
-        v = np.interp(ts, traj.tgrid, traj.v)
-    fuu, fuv, fvv = traj.f.hess(u, v)
+    vals = traj.dense(ts)
+    fuu, fuv, fvv = traj.f.hess(vals[0], vals[1])
     pot = float(np.sum(h * traj.scale * (
         fuu * phi1 ** 2 + 2.0 * fuv * phi1 * phi2 + fvv * phi2 ** 2)))
     mass = float(np.sum(h * (phi1 ** 2 + phi2 ** 2)))

@@ -94,9 +94,6 @@ class RadialProfile:
     def is_trivial(self):
         return max(abs(self.amplitude[0]), abs(self.amplitude[1])) == 0.0
 
-    def max_abs(self):
-        return float(max(np.max(np.abs(self.u)), np.max(np.abs(self.v))))
-
     def scaled(self, t):
         """Profile multiplied by a scalar (loses the dense evaluator)."""
         return RadialProfile(
@@ -206,8 +203,7 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
         out = np.empty((4, r.size))
         small = r < eps
         if np.any(small):
-            for j in np.nonzero(small)[0]:
-                out[:, j] = _taylor_start(params, d, r[j])
+            out[:, small] = _taylor_start(params, d, r[small])
         if np.any(~small):
             out[:, ~small] = sol.sol(r[~small])
         return out[:, 0] if scalar else out
@@ -238,28 +234,30 @@ def _sample(params, d, dense, grid_size):
     )
 
 
-def _shot(params, d_pair, rtol=1e-12, atol=1e-12, n_probe=2000):
+def _sign_changes(rs, u):
+    """Sign changes of u sampled on the uniform grid rs, below r = 1 - 1.5 h.
+
+    The band keeps a zero at the boundary out of the interior count; an
+    exact zero counts as positive.
+    """
+    sign = np.sign(u[rs < 1.0 - 1.5 * (rs[1] - rs[0])])
+    sign[sign == 0] = 1.0
+    return int(np.count_nonzero(np.diff(sign)))
+
+
+def _shot(params, d_pair):
     """One shot: returns (boundary value u(1), interior zero count of u, evaluator).
 
-    Zeros are counted strictly inside (0, 1 - band); blow-up before the
-    boundary counts as infinitely many crossings and has no evaluator.
+    Blow-up before the boundary counts as infinitely many crossings and has
+    no evaluator.
     """
     try:
-        dense = _integrate_dense(params, d_pair, rtol=rtol, atol=atol)
+        dense = _integrate_dense(params, d_pair, rtol=1e-12, atol=1e-12)
     except OverflowBlowUp:
         return -math.inf, 10 ** 6, None
-    rs = np.linspace(EPS_ORIGIN, 1.0, n_probe)
+    rs = np.linspace(EPS_ORIGIN, 1.0, 2000)
     u = dense(rs)[0]
-    interior = u[rs < 1.0 - 1.5 / n_probe]
-    sign = np.sign(interior)
-    sign[sign == 0] = 1.0
-    zeros = int(np.count_nonzero(np.diff(sign)))
-    return float(u[-1]), zeros, dense
-
-
-def _bisect_amplitude(params, want_zeros, tol, diagonal=False):
-    """The amplitude of ``_amplitude_shot``: zero-count bracket, then Illinois steps."""
-    return _amplitude_shot(params, want_zeros, tol, diagonal)[0]
+    return float(u[-1]), _sign_changes(rs, u), dense
 
 
 def _amplitude_shot(params, k, tol, diagonal=False):
@@ -455,19 +453,18 @@ def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):
 
     def boundary(dd):
         dense = _integrate_dense(params, (dd[0], dd[1]), rtol=1e-12, atol=1e-12)
-        vals = dense(1.0)
-        return np.array([vals[0], vals[1]])
+        return dense(1.0)[:2], dense
 
     for _ in range(max_iter):
-        g = boundary(d)
+        g, dense = boundary(d)
         if np.max(np.abs(g)) <= tol:
-            return integrate_radial_ivp(params, (d[0], d[1]), grid_size)
+            return _sample(params, d, dense, grid_size)
         J = np.empty((2, 2))
         for j in range(2):
             h = 1e-6 * (1.0 + abs(d[j]))
             dp = d.copy()
             dp[j] += h
-            J[:, j] = (boundary(dp) - g) / h
+            J[:, j] = (boundary(dp)[0] - g) / h
         try:
             step = np.linalg.solve(J, g)
         except np.linalg.LinAlgError as exc:
@@ -477,7 +474,7 @@ def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):
         for _ in range(8):
             trial = d - lam * step
             try:
-                if np.max(np.abs(boundary(trial))) < np.max(np.abs(g)):
+                if np.max(np.abs(boundary(trial)[0])) < np.max(np.abs(g)):
                     d = trial
                     break
             except OverflowBlowUp:
@@ -492,15 +489,8 @@ def count_interior_zeros(profile, refine=1):
     """Sign changes of u strictly inside (0, 1), on an optionally refined grid."""
     if profile.dense is not None and refine > 1:
         rs = np.linspace(EPS_ORIGIN, 1.0, refine * (len(profile.grid) - 1) + 1)
-        u = profile.dense(rs)[0]
-    else:
-        rs = profile.grid[1:]
-        u = profile.u[1:]
-    h = rs[1] - rs[0]
-    interior = u[rs < 1.0 - 1.5 * h]
-    sign = np.sign(interior)
-    sign[sign == 0] = 1.0
-    return int(np.count_nonzero(np.diff(sign)))
+        return _sign_changes(rs, profile.dense(rs)[0])
+    return _sign_changes(profile.grid[1:], profile.u[1:])
 
 
 def residual(profile):
@@ -540,15 +530,15 @@ def relative_residual(profile):
     return residual(profile) / scale
 
 
-def is_certified(profile):
-    return profile.is_trivial or relative_residual(profile) <= RESIDUAL_GATE
-
-
 def require_certified(profile):
-    if not is_certified(profile):
+    """DegenerateInput unless the profile is trivial or meets RESIDUAL_GATE."""
+    if profile.is_trivial:
+        return
+    rel = relative_residual(profile)
+    if not rel <= RESIDUAL_GATE:
         raise DegenerateInput(
             f"profile failed certification: relative residual "
-            f"{relative_residual(profile):.3e} > {RESIDUAL_GATE:.1e}"
+            f"{rel:.3e} > {RESIDUAL_GATE:.1e}"
         )
 
 

@@ -106,13 +106,6 @@ def build_sector(profile: RadialProfile, ell: int) -> SturmLiouvilleSpec:
     )
 
 
-def _interp_potential(spec, rs):
-    v11 = np.interp(rs, spec.rgrid, spec.v11)
-    v12 = np.interp(rs, spec.rgrid, spec.v12)
-    v22 = np.interp(rs, spec.rgrid, spec.v22)
-    return v11, v12, v22
-
-
 def _assemble_blocks(spec, mesh):
     """Pencil (d11, d12, d22, off, mass) of the conservative FD discretization.
 
@@ -126,7 +119,7 @@ def _assemble_blocks(spec, mesh):
     rho = r ** (spec.N - 1)
     k_half = (h * (np.arange(mesh) + 0.5)) ** (spec.N - 1)  # r_{i+1/2}^(N-1), i=0..mesh-1
 
-    v11, v12, v22 = _interp_potential(spec, r)
+    v11, v12, v22 = (np.interp(r, spec.rgrid, v) for v in (spec.v11, spec.v12, spec.v22))
     cent = spec.lambda_ell / (r * r)
     mass = h * rho
 
@@ -208,8 +201,9 @@ def morse_index(profile, mesh=1000, check_mesh_stability=False):
 
     Sums multiplicity(l) * negative_count(l) over l = 0 .. l_max, where l_max
     is the first certified-nonnegative degree (included in the table with
-    count 0).  With ``check_mesh_stability`` every sector is recounted at the
-    doubled mesh and the report is flagged if any count moves.
+    count 0).  With ``check_mesh_stability`` every sector's count of
+    eigenvalues below -ZERO_BAND is redone at the doubled mesh and the report
+    is flagged if any count moves.
     """
     require_certified(profile)
     N = profile.params.N
@@ -228,7 +222,7 @@ def morse_index(profile, mesh=1000, check_mesh_stability=False):
             if warn:
                 warnings.append(f"eigenvalue within {ZERO_BAND} of zero at ell={ell}")
             if check_mesh_stability:
-                neg2, _ = count_negative_with_band(spec, 2 * mesh)
+                neg2 = count_negative_eigenvalues(spec, 2 * mesh, -ZERO_BAND)
                 if neg2 != neg:
                     stable = False
                     warnings.append(

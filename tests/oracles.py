@@ -234,6 +234,43 @@ def dense_pencil_eigvals(d11, d12, d22, off, bw):
     return eigh(*dense_pencil(d11, d12, d22, off, bw), eigvals_only=True)
 
 
+def build_weighted_forms(U, gamma, delta, lam, mesh):
+    """Dense (A, B, tmesh) of the half-line weighted forms, interleaved (h1_i, h2_i).
+
+    A discretizes int e^(-gamma t)|h'|^2 + lam e^(-gamma t)|h|^2
+    - e^(-delta t)<U h, h> dt over [0, T] and B the mass int e^(-delta t)|h|^2
+    for piecewise-linear h on the uniform mesh with h(0) = 0.  The gradient
+    term is assembled interval by interval with e^(-gamma t) taken at the
+    midpoint; the other terms use the trapezoid rule at the nodes, with U
+    interpolated linearly.  Unknowns are h at nodes 1..mesh.
+    """
+    T = float(U.tgrid[-1])
+    ht = T / mesh
+    ts = ht * np.arange(mesh + 1)
+    n = 2 * (mesh + 1)  # node 0 is assembled too and dropped at the end
+    A = np.zeros((n, n))
+    B = np.zeros(n)
+    for i in range(mesh):
+        k = math.exp(-gamma * (ts[i] + 0.5 * ht)) / ht
+        for c in (0, 1):
+            a, b = 2 * i + c, 2 * i + 2 + c
+            A[a, a] += k
+            A[b, b] += k
+            A[a, b] -= k
+            A[b, a] -= k
+    m11, m12, m22 = (np.interp(ts, U.tgrid, m) for m in (U.m11, U.m12, U.m22))
+    for i in range(mesh + 1):
+        w = 0.5 * ht if i in (0, mesh) else ht
+        eg, ed = math.exp(-gamma * ts[i]), math.exp(-delta * ts[i])
+        j = 2 * i
+        A[j, j] += w * (lam * eg - ed * m11[i])
+        A[j + 1, j + 1] += w * (lam * eg - ed * m22[i])
+        A[j, j + 1] -= w * ed * m12[i]
+        A[j + 1, j] -= w * ed * m12[i]
+        B[j] = B[j + 1] = w * ed
+    return A[2:, 2:], B[2:], ts
+
+
 # ---------------------------------------------------------------------------
 # quadrature helpers
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 
 from henon_morse.halfline import (
     MatrixPotential,
-    build_weighted_forms,
     c_np_constant,
     inverse_transform,
     pohozaev_check,
@@ -40,7 +39,7 @@ from henon_morse.spectral import (
     morse_index,
 )
 
-from oracles import oscillation_count, spherical_bessel_j1_zeros
+from oracles import build_weighted_forms, oscillation_count, spherical_bessel_j1_zeros
 
 
 def report(num, ok, detail):

@@ -107,6 +107,12 @@ def test_solve_malformed_params(tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"N": 3}))
     assert main(["solve", "--params", str(missing), "--out", str(tmp_path / "y")]) == 2
+    # values that parse but that the solver rejects are parameter errors too
+    for i, overrides in enumerate(({"branch": "nodal:x"}, {"branch": "nodal:0"},
+                                   {"family": "quartic_coupled", "a2": 2.0, "b": 0.5})):
+        pfile = tmp_path / f"params{i}.json"
+        write_params(pfile, **overrides)
+        assert main(["solve", "--params", str(pfile), "--out", str(tmp_path / f"z{i}")]) == 2
 
 
 def test_solve_unsolvable_regime(tmp_path):
@@ -223,6 +229,19 @@ def test_sweep_records_failures(tmp_path):
     payload = json.loads((tmp_path / "sw" / "sweep.json").read_text())
     assert payload["rows"][0]["status"] == "failed"
     assert "NoBracket" in payload["rows"][0]["reason"]
+
+
+def test_sweep_records_parameter_errors(tmp_path):
+    # a negative alpha and a zero-node branch fail their rows, not the sweep
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({"N": 2, "family": "pure_power", "p": 4,
+                                 "alphas": [-0.5, 1.0], "branches": ["nodal:0"]}))
+    rc = main(["sweep", "--params", str(pfile), "--out", str(tmp_path / "sw")])
+    assert rc == 0
+    rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
+    assert len(rows) == 2
+    assert all(r["status"] == "failed" and r["reason"].startswith("ValueError: ")
+               for r in rows)
 
 
 def test_liouville_windows(tmp_path):

@@ -10,7 +10,6 @@ from henon_morse.halfline import (
     MatrixPotential,
     TransformedProfile,
     beta_of,
-    build_weighted_forms,
     c_np_constant,
     eval_Qk,
     gamma_of,
@@ -28,7 +27,7 @@ from henon_morse.nonlinearity import pure_power, quartic_coupled
 from henon_morse.radial_bvp import ProblemParams, integrate_radial_ivp
 from henon_morse.spectral import lambda_ell, morse_index
 
-from oracles import simpson_integral
+from oracles import build_weighted_forms, simpson_integral
 
 
 def test_transform_constants():

@@ -40,6 +40,9 @@ def test_zero_initial_data():
     assert traj.is_trivial
     assert np.all(energy_of(traj) == 0.0)
     assert lower_mass_window(traj, 0.5) == []
+    # the zero trajectory carries an evaluator like every other one
+    assert np.array_equal(traj.dense(2.5), np.zeros(4))
+    assert np.array_equal(traj.dense(traj.tgrid[:7]), np.zeros((4, 7)))
 
 
 def test_halfline_requires_zero_values():

@@ -10,7 +10,7 @@ from henon_morse.radial_bvp import (
     EPS_ORIGIN,
     ProblemParams,
     RadialProfile,
-    _bisect_amplitude,
+    _amplitude_shot,
     _integrate_dense,
     _scaling_amplitude,
     _taylor_start,
@@ -74,6 +74,23 @@ def test_taylor_start_consistency():
     integrated = dense(2 * EPS_ORIGIN)
     assert integrated[0] == pytest.approx(series[0], abs=1e-9)
     assert integrated[2] == pytest.approx(series[2], abs=1e-9)
+
+
+@pytest.mark.parametrize("params, d", [
+    (ProblemParams(N=2, alpha=20.0, mu1=0.0, mu2=0.0, f=pure_power(4)), (7.3, 0.0)),
+    (ProblemParams(N=3, alpha=1.0, mu1=0.5, mu2=0.5, f=pure_power(4)), (12.1, 0.0)),
+    (ProblemParams(N=3, alpha=1.0, mu1=1.0, mu2=1.0, f=quartic_coupled(b=0.5)), (3.3, 3.3)),
+])
+def test_dense_evaluator_below_and_above_origin_cutoff(params, d):
+    # one array call covers the series region r < eps and the integrated one
+    dense = _integrate_dense(params, d)
+    r = np.geomspace(1e-9, 1e-4, 301)
+    vals = dense(r)
+    assert vals.shape == (4, r.size)
+    pointwise = np.array([dense(x) for x in r]).T
+    np.testing.assert_allclose(vals, pointwise, rtol=1e-12, atol=0.0)
+    small = r < EPS_ORIGIN
+    assert np.array_equal(vals[:, small], _taylor_start(params, d, r[small]))
 
 
 def test_blowup_guard():
@@ -161,7 +178,7 @@ def test_scaling_solve_matches_bisection(N, alpha, nodes, f):
     params = ProblemParams(N=N, alpha=alpha, mu1=0.0, mu2=0.0, f=f)
     diagonal = f.b > 0
     scaled = _scaling_amplitude(params, nodes, diagonal=diagonal)
-    bisected = _bisect_amplitude(params, nodes, tol=1e-10, diagonal=diagonal)
+    bisected = _amplitude_shot(params, nodes, tol=1e-10, diagonal=diagonal)[0]
     assert scaled == pytest.approx(bisected, rel=1e-9)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from henon_morse import spectral
 from henon_morse.errors import DegenerateInput
 from henon_morse.nonlinearity import pure_power
 from henon_morse.radial_bvp import ProblemParams, integrate_radial_ivp
@@ -203,6 +204,21 @@ def test_morse_index_rejects_uncertified_profile(solve):
     # the single certification gate sits at morse_index entry
     with pytest.raises(DegenerateInput):
         morse_index(solve(2, 4.0).scaled(1.1), mesh=400)
+
+
+def test_morse_index_count_budget(solve, monkeypatch):
+    # each discretized sector takes two counts at mesh (the zero band) and one
+    # at the doubled mesh, whose band flag no report uses
+    real = spectral.count_below
+    calls = []
+
+    def counted(pencil, shift):
+        calls.append(shift)
+        return real(pencil, shift)
+
+    monkeypatch.setattr(spectral, "count_below", counted)
+    report = morse_index(solve(2, 4.0), mesh=400, check_mesh_stability=True)
+    assert len(calls) == 3 * report.ell_max
 
 
 def test_morse_report_shape(solve):
