@@ -109,7 +109,7 @@ def _sweep_row(job):
         row["amplitude"] = list(profile.amplitude)
         row["energy"] = action_energy(profile)
         row["relative_residual"] = relative_residual(profile)
-        report = morse_index(profile, mesh=mesh, check_mesh_stability=True)
+        report = morse_index(profile, mesh=mesh)
         row["morse"] = hio.morse_report_to_dict(report)
         row["total_morse_index"] = report.total_index
         row["mesh_stable"] = report.mesh_stable
@@ -135,6 +135,11 @@ def cmd_sweep(args):
     raw, _ = _load_params_file(args.params, need_alpha=False)
     alphas = raw.get("alphas", [])
     branches = raw.get("branches", ["positive"])
+    # checked before any row runs: a string would be iterated by character
+    if not (isinstance(alphas, list) and all(type(a) in (int, float) for a in alphas)):
+        raise SystemExit("parameter file error: 'alphas' must be a list of numbers")
+    if not (isinstance(branches, list) and all(isinstance(b, str) for b in branches)):
+        raise SystemExit("parameter file error: 'branches' must be a list of strings")
     if not alphas:
         print("sweep error: empty alpha list", file=sys.stderr)
         return 2

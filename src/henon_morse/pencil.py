@@ -72,14 +72,35 @@ def count_below(pencil, s):
     raise SingularPivot(f"persistent zero pivot near shift {s}")
 
 
+def bisect_eigenvalue(count, j, lo, hi, settled=None, rtol=1e-13):
+    """Sturm bisection of [lo, hi), count(lo) < j <= count(hi), for the j-th eigenvalue.
+
+    ``count(s)`` counts the eigenvalues below s.  Halves until ``settled(lo, hi)``
+    or width ``rtol`` (1 + |hi|); returns (lo, hi, settled reached).  A
+    SingularPivot ends it in a bracket already pinned to 1e-10 (a zero-pivot
+    band wider than the nudges), and stands in a wider one.
+    """
+    while settled is None or not settled(lo, hi):
+        if hi - lo <= rtol * (1.0 + abs(hi)):
+            return lo, hi, False
+        mid = 0.5 * (lo + hi)
+        try:
+            below = count(mid)
+        except SingularPivot:
+            if hi - lo <= 1e-10 * (1.0 + abs(hi)):
+                return lo, hi, False
+            raise
+        lo, hi = (lo, mid) if below >= j else (mid, hi)
+    return lo, hi, True
+
+
 def lowest_eigenpair(pencil, lo, seed):
     """Smallest pencil eigenvalue with its eigenvector.
 
-    Sturm bisection on ``count_below`` from the lower guess ``lo < 1`` (moved
-    down until no eigenvalue lies below it) to relative width 1e-13, then six
-    steps of banded inverse iteration from a seeded random start at a shift
-    just below.  Returns (mu, x) with x interleaved like the unknowns and
-    normalized to x^T B x = 1.
+    Sturm bisection from the lower guess ``lo < 1`` (moved down until no
+    eigenvalue lies below it) to relative width 1e-13, then six steps of
+    banded inverse iteration from a seeded random start just below.  Returns
+    (mu, x), x interleaved like the unknowns and normalized to x^T B x = 1.
     """
     if not lo < 1.0:
         raise ValueError("the lower guess must lie below 1")
@@ -88,22 +109,7 @@ def lowest_eigenpair(pencil, lo, seed):
     hi = 1.0
     while count_below(pencil, hi) < 1:
         hi = 2.0 * hi + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        try:
-            below = count_below(pencil, mid)
-        except SingularPivot:
-            # a zero-pivot band wider than the nudges: accept a bracket that
-            # already pins the eigenvalue, otherwise the breakdown stands
-            if (hi - lo) <= 1e-10 * (1.0 + abs(hi)):
-                break
-            raise
-        if below >= 1:
-            hi = mid
-        else:
-            lo = mid
-        if (hi - lo) <= 1e-13 * (1.0 + abs(hi)):
-            break
+    lo, hi, _ = bisect_eigenvalue(lambda s: count_below(pencil, s), 1, lo, hi)
     mu = 0.5 * (lo + hi)
 
     d11, d12, d22, off, bw = pencil

@@ -498,21 +498,32 @@ def residual(profile):
 
     Second derivatives are recovered by centered differences on the stored
     grid, so the defect carries an O(h^2) floor proportional to the fourth
-    derivative of the solution.
+    derivative of the solution.  For 0 < alpha < 2 the series term
+    -g0 r^(2+alpha) of ``_taylor_start`` has an unbounded fourth derivative
+    and would add an O(h^alpha) error at the first nodes, so near the origin,
+    where that term is within sqrt(RESIDUAL_GATE) of the centre value (the
+    next series term is then within the gate), it is differenced out and its
+    exact second derivative added back.
     """
     p = profile.params
     r = profile.grid
     h = r[1] - r[0]
+    a, N = p.alpha, p.N
     out = 0.0
     fu, fv = p.f.grad(profile.u, profile.v)
-    w = r ** p.alpha
-    for y, dy, mu, g in (
-        (profile.u, profile.du, p.mu1, fu),
-        (profile.v, profile.dv, p.mu2, fv),
+    w = r ** a
+    for y, dy, mu, g, d, g0 in zip(
+        (profile.u, profile.v), (profile.du, profile.dv), (p.mu1, p.mu2),
+        (fu, fv), profile.amplitude, p.f.grad(*profile.amplitude),
     ):
-        d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
+        s = -g0 * r ** (2.0 + a) / ((2.0 + a) * (a + N))
+        s2 = -g0 * (1.0 + a) * r[1:-1] ** a / (a + N)
+        near = (0.0 < a < 2.0) & (np.abs(s[1:-1]) <= math.sqrt(RESIDUAL_GATE) * abs(d))
+        z = y - s
+        d2 = np.where(near, (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (h * h) + s2,
+                      (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h))
         ri = r[1:-1]
-        defect = -d2 - (p.N - 1.0) * dy[1:-1] / ri + mu * y[1:-1] - w[1:-1] * g[1:-1]
+        defect = -d2 - (N - 1.0) * dy[1:-1] / ri + mu * y[1:-1] - w[1:-1] * g[1:-1]
         out = max(out, float(np.max(np.abs(defect))))
     return out
 

@@ -98,7 +98,7 @@ def test_criterion_3_planar_nodal_bound(solve):
     ok = True
     for alpha in (2.0, 4.0):
         prof = solve(2, alpha, nodes=1)
-        rep = morse_index(prof, mesh=1000, check_mesh_stability=True)
+        rep = morse_index(prof, mesh=1000)
         results.append((alpha, rep.total_index))
         ok = ok and rep.total_index >= alpha + 3 and rep.mesh_stable
     report(3, ok, f"planar 1-node indices {results} respect alpha+3, "
@@ -110,7 +110,7 @@ def test_criterion_4_headline_growth(solve):
     totals = []
     for alpha in range(0, 21, 2):
         prof = solve(2, float(alpha))
-        rep = morse_index(prof, mesh=1000, check_mesh_stability=True)
+        rep = morse_index(prof, mesh=1000)
         assert rep.mesh_stable
         totals.append((alpha, rep.total_index))
     idx = [t for _, t in totals]

@@ -244,6 +244,20 @@ def test_sweep_records_parameter_errors(tmp_path):
                for r in rows)
 
 
+@pytest.mark.parametrize("field, value", [("alphas", ["x"]), ("branches", "positive")])
+def test_sweep_rejects_bad_parameter_types(tmp_path, capsys, field, value):
+    # a non-numeric alpha and a branch string (iterated by character) are
+    # caught before any row runs
+    params = {"N": 2, "family": "pure_power", "p": 4,
+              "alphas": [1.0], "branches": ["positive"], field: value}
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(params))
+    rc = main(["sweep", "--params", str(pfile), "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "parameter file error: " in capsys.readouterr().err
+    assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
 def test_liouville_windows(tmp_path):
     rc = main(["liouville", "--energy", "0.5", "--windows", "0,25",
                "--length", "20", "--out", str(tmp_path / "li"), "--mesh", "400"])

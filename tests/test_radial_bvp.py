@@ -8,6 +8,7 @@ from henon_morse.errors import DegenerateInput, NoBracket, OverflowBlowUp
 from henon_morse.nonlinearity import pure_power, quartic_coupled
 from henon_morse.radial_bvp import (
     EPS_ORIGIN,
+    RESIDUAL_GATE,
     ProblemParams,
     RadialProfile,
     _amplitude_shot,
@@ -22,6 +23,7 @@ from henon_morse.radial_bvp import (
     nonlinear_mass,
     quadratic_part,
     relative_residual,
+    require_certified,
     residual,
     shoot_nodal,
     shoot_positive,
@@ -217,6 +219,36 @@ def test_residual_second_order_convergence(solve):
         vals.append(residual(p))
     orders = [np.log2(vals[i] / vals[i + 1]) for i in range(3)]
     assert all(o >= 1.8 for o in orders)
+
+
+def plain_residual(profile):
+    """The ODE defect with u'' from the centred difference at every node."""
+    p, r = profile.params, profile.grid
+    h = r[1] - r[0]
+    out = 0.0
+    for y, dy, mu, g in zip((profile.u, profile.v), (profile.du, profile.dv),
+                            (p.mu1, p.mu2), p.f.grad(profile.u, profile.v)):
+        d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
+        defect = (-d2 - (p.N - 1.0) * dy[1:-1] / r[1:-1] + mu * y[1:-1]
+                  - r[1:-1] ** p.alpha * g[1:-1])
+        out = max(out, float(np.max(np.abs(defect))))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.55, 0.600515, 0.9])
+def test_small_alpha_profiles_certify(solve, alpha):
+    # u'' ~ r^alpha at the origin, so the plain difference carries an
+    # O(h^alpha) error at the first nodes that fails the gate at any grid
+    prof = solve(2, alpha)
+    assert plain_residual(prof) > residual(prof)
+    assert relative_residual(prof) <= RESIDUAL_GATE
+    require_certified(prof)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 4.0, 20.0])
+def test_origin_series_term_does_not_raise_residual(solve, alpha):
+    prof = solve(2, alpha)
+    assert residual(prof) <= plain_residual(prof)
 
 
 def test_action_energy(solve):

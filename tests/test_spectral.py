@@ -6,12 +6,11 @@ import pytest
 from henon_morse import spectral
 from henon_morse.errors import DegenerateInput
 from henon_morse.nonlinearity import pure_power
-from henon_morse.radial_bvp import ProblemParams, integrate_radial_ivp
+from henon_morse.radial_bvp import ProblemParams, integrate_radial_ivp, shoot_positive
 from henon_morse.spectral import (
     SturmLiouvilleSpec,
     build_sector,
     count_negative_eigenvalues,
-    count_negative_with_band,
     ell_truncation,
     lambda_ell,
     morse_index,
@@ -170,7 +169,7 @@ def test_build_sector_mu_shift():
 
 def test_certificate_zero_profile():
     prof = integrate_radial_ivp(params_for(3, 0.0), (0.0, 0.0), 500)
-    assert sector_nonneg_certificate(prof) == 0.0
+    assert sector_nonneg_certificate(build_sector(prof, 0)) == 0.0
     report = morse_index(prof, mesh=400)
     assert report.total_index == 0
 
@@ -180,20 +179,21 @@ def test_certificate_scalar_formula(solve):
     p = prof.params
     expected = float(np.max(
         prof.grid ** (p.alpha + 2) * (p.f.p - 1) * np.abs(prof.u) ** (p.f.p - 2)))
-    assert sector_nonneg_certificate(prof) == pytest.approx(expected, rel=1e-12)
+    assert sector_nonneg_certificate(build_sector(prof, 0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_first_certified_sector_counts_zero(solve):
     for prof in (solve(3, 0.0), solve(2, 2.0)):
-        ell_max, cert = ell_truncation(prof)
+        ell_max, cert = ell_truncation(build_sector(prof, 0))
         assert lambda_ell(ell_max, prof.params.N) >= cert
-        spec = build_sector(prof, ell_max)
-        neg, warn = count_negative_with_band(spec, 800)
-        assert neg == 0 and not warn
+        assert count_negative_eigenvalues(build_sector(prof, ell_max), 800) == 0
+        report = morse_index(prof, mesh=800)
+        assert report.ell_max == ell_max and report.per_ell[-1][2] == 0
+        assert report.warnings == []
 
 
 def test_ground_state_index_one(solve):
-    report = morse_index(solve(3, 0.0), mesh=1000, check_mesh_stability=True)
+    report = morse_index(solve(3, 0.0), mesh=1000)
     assert report.total_index == 1
     assert report.mesh_stable
     assert report.counts()[0] == 1
@@ -207,18 +207,21 @@ def test_morse_index_rejects_uncertified_profile(solve):
 
 
 def test_morse_index_count_budget(solve, monkeypatch):
-    # each discretized sector takes two counts at mesh (the zero band) and one
-    # at the doubled mesh, whose band flag no report uses
-    real = spectral.count_below
+    # the ladder stops at its first zero, and the margin bisects only the
+    # eigenvalues that decide a count
+    real = spectral.count_negative_eigenvalues
     calls = []
 
-    def counted(pencil, shift):
-        calls.append(shift)
-        return real(pencil, shift)
+    def counted(spec, mesh=1000, shift=0.0):
+        calls.append(spec)
+        return real(spec, mesh, shift)
 
-    monkeypatch.setattr(spectral, "count_below", counted)
-    report = morse_index(solve(2, 4.0), mesh=400, check_mesh_stability=True)
-    assert len(calls) == 3 * report.ell_max
+    monkeypatch.setattr(spectral, "count_negative_eigenvalues", counted)
+    report = morse_index(solve(2, 4.0), mesh=400)
+    assert len(calls) <= 3 * report.ell_max
+    first_zero = next(ell for ell, _, neg in report.per_ell if ell >= 1 and neg == 0)
+    assert first_zero < report.ell_max
+    assert max(spec.lambda_ell for spec in calls) <= lambda_ell(first_zero, 2)
 
 
 def test_morse_report_shape(solve):
@@ -235,3 +238,29 @@ def test_mesh_requirement():
     spec = scalar_spec(3, 0, lambda r: np.zeros_like(r))
     with pytest.raises(ValueError):
         count_negative_eigenvalues(spec, 100)
+
+
+@pytest.mark.parametrize("alpha_k, ell", [(0.600515, 1), (3.201031, 2), (5.801546, 3)])
+def test_margin_flags_degenerate_alphas(alpha_k, ell):
+    # N=2, p=4: the index jumps where nu_1 = -l^2, at alpha_k = 2k/0.769078 - 2
+    # (the planar substitution s = r^(1 + alpha/2)); given to 6 digits the
+    # crossing lies inside the discretization error, 0.05 away it does not
+    for alpha, warned in ((alpha_k, [ell]), (alpha_k - 0.05, []), (alpha_k + 0.05, [])):
+        report = morse_index(shoot_positive(params_for(2, alpha)), mesh=1000)
+        assert [int(w.split("ell=")[1].split()[0]) for w in report.warnings] == warned
+
+
+@pytest.mark.parametrize("N, alpha, nodes", [(3, 2.0, 0), (2, 0.0, 1)])
+def test_ladder_counts_match_oscillation_oracle(solve, N, alpha, nodes):
+    # every sector count read off the ladder against the independent
+    # Sturm oscillation count of the same sector
+    prof = solve(N, alpha, nodes=nodes)
+    report = morse_index(prof, mesh=1000)
+    p = prof.params
+
+    def V(r):
+        u = np.interp(r, prof.grid, prof.u)
+        return r ** p.alpha * (p.f.p - 1) * abs(u) ** (p.f.p - 2)
+
+    assert [neg for _, _, neg in report.per_ell] == [
+        oscillation_count(N, ell, V) for ell in range(report.ell_max + 1)]
