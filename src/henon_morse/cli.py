@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -42,7 +43,7 @@ from .radial_bvp import (
     relative_residual,
     shoot_nodal,
 )
-from .spectral import lambda_ell, morse_index
+from .spectral import MIN_MESH, lambda_ell, morse_index
 
 TRANSFORMED_GATE = 1e-3       # half-line defect for interpolated (stored) data
 POHOZAEV_GATE = 1e-6          # relative slack tolerance
@@ -190,6 +191,9 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    if args.mesh < MIN_MESH:
+        print(f"--mesh must be at least {MIN_MESH}", file=sys.stderr)
+        return 2
     try:
         profile = hio.load_profile(args.profile)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -265,8 +269,13 @@ def cmd_verify(args):
 
 
 def cmd_liouville(args):
-    if args.energy < 0:
-        print("energy must be nonnegative", file=sys.stderr)
+    try:
+        starts = [float(s) for s in args.windows.split(",")]
+    except ValueError:
+        starts = []
+    if not (args.energy >= 0 and starts and all(0.0 <= s < math.inf for s in starts)
+            and 0.0 < args.length < math.inf):
+        print("need --energy >= 0, --windows in [0, inf), --length in (0, inf)", file=sys.stderr)
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +287,6 @@ def cmd_liouville(args):
 
     f = pure_power(args.p)
     du0 = (2.0 * args.energy) ** 0.5  # E(0) = du^2/2 at u(0) = 0
-    starts = [float(s) for s in args.windows.split(",")]
     T = max(s + args.length for s in starts) + 5.0
     traj = integrate_limit_system(f, 1.0, HALF_LINE, (0.0, 0.0, du0, 0.0),
                                   T=T, steps=max(2000, int(20 * T)))

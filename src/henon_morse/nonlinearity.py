@@ -119,35 +119,24 @@ class NonlinearityF:
     def coercivity_constant(self):
         """min of F on the l^p sphere |u|^p + |v|^p = 1 (strictly positive).
 
-        pure_power has the closed form min(a1, a2)/p; the coupled family is
-        minimized by golden-section refinement over the angle parameterization
-        u = cos(phi)^(2/p) style coordinates x = u^2, y = v^2 on x^2 + y^2 = 1.
+        Both families give min(a1, a2)/p: in x = |u|^p, F is linear for
+        pure_power and, through the b sqrt(x (1 - x))/2 term, concave for the
+        coupled family, so the minimum sits at an end x = 0 or x = 1.
         """
-        if self.family == PURE_POWER:
-            return min(self.a1, self.a2) / self.p
-
-        def on_p_sphere(phi):
-            # x = u^4, y = v^4 with x + y = 1 via x = cos^2 phi
-            x = math.cos(phi) ** 2
-            y = 1.0 - x
-            u = x ** 0.25
-            v = y ** 0.25
-            return float(self.value(u, v))
-
-        _, fmin = golden_min(on_p_sphere, 0.0, math.pi / 2.0)
-        return fmin
+        return min(self.a1, self.a2) / self.p
 
     def growth_constant(self):
-        """Smallest C with F(u,v) <= C (u^2 + v^2)^(p/2); max of F on the unit circle."""
-        if self.family == PURE_POWER:
-            # |cos t|^p + |sin t|^p <= 1 for p > 2, with equality on the axes.
-            return max(self.a1, self.a2) / self.p
+        """Smallest C with F(u,v) <= C (u^2 + v^2)^(p/2); max of F on the unit circle.
 
-        def neg_on_circle(theta):
-            return -float(self.value(math.cos(theta), math.sin(theta)))
-
-        _, fneg = golden_min(neg_on_circle, 0.0, math.pi / 2.0)
-        return -fneg
+        It lies on an axis or, for quartic_coupled, at the critical point x*
+        of F = (a1 x^2 + a2 (1-x)^2)/4 + b x (1-x)/2, x = cos^2 t, clipped to
+        [0, 1].  pure_power peaks on the axes (|cos t|^p + |sin t|^p <= 1),
+        which its x* candidate, a value on the circle, cannot exceed.
+        """
+        curvature = self.a1 + self.a2 - 2.0 * self.b
+        x = min(max((self.a2 - self.b) / curvature, 0.0), 1.0) if curvature else 0.0
+        return max(self.a1 / self.p, self.a2 / self.p,
+                   float(self.value(math.sqrt(x), math.sqrt(1.0 - x))))
 
 
 def pure_power(p, a1=1.0, a2=1.0):

@@ -6,27 +6,28 @@ Radial profiles of
     -v'' - (N-1) v'/r + mu2 v = r^alpha dF/dv(u, v)
 
 on [0, 1] with u(1) = v(1) = 0 and u'(0) = v'(0) = 0 are computed by
-shooting on the center amplitude.  Integration starts from a second-order
-Taylor expansion at eps = 1e-6 (the (N-1)/r term is removably singular for
-regular radial data) and uses an adaptive Dormand-Prince 5(4) pair, after
-which the solution is resampled onto a uniform certification grid.
+shooting from the center.  Integration starts from a second-order Taylor
+expansion at eps = 1e-6 (the (N-1)/r term is removably singular for regular
+radial data) and uses an adaptive Dormand-Prince 5(4) pair, after which the
+solution is resampled onto a uniform certification grid.
 
-With mu = 0 (both components on the diagonal ansatz) the problem is
-invariant under u -> lambda^sigma u(lambda r), sigma = (2 + alpha)/(p - 2),
-so one shot from unit amplitude, stopped at its (k+1)-th zero r_k, gives
-the k-node amplitude r_k^sigma exactly.  With mu > 0 the interior zero
-count brackets the amplitude and Illinois steps on (-1)^k u(1; d) close the
-bracket to tol (1 + d) with |u(1)| <= tol.  Either way the final profile is
-checked for its boundary value and node count before it is returned, and it
-should be certified through ``residual`` before spectral post-processing.
-For N >= 3 and p >= 2(N + alpha)/(N - 2) no solution exists (Pohozaev
-identity), which is reported before any shot.
+The paper's scaling u -> lam^sigma u(lam r), sigma = (2 + alpha)/(p - 2),
+maps solutions with mu to solutions with lam^2 mu, so every shot starts at
+unit amplitude (on the diagonal ansatz for symmetric systems) and stops at
+its (k+1)-th zero r_k; lam = r_k turns it into the k-node profile for
+mu = mu' r_k^2 with amplitude r_k^sigma, with no second integration.  With
+mu = 0 that is one shot; with mu > 0, Illinois steps in log mu' solve
+mu' r_k^2 = mu.  The final profile is checked for its boundary value and
+node count before it is returned, and it should be certified through
+``residual`` before spectral post-processing.  For N >= 3 and
+p >= 2(N + alpha)/(N - 2) no solution exists (Pohozaev identity), which is
+reported before any shot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -245,131 +246,96 @@ def _sign_changes(rs, u):
     return int(np.count_nonzero(np.diff(sign)))
 
 
-def _shot(params, d_pair):
-    """One shot: returns (boundary value u(1), interior zero count of u, evaluator).
+def _scaling_amplitude(params, k, tol, diagonal=False):
+    """k-node amplitude and profile evaluator, scaled from unit-amplitude shots.
 
-    Blow-up before the boundary counts as infinitely many crossings and has
-    no evaluator.
-    """
-    try:
-        dense = _integrate_dense(params, d_pair, rtol=1e-12, atol=1e-12)
-    except OverflowBlowUp:
-        return -math.inf, 10 ** 6, None
-    rs = np.linspace(EPS_ORIGIN, 1.0, 2000)
-    u = dense(rs)[0]
-    return float(u[-1]), _sign_changes(rs, u), dense
+    For mu > 0, g(t) = log(mu' r_k^2 / mu) = 0 is solved in t = log mu' from
+    the mu' = 0 shot, by secant steps until the root is bracketed and Illinois
+    steps after, until the amplitude error, at most (sigma/2) |g| r_k^sigma
+    while r_k grows with mu', is within tol (1 + amplitude).  If the shots run
+    out first (mu' resolved to its last bit: the sensitivity to mu' grows like
+    e^sqrt(mu)), the best shot is kept if its mu mismatch |g| is within
+    RESIDUAL_GATE.
 
-
-def _amplitude_shot(params, k, tol, diagonal=False):
-    """k-node amplitude and the evaluator of its shot, bracketed on the zero count.
-
-    Below the root a shot has k interior zeros and g(d) = (-1)^k u(1; d) > 0;
-    above it the (k+1)-th zero shows in the count or, next to r = 1, in g < 0.
-    While the low end has k zeros and the high end k or k+1 with g < 0, g is
-    continuous with one sign change and steps are Illinois (regula falsi that
-    halves the weight of an end kept twice); otherwise they bisect.  Stops when
-    the bracket is below tol (1 + d) and the best k-zero shot has |u(1)| <= tol.
-    """
-    parity = 1.0 if k % 2 == 0 else -1.0
-
-    def shot(d):
-        return _shot(params, (d, d) if diagonal else (d, 0.0))
-
-    def crossed(bv, z):
-        if z > k:
-            return True
-        return z == k and parity * bv < 0.0
-
-    d_lo = max(tol, 1e-6)
-    bv_lo, z_lo, _ = shot(d_lo)
-    shrink = 0
-    while crossed(bv_lo, z_lo) and shrink < 40:
-        d_lo /= 4.0
-        bv_lo, z_lo, _ = shot(d_lo)
-        shrink += 1
-    if crossed(bv_lo, z_lo):
-        raise NoBracket("discriminator already crossed at the smallest amplitude")
-
-    d_hi = max(1.0, 2 * d_lo)
-    bv_hi, z_hi, _ = shot(d_hi)
-    while not crossed(bv_hi, z_hi):
-        d_lo, bv_lo, z_lo = d_hi, bv_hi, z_hi
-        d_hi *= 2.0
-        if d_hi > AMPLITUDE_CAP:
-            raise NoBracket(
-                f"no sign change of the shooting discriminator for "
-                f"amplitudes up to {AMPLITUDE_CAP:.0e}"
-            )
-        bv_hi, z_hi, _ = shot(d_hi)
-    genuine_crossing = math.isfinite(bv_hi)
-
-    g_lo, g_hi = parity * bv_lo, parity * bv_hi  # Illinois weights of the ends
-    kept = 0  # end kept by the last step: +1 low, -1 high
-    best = None
-    for _ in range(300):
-        illinois = z_lo == k and z_hi - k in (0, 1) and g_hi < 0.0
-        d = d_lo + g_lo * (d_hi - d_lo) / (g_lo - g_hi) if illinois else d_lo
-        if not d_lo < d < d_hi:  # a bisection step, or a secant point lost to rounding
-            d = 0.5 * (d_lo + d_hi)
-        bv, z, dense = shot(d)
-        if crossed(bv, z):
-            g_lo *= 0.5 if kept == 1 else 1.0
-            d_hi, g_hi, z_hi, kept = d, parity * bv, z, 1
-            genuine_crossing |= math.isfinite(bv)
-        else:
-            g_hi *= 0.5 if kept == -1 else 1.0
-            d_lo, g_lo, z_lo, kept = d, parity * bv, z, -1
-        # both sides carry k interior zeros close to the root
-        if z == k and (best is None or abs(bv) < best[1]):
-            best = (d, abs(bv), dense)
-        if (d_hi - d_lo) <= 4e-16 * d or (
-                (d_hi - d_lo) <= tol * (1.0 + d) and best is not None and best[1] <= tol):
-            break
-    if best is None or (not genuine_crossing and best[1] > tol):
-        # the only "crossings" seen were integration breakdowns, not boundary
-        # zeros: there is no solution branch below the validity limit
-        raise NoBracket(
-            "no boundary crossing below the series-start validity limit "
-            "(parameters outside the solvable regime)"
-        )
-    amplitude, boundary, dense = best
-    if boundary > tol:
-        raise NoConverge(
-            f"boundary value {boundary:.3e} above tolerance {tol:.1e} "
-            f"after exhausting the amplitude bracket"
-        )
-    return amplitude, dense
-
-
-def _scaling_amplitude(params, k, diagonal=False):
-    """Exact k-node amplitude for mu = 0 from one unit-amplitude shot.
-
-    With mu = 0 and a p-homogeneous F, u_lam(r) = lam^sigma u(lam r) with
-    sigma = (2 + alpha)/(p - 2) solves the equation whenever u does.  If u
-    starts at 1 and has its (k+1)-th zero at r_k, then u_lam with lam = r_k
-    has k interior zeros, vanishes at r = 1 and starts at r_k^sigma.  The
-    shot stops at r_cap = AMPLITUDE_CAP^(1/sigma), so a missing zero means no
-    amplitude up to the cap works, as for the zero-count bracket.
+    Shots stop at r_cap = AMPLITUDE_CAP^(1/sigma), and those with mu' > 0
+    also at 2 sqrt(mu/mu'), since a later zero puts mu' r_k^2 above 4 mu.  A
+    shot without the zero counts as one at its end: above the root, or, at
+    r_cap, below the mu' = mu/r_cap^2 where any root with an amplitude up to
+    the cap lies.  Converging on such a shot means no amplitude up to the cap.
     """
     sigma = (2.0 + params.alpha) / (params.f.p - 2.0)
     r_cap = AMPLITUDE_CAP ** (1.0 / sigma)
+    mu = params.mu1
 
     def zero(r, y):
         return y[0]
 
     zero.terminal = k + 1
-    try:
-        dense = _integrate_dense(params, (1.0, 1.0 if diagonal else 0.0),
-                                 rtol=1e-12, atol=1e-12, r_end=r_cap, events=[zero])
-    except OverflowBlowUp as exc:
-        raise NoBracket(f"the unit-amplitude shot blew up: {exc}") from exc
-    zeros = dense.t_events[0]
-    if zeros.size <= k:
+
+    def shot(mu_p, r_end):
+        """(r_k, evaluator) of the unit shot with mu'; (r_end, None) without the zero."""
+        # atol is that of a shot at amplitude 100 with atol 1e-12: this shot
+        # is scaled up to the profile, and a looser one adds noise to residual
+        try:
+            dense = _integrate_dense(replace(params, mu1=mu_p, mu2=mu_p),
+                                     (1.0, 1.0 if diagonal else 0.0), rtol=1e-12, atol=1e-14,
+                                     r_end=r_end, events=[zero])
+        except OverflowBlowUp:
+            return r_end, None
+        zeros = dense.t_events[0]
+        return (float(zeros[k]), dense) if zeros.size > k else (r_end, None)
+
+    def settled(g, r_k):
+        return sigma * g * r_k ** sigma <= 2.0 * tol * (1.0 + r_k ** sigma)
+
+    best = (0.0 if mu == 0.0 else math.inf, *shot(0.0, r_cap))  # (|g|, r_k, evaluator)
+    if mu > 0.0 and best[2] is not None:
+        t = math.log(mu / best[1] ** 2)
+        ends, last = {}, 0  # [t, g] of the ends below (-1) and above (+1) the root
+        prev = here = None  # (t, g) of the last two shots, None for one without the zero
+        for _ in range(100):
+            mu_p = math.exp(t)
+            r_k, dense = shot(mu_p, min(r_cap, 2.0 * math.sqrt(mu / mu_p)))
+            g = math.log(mu_p * r_k * r_k / mu)
+            best = min(best, (abs(g), r_k, dense), key=lambda b: b[0])
+            prev, here = here, (t, g) if dense is not None else None
+            dense = None  # only the best shot's evaluator stays alive
+            if settled(*best[:2]):
+                break
+            side = 1 if g > 0.0 else -1
+            if side == last and -side in ends:  # the other end kept twice: halve its weight
+                ends[-side][1] *= 0.5
+            ends[side], last = [t, g], side
+            if len(ends) < 2:
+                # secant through the last two shots when both found the zero,
+                # else a unit slope, as g rises like t where r_k barely moves
+                slope = (g - prev[1]) / (t - prev[0]) if prev and here else 1.0
+                t -= g / (slope if slope > 0.0 else 1.0)
+                continue
+            (t0, g0), (t1, g1) = ends[-1], ends[1]
+            t = t0 - g0 * (t1 - t0) / (g1 - g0)
+            if not min(t0, t1) < t < max(t0, t1):
+                t = 0.5 * (t0 + t1)
+                if t in (t0, t1):
+                    break
+    g, r_k, dense = best
+    if dense is None:
         raise NoBracket(
-            f"the unit-amplitude shot has {zeros.size} zeros below r = {r_cap:.6g}: "
+            f"no unit-amplitude shot has {k + 1} zeros below r = {r_cap:.6g}: "
             f"no {k}-node solution for amplitudes up to {AMPLITUDE_CAP:.0e}"
         )
-    return float(zeros[k]) ** sigma
+    if not (settled(g, r_k) or g <= RESIDUAL_GATE):
+        raise NoConverge(f"mu' r_k^2 misses mu = {mu:g} by a factor exp({g:.3e}) "
+                         f"when the shots run out")
+    amplitude = r_k ** sigma
+
+    def profile(r):
+        vals = dense(r_k * np.asarray(r, dtype=float))
+        vals[:2] *= amplitude
+        vals[2:] *= amplitude * r_k
+        return vals
+
+    return amplitude, profile
 
 
 def _require_subcritical(params):
@@ -390,13 +356,8 @@ def _require_subcritical(params):
 def _shoot_branch(params, k, tol, grid_size, diagonal):
     """Profile with k interior zeros and u(1) = 0, checked before it is returned."""
     _require_subcritical(params)
-    if params.mu1 == 0.0 and (params.mu2 == 0.0 or not diagonal):
-        amplitude, dense = _scaling_amplitude(params, k, diagonal), None
-    else:
-        amplitude, dense = _amplitude_shot(params, k, tol, diagonal)
-    d = (amplitude, amplitude if diagonal else 0.0)
-    profile = _sample(params, d, dense or _integrate_dense(params, d, rtol=1e-12, atol=1e-12),
-                      grid_size)
+    amplitude, dense = _scaling_amplitude(params, k, tol, diagonal)
+    profile = _sample(params, (amplitude, amplitude if diagonal else 0.0), dense, grid_size)
     boundary = abs(float(profile.u[-1]))
     if boundary > tol:
         raise NoConverge(

@@ -31,6 +31,8 @@ import numpy as np
 from .pencil import bisect_eigenvalue, count_below
 from .radial_bvp import RadialProfile, require_certified
 
+MIN_MESH = 200  # smallest spectral mesh a count accepts
+
 
 def lambda_ell(ell, N):
     """Angular eigenvalue l(l+N-2) of the sphere Laplacian at degree l."""
@@ -122,8 +124,8 @@ def _assemble_blocks(spec, mesh):
 
 def count_negative_eigenvalues(spec, mesh=1000, shift=0.0):
     """Number of sector eigenvalues below ``shift``: the inertia of A - shift B."""
-    if mesh < 200:
-        raise ValueError("mesh must be at least 200")
+    if mesh < MIN_MESH:
+        raise ValueError(f"mesh must be at least {MIN_MESH}")
     return count_below(_assemble_blocks(spec, mesh), shift)
 
 

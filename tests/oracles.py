@@ -50,10 +50,11 @@ def max_on_circle_sampled(f, n=10_000):
 # radial BVP oracles
 # ---------------------------------------------------------------------------
 
-def rk4_radial_ivp(params, d, r_end=1.0, n_steps=200_000, r_start=1e-6):
-    """Fixed-step classical RK4 for the radial system, Taylor-started at r_start.
+def _rk4_states(params, d, r_end, n_steps, r_start):
+    """States (u, v, du, dv) after each step of fixed-step classical RK4.
 
-    Returns (u, v, du, dv) at r_end.  Independent of the adaptive path.
+    Taylor-started at r_start; d may hold arrays of centre values, which are
+    integrated side by side.
     """
     f = params.f
     d1, d2 = d
@@ -91,7 +92,31 @@ def rk4_radial_ivp(params, d, r_end=1.0, n_steps=200_000, r_start=1e-6):
         k4 = rhs(r + h, y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         r += h
+        yield y
+
+
+def rk4_radial_ivp(params, d, r_end=1.0, n_steps=200_000, r_start=1e-6):
+    """Fixed-step classical RK4 for the radial system, Taylor-started at r_start.
+
+    Returns (u, v, du, dv) at r_end.  Independent of the adaptive path.
+    """
+    for y in _rk4_states(params, d, r_end, n_steps, r_start):
+        pass
     return y
+
+
+def rk4_shot(params, d, n_steps=5000, r_start=1e-6):
+    """u(1) and the sign changes of u before the last step, by fixed-step RK4.
+
+    d may hold arrays of centre values.  A zero within the last step shows in
+    the sign of u(1), not in the count.
+    """
+    last, changes = np.sign(d[0]), 0
+    for y in _rk4_states(params, d, 1.0, n_steps, r_start):
+        before_last = changes
+        changes = changes + (np.sign(y[0]) != last)
+        last = np.sign(y[0])
+    return y[0], before_last
 
 
 def collocation_positive_amplitude(params, guesses=(2.0, 5.0, 8.0, 10.0, 20.0, 40.0)):

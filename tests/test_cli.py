@@ -283,6 +283,13 @@ def test_liouville_zero_energy(tmp_path):
     assert payload["trivial"] is True
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys, solve):
     assert main(["solve"]) == 2
     assert main(["unknown-command"]) == 2
+    # invalid option values are reported on stderr, not as a traceback
+    save_profile(solve(2, 4.0), tmp_path / "profile")
+    li = ["liouville", "--energy", "1", "--out", str(tmp_path / "li")]
+    for argv in (li + ["--windows", "a,b"], li + ["--length", "-5"],
+                 ["verify", "--profile", str(tmp_path / "profile"), "--mesh", "100"]):
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err

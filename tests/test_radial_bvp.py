@@ -11,7 +11,6 @@ from henon_morse.radial_bvp import (
     RESIDUAL_GATE,
     ProblemParams,
     RadialProfile,
-    _amplitude_shot,
     _integrate_dense,
     _scaling_amplitude,
     _taylor_start,
@@ -30,7 +29,7 @@ from henon_morse.radial_bvp import (
     shoot_system_newton,
 )
 
-from oracles import collocation_positive_amplitude, rk4_radial_ivp
+from oracles import collocation_positive_amplitude, rk4_radial_ivp, rk4_shot
 
 
 def params_for(N, alpha, p=4.0, mu=0.0):
@@ -113,16 +112,16 @@ def test_positive_shoot_against_collocation(solve):
 
 
 def test_mu_positive_shoot_against_collocation(solve):
-    # mu > 0 takes the bracket plus Illinois path, not the scaling solve
+    # mu > 0 solves mu' r_k(mu')^2 = mu over unit-amplitude shots, unlike the
+    # single mu = 0 shot
     for alpha in (1.0, 2.0):
         prof = solve(3, alpha, mu=1.0)
         oracle_amp = collocation_positive_amplitude(params_for(3, alpha, mu=1.0))
         assert prof.amplitude[0] == pytest.approx(oracle_amp, rel=1e-7)
 
 
-def test_mu_positive_shot_budget(monkeypatch):
-    # Illinois steps need far fewer integrations than the 41 and 46 of plain
-    # bisection; the returned shot is sampled, not integrated again
+def count_integrations(monkeypatch):
+    """List that records the centre values of every adaptive integration."""
     real = radial_bvp._integrate_dense
     calls = []
 
@@ -131,11 +130,25 @@ def test_mu_positive_shot_budget(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(radial_bvp, "_integrate_dense", counted)
+    return calls
+
+
+def test_mu_positive_shot_budget(monkeypatch):
+    # Illinois steps on log mu' need far fewer integrations than the 41 and 46
+    # of plain bisection on the amplitude; the profile is the best shot
+    # rescaled, not integrated again
+    calls = count_integrations(monkeypatch)
     params = params_for(3, 1.0, mu=1.0)
     for shoot in (lambda: shoot_positive(params), lambda: shoot_nodal(params, 1)):
         calls.clear()
         shoot()
         assert len(calls) <= 18, calls
+
+
+def test_mu_zero_shoot_integrates_once(monkeypatch):
+    calls = count_integrations(monkeypatch)
+    shoot_positive(params_for(2, 4.0))
+    assert len(calls) == 1, calls
 
 
 def test_positive_shoot_certificates(solve):
@@ -169,6 +182,14 @@ def test_nodal_shoot(solve):
     assert prof.amplitude[0] > pos.amplitude[0]
 
 
+def rk4_brackets(params, amplitude, nodes, diagonal=False, rel=1e-9):
+    """Whether fixed-step RK4 puts the root of u(1; d) with k zeros in amplitude (1 +- rel)."""
+    d = amplitude * np.array([1.0 - rel, 1.0 + rel])
+    u1, zeros = rk4_shot(params, (d, d if diagonal else 0.0 * d))
+    parity = (-1.0) ** nodes
+    return bool(parity * u1[0] > 0.0 > parity * u1[1] and np.all(zeros == nodes))
+
+
 @pytest.mark.parametrize("N, alpha, nodes, f", [
     (2, 4.0, 0, pure_power(4)),
     (2, 2.0, 2, pure_power(4)),
@@ -176,12 +197,28 @@ def test_nodal_shoot(solve):
     (2, 4.0, 0, quartic_coupled(b=0.5)),
 ])
 def test_scaling_solve_matches_bisection(N, alpha, nodes, f):
-    # the mu = 0 scaling solve and the mu > 0 bisection check each other
+    # an independent fixed-step integration brackets the one-shot mu = 0
+    # amplitude as a bisection on the sign of u(1) would, to rel 1e-9
     params = ProblemParams(N=N, alpha=alpha, mu1=0.0, mu2=0.0, f=f)
     diagonal = f.b > 0
-    scaled = _scaling_amplitude(params, nodes, diagonal=diagonal)
-    bisected = _amplitude_shot(params, nodes, tol=1e-10, diagonal=diagonal)[0]
-    assert scaled == pytest.approx(bisected, rel=1e-9)
+    amplitude = _scaling_amplitude(params, nodes, tol=1e-10, diagonal=diagonal)[0]
+    assert rk4_brackets(params, amplitude, nodes, diagonal)
+
+
+def test_mu_positive_nodal_amplitude_matches_rk4(solve):
+    prof = solve(3, 1.0, mu=1.0, nodes=1)
+    assert prof.amplitude[0] == pytest.approx(35.5512891848, rel=1e-10)
+    assert rk4_brackets(prof.params, prof.amplitude[0], 1)
+
+
+@pytest.mark.parametrize("N, alpha, mu, nodes", [(2, 4.0, 0.0, 1), (3, 1.0, 1.0, 1)])
+def test_scaled_profile_matches_direct_integration(solve, N, alpha, mu, nodes):
+    # the rescaled unit shot and a fresh integration from its amplitude agree
+    prof = solve(N, alpha, mu=mu, nodes=nodes)
+    direct = integrate_radial_ivp(prof.params, prof.amplitude, len(prof.grid) - 1,
+                                  rtol=1e-12, atol=1e-12)
+    for ours, theirs in ((prof.u, direct.u), (prof.du, direct.du)):
+        assert np.max(np.abs(ours - theirs)) <= 1e-10 * np.max(np.abs(theirs))
 
 
 def test_planar_substitution_scales_amplitude(solve):
