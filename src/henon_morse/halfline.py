@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,6 +67,11 @@ class TransformedProfile:
     @property
     def kappa(self):
         return self.beta ** (2.0 / (self.params.f.p - 2.0))
+
+    @cached_property
+    def potential(self):
+        """``stability_potential`` of this transform, built on first use."""
+        return stability_potential(self)
 
 
 @dataclass
@@ -224,7 +230,7 @@ def eval_Qk(tp, lam, phi, dphi=None):
         dphi1, dphi2 = np.gradient(phi1, t), np.gradient(phi2, t)
     else:
         dphi1, dphi2 = dphi
-    U = stability_potential(tp)
+    U = tp.potential
     eg = np.exp(-tp.gamma * t)
     quad = (
         eg * (dphi1 ** 2 + dphi2 ** 2)

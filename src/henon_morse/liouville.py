@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
@@ -43,7 +43,9 @@ BLOWUP_GUARD = 1e12
 class LimitTrajectory:
     """A sampled trajectory of the autonomous limit system.
 
-    ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T].
+    ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T].  ``period``
+    is the period P of a closed scalar orbit, whose ``dense`` evaluates one
+    integrated period at t mod P; it is None for every other trajectory.
     """
 
     f: NonlinearityF
@@ -55,6 +57,7 @@ class LimitTrajectory:
     du: np.ndarray
     dv: np.ndarray
     dense: Callable = field(repr=False, compare=False)
+    period: Optional[float] = None
 
     @property
     def is_trivial(self):
@@ -65,9 +68,15 @@ class LimitTrajectory:
 def integrate_limit_system(f, scale, interval, init, T, steps=2000):
     """Trajectory of -u'' = s dF/du, -v'' = s dF/dv from the given initial data.
 
-    Half-line trajectories must start from u = v = 0.  Integration uses a
-    high-order adaptive pair at tight tolerances so that the conserved energy
-    drifts by less than about 1e-10 over horizons of a few hundred.
+    Half-line trajectories must start from u = v = 0.
+
+    A scalar start (v = v' = 0, dF/dv(+-1, 0) = 0) at s > 0 lies on a closed
+    orbit with a convex energy sublevel set, so the Poincare section through
+    the start, normal to the flow there, is crossed upward only at the start.
+    The second upward crossing ends the integration (rtol = atol = 1e-13)
+    after one period P; ``dense`` evaluates it at t mod P, and the energy
+    drift is that of one period, whatever T.  Coupled starts, and orbits not
+    closed by T, are integrated over [0, T] (coupled at rtol = atol = 1e-12).
     """
     if steps < 1000:
         raise ValueError("steps must be at least 1000")
@@ -92,13 +101,31 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
 
     blowup.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, T), [u0, v0, du0, dv0], method="DOP853",
-                    rtol=1e-12, atol=1e-12, dense_output=True, events=blowup)
-    if sol.status == 1:
+    scalar = (v0 == 0.0 and dv0 == 0.0 and scale > 0
+              and not np.any(f.grad(np.array([1.0, -1.0]), np.zeros(2))[1]))
+    if scalar:
+        y0 = np.array([u0, v0, du0, dv0])
+        normal = np.array(rhs(0.0, y0))
+
+        def section(t, y):
+            return float(np.dot(y - y0, normal))
+
+        section.direction = 1.0
+        section.terminal = 2  # the first crossing is the start itself
+        sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853",
+                        rtol=1e-13, atol=1e-13, dense_output=True, events=(blowup, section))
+    else:
+        sol = solve_ivp(rhs, (0.0, T), [u0, v0, du0, dv0], method="DOP853",
+                        rtol=1e-12, atol=1e-12, dense_output=True, events=blowup)
+    if len(sol.t_events[0]):
         raise OverflowBlowUp(f"limit trajectory exceeded {BLOWUP_GUARD:.0e} at t = {sol.t[-1]:.3f}")
-    vals = sol.sol(tgrid)
+    period, dense = None, sol.sol
+    if scalar and len(sol.t_events[1]) == 2:
+        period = float(sol.t_events[1][1])
+        dense = lambda t: sol.sol(np.mod(t, period))
+    vals = dense(tgrid)
     return LimitTrajectory(f, interval, scale, tgrid,
-                           vals[0], vals[1], vals[2], vals[3], dense=sol.sol)
+                           vals[0], vals[1], vals[2], vals[3], dense=dense, period=period)
 
 
 def energy_of(traj):

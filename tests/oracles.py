@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of analytic Hessians, dense sphere sampling
 instead of golden-section refinement, oscillation counting or dense
 symmetric eigensolves instead of matrix inertia, collocation instead of
-shooting, fixed-step RK4 instead of the adaptive integrator.
+shooting, fixed-step RK4 instead of the adaptive integrator, and one
+full-horizon integration instead of a period evaluated at t mod P.
 """
 
 from __future__ import annotations
@@ -294,6 +295,25 @@ def build_weighted_forms(U, gamma, delta, lam, mesh):
         A[j + 1, j] -= w * ed * m12[i]
         B[j] = B[j + 1] = w * ed
     return A[2:, 2:], B[2:], ts
+
+
+# ---------------------------------------------------------------------------
+# limit-system oracle
+# ---------------------------------------------------------------------------
+
+def full_horizon_power_trajectory(p, scale, init, T, ts):
+    """(u, v, du, dv) at ts for -u'' = s|u|^(p-2)u, -v'' = s|v|^(p-2)v.
+
+    Plain DOP853 over the whole of [0, T] at rtol = atol = 1e-12, sampled
+    through t_eval: no period, no event, no dense evaluator.
+    """
+    def rhs(t, y):
+        u, v, du, dv = y
+        return [du, dv, -scale * abs(u) ** (p - 2) * u, -scale * abs(v) ** (p - 2) * v]
+
+    sol = solve_ivp(rhs, (0.0, T), list(init), method="DOP853",
+                    rtol=1e-12, atol=1e-12, t_eval=ts)
+    return sol.y
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import beta
 
 from henon_morse.errors import NonTermination
 from henon_morse.liouville import (
@@ -22,7 +23,7 @@ from henon_morse.liouville import (
 )
 from henon_morse.nonlinearity import pure_power
 
-from oracles import simpson_integral
+from oracles import full_horizon_power_trajectory, simpson_integral
 
 RNG = np.random.default_rng(99)
 
@@ -68,6 +69,45 @@ def test_energy_positive_for_nontrivial():
     # scale factor enters the conserved quantity
     f = pure_power(4)
     assert E[0] == pytest.approx(0.5 * 0.04 + 2.0 * f.value(0.3, 0.1), rel=1e-12)
+
+
+PERIOD_CASES = [(4.0, 1.0), (4.0, 0.9), (3.0, 1.1), (6.0, 0.5)]
+
+
+def _scalar_orbit(p, E):
+    return integrate_limit_system(pure_power(p), 1.0, HALF_LINE,
+                                  (0.0, 0.0, math.sqrt(2.0 * E), 0.0), T=125.0, steps=2500)
+
+
+@pytest.mark.parametrize("p, E", PERIOD_CASES)
+def test_period_closed_form(p, E):
+    # P = (4 u_max / sqrt(2E)) B(1/p, 1/2) / p with p F(u_max) = u_max^p = p E
+    traj = _scalar_orbit(p, E)
+    u_max = (p * E) ** (1.0 / p)
+    closed = 4.0 * u_max / math.sqrt(2.0 * E) * beta(1.0 / p, 0.5) / p
+    assert traj.period == pytest.approx(closed, rel=1e-10)
+    ts = np.linspace(0.0, 60.0, 41)
+    assert np.allclose(traj.dense(ts + traj.period), traj.dense(ts), rtol=0.0, atol=1e-12)
+
+
+def test_period_closed_form_value():
+    assert _scalar_orbit(4.0, 1.0).period == pytest.approx(5.244115108584, rel=1e-10)
+
+
+@pytest.mark.parametrize("p, E", PERIOD_CASES)
+def test_period_matches_full_horizon_oracle(p, E):
+    ts = np.linspace(0.0, 125.0, 2501)
+    ref = full_horizon_power_trajectory(p, 1.0, (0.0, 0.0, math.sqrt(2.0 * E), 0.0), 125.0, ts)
+    err = float(np.max(np.abs(_scalar_orbit(p, E).dense(ts) - ref)))
+    assert err <= (1e-7 if p == 3.0 else 1e-8)
+
+
+def test_coupled_start_keeps_full_horizon():
+    init = (0.3, 0.1, 0.0, 0.2)
+    traj = integrate_limit_system(pure_power(4), 2.0, FULL_LINE, init, T=125.0, steps=2500)
+    assert traj.period is None
+    ref = full_horizon_power_trajectory(4.0, 2.0, init, 125.0, traj.tgrid)
+    assert float(np.max(np.abs(np.array([traj.u, traj.v, traj.du, traj.dv]) - ref))) <= 1e-8
 
 
 def test_turning_point_amplitude(quartic_orbit):
