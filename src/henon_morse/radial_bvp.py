@@ -8,8 +8,11 @@ Radial profiles of
 on [0, 1] with u(1) = v(1) = 0 and u'(0) = v'(0) = 0 are computed by
 shooting from the center.  Integration starts from a second-order Taylor
 expansion at eps = 1e-6 (the (N-1)/r term is removably singular for regular
-radial data) and uses an adaptive Dormand-Prince 5(4) pair, after which the
-solution is resampled onto a uniform certification grid.
+radial data) and uses the adaptive Dormand-Prince 8(5,3) pair (DOP853), the
+one integrator of every radial IVP.  Each shot's dense output is evaluated
+once, on the uniform certification grid with three points interleaved in
+each cell: the profile keeps the grid nodes, and the interior-zero check
+reads every point of the 4x grid.
 
 The paper's scaling u -> lam^sigma u(lam r), sigma = (2 + alpha)/(p - 2),
 maps solutions with mu to solutions with lam^2 mu, so every shot starts at
@@ -17,9 +20,9 @@ unit amplitude (on the diagonal ansatz for symmetric systems) and stops at
 its (k+1)-th zero r_k; lam = r_k turns it into the k-node profile for
 mu = mu' r_k^2 with amplitude r_k^sigma, with no second integration.  With
 mu = 0 that is one shot; with mu > 0, Illinois steps in log mu' solve
-mu' r_k^2 = mu.  The final profile is checked for its boundary value and
-node count before it is returned, and it should be certified through
-``residual`` before spectral post-processing.  For N >= 3 and
+mu' r_k^2 = mu.  The final profile is checked for its boundary value,
+relative to its amplitude, and its node count before it is returned, and it
+should be certified through ``residual`` before spectral post-processing.  For N >= 3 and
 p >= 2(N + alpha)/(N - 2) no solution exists (Pohozaev identity), which is
 reported before any shot.
 """
@@ -186,7 +189,7 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
             f"could not find a valid series start for amplitude {d}"
         )
     sol = solve_ivp(
-        _ivp_rhs(params), (eps, r_end), y0, method="RK45",
+        _ivp_rhs(params), (eps, r_end), y0, method="DOP853",
         rtol=rtol, atol=atol, dense_output=True, events=[_blowup_event(), *events],
     )
     if sol.t_events[0].size:
@@ -219,20 +222,28 @@ def integrate_radial_ivp(params, d, grid_size=4000, rtol=1e-10, atol=1e-10):
     No boundary condition is imposed at r = 1; the result is a shooting
     candidate sampled on the uniform certification grid.
     """
-    return _sample(params, d, _integrate_dense(params, d, rtol=rtol, atol=atol), grid_size)
+    return _sample(params, d, _integrate_dense(params, d, rtol=rtol, atol=atol), grid_size)[0]
 
 
-def _sample(params, d, dense, grid_size):
-    """Profile sampled from the dense evaluator of the shot with centre values d."""
+def _sample(params, d, dense, grid_size, refine=1):
+    """Profile of the shot with centre values d, and the interior sign changes of u.
+
+    The dense evaluator is called once, on np.linspace(0, 1, grid_size + 1)
+    with refine - 1 evenly spaced points interleaved in each cell.  The
+    profile keeps the linspace nodes bit for bit; the sign changes are
+    counted over every point.
+    """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    vals = dense(grid)
+    steps = np.arange(refine) / refine
+    fine = np.append(grid[:-1, None] + np.diff(grid)[:, None] * steps, 1.0)
+    vals = dense(fine)
     vals[:, 0] = [d[0], d[1], 0.0, 0.0]
-    return RadialProfile(
-        params, grid, vals[0], vals[1], vals[2], vals[3],
-        (float(d[0]), float(d[1])), dense=dense,
-    )
+    u, v, du, dv = vals[:, ::refine].copy()
+    profile = RadialProfile(params, grid, u, v, du, dv, (float(d[0]), float(d[1])),
+                            dense=dense)
+    return profile, _sign_changes(fine[1:], vals[0, 1:])
 
 
 def _sign_changes(rs, u):
@@ -354,17 +365,22 @@ def _require_subcritical(params):
 
 
 def _shoot_branch(params, k, tol, grid_size, diagonal):
-    """Profile with k interior zeros and u(1) = 0, checked before it is returned."""
+    """Profile with k interior zeros and u(1) = 0, checked before it is returned.
+
+    The zeros are counted on the 4x grid of the profile's one evaluation.  A
+    rescaled profile's u(1) is its amplitude times the unit shot's event
+    location error, so the boundary bound is tol (1 + amplitude).
+    """
     _require_subcritical(params)
     amplitude, dense = _scaling_amplitude(params, k, tol, diagonal)
-    profile = _sample(params, (amplitude, amplitude if diagonal else 0.0), dense, grid_size)
+    profile, zeros = _sample(params, (amplitude, amplitude if diagonal else 0.0), dense,
+                             grid_size, refine=4)
     boundary = abs(float(profile.u[-1]))
-    if boundary > tol:
+    if boundary > tol * (1.0 + amplitude):
         raise NoConverge(
-            f"boundary value |u(1)| = {boundary:.3e} above tolerance {tol:.1e} "
-            f"at amplitude {amplitude:.12g}"
+            f"boundary value |u(1)| = {boundary:.3e} above tol (1 + amplitude) = "
+            f"{tol * (1.0 + amplitude):.3e} at amplitude {amplitude:.12g}"
         )
-    zeros = count_interior_zeros(profile, refine=4)
     if zeros != k:
         raise NoConverge(
             f"profile at amplitude {amplitude:.12g} has {zeros} interior zeros, not {k}"
@@ -373,7 +389,7 @@ def _shoot_branch(params, k, tol, grid_size, diagonal):
 
 
 def shoot_positive(params, tol=1e-10, grid_size=4000):
-    """Positive radial solution with u > 0 on [0,1) and u(1) = 0 within tol.
+    """Positive radial solution with u > 0 on [0,1) and |u(1)| <= tol (1 + u(0)).
 
     Scalar problems (second component identically zero) shoot on the first
     component; symmetric systems (a1 = a2, mu1 = mu2) use the diagonal ansatz
@@ -394,7 +410,8 @@ def shoot_positive(params, tol=1e-10, grid_size=4000):
 def shoot_nodal(params, nodes, tol=1e-10, grid_size=4000):
     """Scalar radial solution with exactly ``nodes`` interior zeros.
 
-    nodes = 0 delegates to the positive shoot.
+    |u(1)| <= tol (1 + |u(0)|), as for the positive shoot; nodes = 0
+    delegates to it.
     """
     if nodes < 0:
         raise ValueError("nodes must be nonnegative")
@@ -419,7 +436,7 @@ def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):
     for _ in range(max_iter):
         g, dense = boundary(d)
         if np.max(np.abs(g)) <= tol:
-            return _sample(params, d, dense, grid_size)
+            return _sample(params, d, dense, grid_size)[0]
         J = np.empty((2, 2))
         for j in range(2):
             h = 1e-6 * (1.0 + abs(d[j]))

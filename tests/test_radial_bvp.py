@@ -151,6 +151,42 @@ def test_mu_zero_shoot_integrates_once(monkeypatch):
     assert len(calls) == 1, calls
 
 
+def test_shoot_rhs_budget(monkeypatch):
+    # the DOP853 unit shot: about 1,230 RHS evaluations where RK45 took 2,546
+    real = radial_bvp.solve_ivp
+    nfev = []
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(radial_bvp, "solve_ivp", counted)
+    shoot_positive(params_for(2, 20.0))
+    assert len(nfev) == 1 and nfev[0] <= 1400, nfev
+
+
+def test_shoot_evaluates_dense_output_once(monkeypatch):
+    # one call on the 4x grid serves the stored profile and the zero count
+    real = radial_bvp._scaling_amplitude
+    sizes = []
+
+    def counted(*args, **kwargs):
+        amplitude, dense = real(*args, **kwargs)
+
+        def evaluate(r):
+            sizes.append(np.size(r))
+            return dense(r)
+
+        return amplitude, evaluate
+
+    monkeypatch.setattr(radial_bvp, "_scaling_amplitude", counted)
+    prof = shoot_nodal(params_for(2, 4.0), 2, grid_size=1000)
+    assert sizes == [4001]
+    assert np.array_equal(prof.grid, np.linspace(0.0, 1.0, 1001))
+    assert count_interior_zeros(prof, refine=4) == 2
+
+
 def test_positive_shoot_certificates(solve):
     # the last case sits below the Henon critical exponent 2(N+alpha)/(N-2) = 8;
     # its steeper profile needs the finer grid for the O(h^2) residual floor
@@ -222,12 +258,17 @@ def test_scaled_profile_matches_direct_integration(solve, N, alpha, mu, nodes):
 
 
 def test_planar_substitution_scales_amplitude(solve):
-    # N = 2: s = r^((2+alpha)/2) maps the alpha problem to alpha = 0, and for
-    # p = 4 the centre value picks up the factor 1 + alpha/2
-    base = solve(2, 0.0).amplitude[0]
-    for alpha in (4.0, 20.0):
-        assert solve(2, alpha).amplitude[0] == pytest.approx((1.0 + alpha / 2.0) * base,
-                                                             rel=1e-9)
+    # N = 2: s = r^((2+alpha)/2) maps the alpha problem to alpha = 0 and
+    # multiplies the centre value by (1 + alpha/2)^(2/(p-2)): 1 + alpha/2 for
+    # p = 4, and 256 for p = 3 at alpha = 30, an amplitude of about 2e5 whose
+    # u(1) is bounded relative to it
+    for p, nodes, alphas in ((4.0, 0, (4.0, 20.0)), (3.0, 4, (30.0,))):
+        base = solve(2, 0.0, p=p, nodes=nodes).amplitude[0]
+        for alpha in alphas:
+            prof = solve(2, alpha, p=p, nodes=nodes)
+            assert count_interior_zeros(prof, refine=4) == nodes
+            factor = (1.0 + alpha / 2.0) ** (2.0 / (p - 2.0))
+            assert prof.amplitude[0] == pytest.approx(factor * base, rel=1e-10)
 
 
 def test_nodal_delegates_to_positive(solve):
