@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from .errors import HenonMorseError, HypothesisViolated, NoBracket, NoConverge
+from .errors import HenonMorseError, HypothesisViolated, NoBracket, NoConverge, OverflowBlowUp
 from .halfline import (
     pohozaev_check,
     pohozaev_identity_residual,
@@ -247,7 +247,8 @@ def cmd_verify(args):
             qmin = np.inf
             for _ in range(100):
                 a = rng.uniform(0.0, 0.6 * tp.T)
-                b = a + rng.uniform(0.5, 0.2 * tp.T)
+                # lengths in [0.5, 0.2 T]; all 0.2 T on a horizon below 2.5
+                b = a + rng.uniform(min(0.5, 0.2 * tp.T), 0.2 * tp.T)
                 phi, dphi = smooth_bump(tp.tgrid, a, min(b, tp.T))
                 c1, c2 = rng.uniform(-1.0, 1.0, 2)
                 qmin = min(qmin, eval_Qk(tp, lam, (c1 * phi, c2 * phi),
@@ -270,12 +271,15 @@ def cmd_verify(args):
 
 def cmd_liouville(args):
     try:
+        f = pure_power(args.p)
         starts = [float(s) for s in args.windows.split(",")]
-    except ValueError:
-        starts = []
-    if not (args.energy >= 0 and starts and all(0.0 <= s < math.inf for s in starts)
-            and 0.0 < args.length < math.inf):
-        print("need --energy >= 0, --windows in [0, inf), --length in (0, inf)", file=sys.stderr)
+    except ValueError as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
+    if not (0.0 <= args.energy < math.inf and all(0.0 <= s < math.inf for s in starts)
+            and 0.0 < args.length < math.inf and args.mesh >= MIN_MESH):
+        print("need --energy in [0, inf), --windows in [0, inf), --length in (0, inf), "
+              f"--mesh >= {MIN_MESH}", file=sys.stderr)
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,11 +289,14 @@ def cmd_liouville(args):
         print("trivial zero-energy trajectory: nothing to certify")
         return 0
 
-    f = pure_power(args.p)
     du0 = (2.0 * args.energy) ** 0.5  # E(0) = du^2/2 at u(0) = 0
     T = max(s + args.length for s in starts) + 5.0
-    traj = integrate_limit_system(f, 1.0, HALF_LINE, (0.0, 0.0, du0, 0.0),
-                                  T=T, steps=max(2000, int(20 * T)))
+    try:
+        traj = integrate_limit_system(f, 1.0, HALF_LINE, (0.0, 0.0, du0, 0.0),
+                                      T=T, steps=max(2000, int(20 * T)))
+    except OverflowBlowUp as exc:
+        print(f"no bounded trajectory: {exc}", file=sys.stderr)
+        return 1
     E = energy_of(traj)
     drift = float(np.max(np.abs(E - E[0])))
     hio._write_csv(out / "trajectory.csv", ["t", "u", "v", "du", "dv"],
@@ -331,6 +338,13 @@ def cmd_liouville(args):
     return 0
 
 
+def _horizon(text):
+    """A --T value: a finite number above 0."""
+    if not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"horizon must be a finite number above 0, not {text}")
+    return float(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="henon-morse",
@@ -352,7 +366,7 @@ def build_parser():
     pw.add_argument("--grid", type=int, default=4000)
     pw.add_argument("--mesh", type=int, default=1000)
     pw.add_argument("--tol", type=float, default=1e-10)
-    pw.add_argument("--T", type=float, default=None,
+    pw.add_argument("--T", type=_horizon, default=None,
                     help="transform horizon (default 30/beta)")
     pw.add_argument("--workers", type=int, default=1)
     pw.set_defaults(func=cmd_sweep)
@@ -362,7 +376,7 @@ def build_parser():
                     help="base path of a stored profile (without extension)")
     pv.add_argument("--out", default=None, help="verification JSON path")
     pv.add_argument("--mesh", type=int, default=1000)
-    pv.add_argument("--T", type=float, default=None)
+    pv.add_argument("--T", type=_horizon, default=None)
     pv.set_defaults(func=cmd_verify)
 
     pl = sub.add_parser("liouville", help="window instability certificates")

@@ -128,28 +128,18 @@ def transform_profile(profile, T=None, grid_size=None):
     """
     p = profile.params
     beta = beta_of(p.N, p.alpha)
-    gamma = (p.N - 2.0) * beta
     kappa = beta ** (2.0 / (p.f.p - 2.0))
     if T is None:
         T = DEFAULT_HORIZON_SCALE / beta
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("horizon T must be a finite number above 0")
     if grid_size is None:
         grid_size = len(profile.grid) - 1
     t = np.linspace(0.0, T, grid_size + 1)
     r = np.exp(-beta * t)
-    vals = _source_evaluator(profile)(r)
-    u, v, dur, dvr = vals
-    return TransformedProfile(
-        params=p,
-        beta=beta,
-        gamma=gamma,
-        tgrid=t,
-        u=kappa * u,
-        v=kappa * v,
-        du=-kappa * beta * r * dur,
-        dv=-kappa * beta * r * dvr,
-    )
+    u, v, dur, dvr = _source_evaluator(profile)(r)
+    return TransformedProfile(p, beta, gamma_of(p.N, p.alpha), t, kappa * u, kappa * v,
+                              -kappa * beta * r * dur, -kappa * beta * r * dvr)
 
 
 def inverse_transform(tp):
@@ -254,10 +244,6 @@ def smooth_bump(tgrid, a, b):
     return phi, dphi
 
 
-def _exponent_condition(N, p, rho, gamma):
-    return N >= 0.5 * p * rho + 0.5 * (p - 2.0) * gamma - 1e-12
-
-
 def pohozaev_check(tp):
     """Both sides of the boundary-derivative estimate, with truncation band.
 
@@ -268,7 +254,7 @@ def pohozaev_check(tp):
     """
     p = tp.params
     rho = tp.beta * p.N
-    if not _exponent_condition(p.N, p.f.p, rho, tp.gamma):
+    if p.N < 0.5 * p.f.p * rho + 0.5 * (p.f.p - 2.0) * tp.gamma - 1e-12:
         raise HypothesisViolated(
             f"exponent condition N >= p rho/2 + (p-2) gamma/2 fails: "
             f"N={p.N}, rho={rho:.4f}, gamma={tp.gamma:.4f}, p={p.f.p}"
@@ -333,15 +319,14 @@ def c_np_constant(N, p):
     return 3.0 * p / (2.0 * N * math.e)
 
 
-def pohozaev_lower_bound(f: NonlinearityF, N, p=None):
+def pohozaev_lower_bound(f: NonlinearityF, N):
     """Amplitude lower bound constant C with u'(0)^2 + v'(0)^2 >= C.
 
     C = (2N/p) (N / (3 p C_F C_{N,p}^{p/2}))^(2/(p-2)) where C_F is the
     growth constant of F and C_{N,p} = 3p/(2Ne).  Applies to nontrivial
     bounded solutions in the regime gamma <= N/(3p).
     """
-    if p is None:
-        p = f.p
+    p = f.p
     CF = f.growth_constant()
     Cnp = c_np_constant(N, p)
     inner = N / (3.0 * p * CF * Cnp ** (p / 2.0))
@@ -349,7 +334,7 @@ def pohozaev_lower_bound(f: NonlinearityF, N, p=None):
 
 
 def _weighted_blocks(U, gamma, delta, lam, mesh):
-    """Block-tridiagonal arrays of the weighted forms over [0, T].
+    """Pencil of the weighted forms over [0, T], with its nodes and the weights k_half.
 
     Stiffness A encodes int e^(-gamma t)|h'|^2 + lam e^(-gamma t)|h|^2
     - e^(-delta t)<U h, h>; the diagonal mass B comes from the e^(-delta t)
@@ -375,7 +360,7 @@ def _weighted_blocks(U, gamma, delta, lam, mesh):
     d12 = -w * ed[i] * m12[i]
     off = -k_half[i[:-1]]
     bw = w * ed[i]
-    return d11, d12, d22, off, bw, ts
+    return d11, d12, d22, off, bw, ts, k_half
 
 
 def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
@@ -391,19 +376,12 @@ def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
     """
     if not (delta > gamma > 0):
         raise ValueError("need delta > gamma > 0")
-    *pencil, ts = _weighted_blocks(U, gamma, delta, lam, mesh)
-
-    # the U term is the only negative contribution, so mu_min >= -sup lam_max(U)
-    tr = 0.5 * (np.asarray(U.m11) + np.asarray(U.m22))
-    disc = np.sqrt(0.25 * (np.asarray(U.m11) - np.asarray(U.m22)) ** 2 + np.asarray(U.m12) ** 2)
-    ubar = float(max(np.max(tr + disc), 0.0))
-    mu_min, y = lowest_eigenpair(pencil, -ubar - 1.0, seed=12345)
+    *pencil, ts, k_half = _weighted_blocks(U, gamma, delta, lam, mesh)
+    mu_min, y = lowest_eigenpair(pencil)
     h1 = np.concatenate([[0.0], y[0::2]])
     h2 = np.concatenate([[0.0], y[1::2]])
 
     # pointwise growth bound of the weighted space at the horizon
-    ht = ts[1] - ts[0]
-    k_half = np.exp(-gamma * (ts[:-1] + 0.5 * ht)) / ht
     star = float(np.sum(k_half * (np.diff(h1) ** 2 + np.diff(h2) ** 2)))
     bound = 2.0 / math.sqrt(gamma) * math.sqrt(star) * math.exp(0.5 * gamma * ts[-1])
     end_val = math.hypot(h1[-1], h2[-1])

@@ -71,10 +71,8 @@ def _read_csv(path, ncols):
     return [data[:, j] for j in range(ncols)]
 
 
-def write_json(path, payload, with_timestamp=True):
-    payload = dict(payload)
-    if with_timestamp:
-        payload["created"] = _timestamp()
+def write_json(path, payload):
+    payload = {**payload, "created": _timestamp()}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

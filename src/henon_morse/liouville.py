@@ -186,7 +186,7 @@ def _window_blocks(traj, a, b, mesh):
     d12 = -h * s * fuv
     off = np.full(mesh - 2, -1.0 / h)
     bw = np.full(mesh - 1, h)
-    return d11, d12, d22, off, bw, ts, h
+    return d11, d12, d22, off, bw, ts
 
 
 def instability_witness(traj, window, mesh=800):
@@ -200,9 +200,8 @@ def instability_witness(traj, window, mesh=800):
     a, b = float(window[0]), float(window[1])
     if not (traj.tgrid[0] <= a < b <= traj.tgrid[-1]):
         raise ValueError("window must lie inside the trajectory domain")
-    d11, d12, d22, off, bw, ts, h = _window_blocks(traj, a, b, mesh)
-    lo = -(float(np.max(np.abs(d11))) / h + 2.0)
-    q_min, x = lowest_eigenpair((d11, d12, d22, off, bw), lo, seed=4242)
+    *pencil, ts = _window_blocks(traj, a, b, mesh)
+    q_min, x = lowest_eigenpair(pencil)
     tfull = np.concatenate([[a], ts, [b]])
     phi1 = np.concatenate([[0.0], x[0::2], [0.0]])
     phi2 = np.concatenate([[0.0], x[1::2], [0.0]])

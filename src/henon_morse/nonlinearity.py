@@ -71,6 +71,8 @@ class NonlinearityF:
     def __post_init__(self):
         if self.family not in (PURE_POWER, QUARTIC_COUPLED):
             raise ValueError(f"unknown family {self.family!r}")
+        if not all(math.isfinite(x) for x in (self.p, self.a1, self.a2, self.b)):
+            raise ValueError("p, a1, a2 and b must be finite")
         if not self.p > 2:
             raise ValueError("homogeneity degree p must exceed 2")
         if self.a1 <= 0 or self.a2 <= 0:

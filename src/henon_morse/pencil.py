@@ -11,7 +11,8 @@ Because B is diagonal positive, the number of eigenvalues below a shift s
 equals the number of negative eigenvalues of A - s B (Sylvester), which the
 block LDL^T pivot recursion delivers without computing any eigenvalue.
 The sector counts of ``spectral``, the weighted half-line form of
-``halfline`` and the window witnesses of ``liouville`` all go through here.
+``halfline`` and the window witnesses of ``liouville`` all go through here;
+the lowest eigenpair starts from the pencil's own ``gershgorin_floor``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,26 @@ from .errors import SingularPivot
 
 PIVOT_TINY = 1e-300
 SHIFT_NUDGES = (0.0, 1e-13, -1e-13, 1e-12)  # relative to 1 + |s|
+SEED = 4242  # random start of the inverse iteration in lowest_eigenpair
+
+
+def top_eigenvalue(a, b, c):
+    """Larger eigenvalue of the symmetric 2x2 matrix [[a, b], [b, c]], elementwise."""
+    return 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
+
+
+def gershgorin_floor(pencil):
+    """Block-Gershgorin bound g = min_i (lam_min(D_i) - |off_{i-1}| - |off_i|) / bw_i.
+
+    No eigenvalue lies below g: 2 |off_i x_i . x_{i+1}| <= |off_i| (|x_i|^2 +
+    |x_{i+1}|^2) gives x^T A x >= g x^T B x.  The reach is taken off the
+    diagonal first, so a flux-form stiffness (off = -k, diagonal k_{i-1} + k_i)
+    cancels exactly: g is minus the largest potential eigenvalue per unit mass.
+    """
+    d11, d12, d22, off, bw = pencil
+    pad = np.abs(np.concatenate([[0.0], off, [0.0]]))
+    reach = pad[:-1] + pad[1:]
+    return float(np.min(-top_eigenvalue(reach - d11, -d12, reach - d22) / bw))
 
 
 def _negative_pivots(d11, d12, d22, off):
@@ -94,19 +115,17 @@ def bisect_eigenvalue(count, j, lo, hi, settled=None, rtol=1e-13):
     return lo, hi, True
 
 
-def lowest_eigenpair(pencil, lo, seed):
+def lowest_eigenpair(pencil):
     """Smallest pencil eigenvalue with its eigenvector.
 
-    Sturm bisection from the lower guess ``lo < 1`` (moved down until no
-    eigenvalue lies below it) to relative width 1e-13, then six steps of
-    banded inverse iteration from a seeded random start just below.  Returns
-    (mu, x), x interleaved like the unknowns and normalized to x^T B x = 1.
+    Sturm bisection to relative width 1e-13 from just below the pencil's
+    ``gershgorin_floor``, then six steps of banded inverse iteration from a
+    random start (seed SEED) just below the eigenvalue.  Returns (mu, x), x
+    interleaved like the unknowns and normalized to x^T B x = 1.
     """
-    if not lo < 1.0:
-        raise ValueError("the lower guess must lie below 1")
-    while count_below(pencil, lo) > 0:
-        lo = 2.0 * lo - 1.0
-    hi = 1.0
+    g = gershgorin_floor(pencil)
+    lo = g - 1e-6 * (1.0 + abs(g))  # strictly below: uncoupled pencils attain g
+    hi = max(1.0, lo + 1.0)
     while count_below(pencil, hi) < 1:
         hi = 2.0 * hi + 1.0
     lo, hi, _ = bisect_eigenvalue(lambda s: count_below(pencil, s), 1, lo, hi)
@@ -125,7 +144,7 @@ def lowest_eigenpair(pencil, lo, seed):
     ab[4, 0:-2:2] = off
     ab[4, 1:-2:2] = off
     Bv = np.repeat(bw, 2)
-    x = np.random.default_rng(seed).standard_normal(2 * n)
+    x = np.random.default_rng(SEED).standard_normal(2 * n)
     for _ in range(6):
         x = solve_banded((2, 2), ab, Bv * x)
         x = x / math.sqrt(float(np.dot(Bv * x, x)))

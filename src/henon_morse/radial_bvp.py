@@ -463,14 +463,6 @@ def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):
     raise NoConverge(f"Newton did not reach tolerance {tol} in {max_iter} iterations")
 
 
-def count_interior_zeros(profile, refine=1):
-    """Sign changes of u strictly inside (0, 1), on an optionally refined grid."""
-    if profile.dense is not None and refine > 1:
-        rs = np.linspace(EPS_ORIGIN, 1.0, refine * (len(profile.grid) - 1) + 1)
-        return _sign_changes(rs, profile.dense(rs)[0])
-    return _sign_changes(profile.grid[1:], profile.u[1:])
-
-
 def residual(profile):
     """Max absolute ODE defect over interior grid points, both components.
 

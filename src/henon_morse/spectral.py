@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pencil import bisect_eigenvalue, count_below
+from .pencil import bisect_eigenvalue, count_below, top_eigenvalue
 from .radial_bvp import RadialProfile, require_certified
 
 MIN_MESH = 200  # smallest spectral mesh a count accepts
@@ -129,19 +129,14 @@ def count_negative_eigenvalues(spec, mesh=1000, shift=0.0):
     return count_below(_assemble_blocks(spec, mesh), shift)
 
 
-def _top(spec, w):
-    """Top eigenvalue of the 2x2 matrix w V(r) at each grid point."""
-    a, b, c = w * spec.v11, w * spec.v12, w * spec.v22
-    return 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-
-
 def sector_nonneg_certificate(spec):
     """sup over the grid of the top eigenvalue of r^2 V(r), clipped below at 0.
 
     Sectors with l(l+N-2) at or above it are nonnegative without any
     discretization: lambda/r^2 dominates V pointwise on (0, 1].
     """
-    return float(max(np.max(_top(spec, spec.rgrid ** 2)), 0.0))
+    w = spec.rgrid ** 2
+    return float(max(np.max(top_eigenvalue(w * spec.v11, w * spec.v12, w * spec.v22)), 0.0))
 
 
 def ell_truncation(spec):
@@ -206,7 +201,7 @@ def morse_index(profile, mesh=1000):
     counts += [0] * (ell_max + 1 - len(counts))
 
     # (counts at mesh and 2 mesh, j, bracket of a, degrees it decides); l = 0 sits above -max V
-    vmax = float(np.max(_top(spec, 1.0)))
+    vmax = float(np.max(top_eigenvalue(spec.v11, spec.v12, spec.v22)))
     checks = [(radial, j, _bracket(radial[0], j, 0.0, step), [0])
               for j, step in ((counts[0], -0.5 * vmax), (counts[0] + 1, 1.0)) if j and ell_max]
     if ell_max > 1:

@@ -137,6 +137,32 @@ def test_verify_certified_profile(tmp_path, solve):
     assert report["checks"]["qk_probe_min"]["pass"]
 
 
+def test_verify_short_horizon(tmp_path, capsys, solve):
+    # below T = 2.5 the probe windows shrink with the horizon instead of
+    # drawing from an empty range; at T = 2 the truncated Pohozaev identity
+    # fails honestly, so the report is written and verify exits 1
+    save_profile(solve(2, 4.0), tmp_path / "profile")
+    rc = main(["verify", "--profile", str(tmp_path / "profile"), "--T", "2",
+               "--out", str(tmp_path / "report.json"), "--mesh", "600"])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert checks["qk_probe_min"]["pass"]
+    assert not checks["pohozaev_identity"]["pass"]
+
+
+@pytest.mark.parametrize("T", ["0", "-1", "nan", "inf", "x"])
+def test_horizon_must_be_finite_and_positive(tmp_path, capsys, solve, T):
+    save_profile(solve(2, 4.0), tmp_path / "profile")
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({"N": 2, "mu1": 0.0, "mu2": 0.0, "family": "pure_power",
+                                 "p": 4, "alphas": [0.0], "branches": ["positive"]}))
+    assert main(["verify", "--profile", str(tmp_path / "profile"), "--T", T]) == 2
+    assert main(["sweep", "--params", str(pfile), "--out", str(tmp_path / "sw"), "--T", T]) == 2
+    assert "--T" in capsys.readouterr().err
+    assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
 def test_verify_detects_corruption(tmp_path, solve):
     prof = solve(2, 4.0)
     bad = RadialProfile(prof.params, prof.grid, 1.1 * prof.u, prof.v,
@@ -281,6 +307,24 @@ def test_liouville_zero_energy(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "li" / "liouville.json").read_text())
     assert payload["trivial"] is True
+
+
+@pytest.mark.parametrize("option, value", [("--p", "2"), ("--p", "inf"), ("--p", "nan"),
+                                           ("--mesh", "0"), ("--mesh", "2"),
+                                           ("--energy", "inf")])
+def test_liouville_rejects_bad_options(tmp_path, capsys, option, value):
+    argv = ["liouville", "--energy", "1", "--out", str(tmp_path / "li"), option, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    assert not (tmp_path / "li" / "liouville.json").exists()
+
+
+def test_liouville_blow_up_exits_1(tmp_path, capsys):
+    rc = main(["liouville", "--energy", "1e300", "--out", str(tmp_path / "li")])
+    assert rc == 1
+    assert "no bounded trajectory: limit trajectory exceeded" in capsys.readouterr().err
+    assert not (tmp_path / "li" / "liouville.json").exists()
 
 
 def test_usage_errors(tmp_path, capsys, solve):

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import beta
 
+from henon_morse import pencil
 from henon_morse.errors import NonTermination
 from henon_morse.liouville import (
     FULL_LINE,
@@ -182,6 +183,25 @@ def test_witness_monotone_in_window(quartic_orbit):
         q, _ = instability_witness(quartic_orbit, (30.0, 30.0 + L), mesh=800)
         qs.append(q)
     assert all(qs[i] >= qs[i + 1] - 1e-10 for i in range(len(qs) - 1))
+
+
+def test_witness_count_budget(monkeypatch):
+    # the bisection starts at the pencil's block-Gershgorin floor, -max 3u^2 =
+    # -6 at E = 1, not at a guess -(max|d11|/h + 2), about -3,200, that needed
+    # 55 inertia counts: 45 now
+    traj = integrate_limit_system(pure_power(4), 1.0, HALF_LINE,
+                                  (0.0, 0.0, math.sqrt(2.0), 0.0), T=25.0, steps=2500)
+    real = pencil.count_below
+    shifts = []
+
+    def counted(pen, s):
+        shifts.append(s)
+        return real(pen, s)
+
+    monkeypatch.setattr(pencil, "count_below", counted)
+    q, _ = instability_witness(traj, (0.0, 20.0), mesh=800)
+    assert q < 0
+    assert len(shifts) <= 48, len(shifts)
 
 
 def test_witness_narrow_window_positive(quartic_orbit):

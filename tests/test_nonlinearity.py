@@ -1,9 +1,11 @@
 """Homogeneity identities and sharp constants of the coupling families."""
 
+import math
+
 import numpy as np
 import pytest
 
-from henon_morse.nonlinearity import pure_power, quartic_coupled
+from henon_morse.nonlinearity import NonlinearityF, pure_power, quartic_coupled
 
 from oracles import fd_hessian, max_on_circle_sampled, min_on_p_sphere_sampled
 
@@ -157,3 +159,11 @@ def test_validation():
         pure_power(4, a1=-1.0)
     with pytest.raises(ValueError):
         quartic_coupled(b=-0.5)
+
+
+@pytest.mark.parametrize("field", ["p", "a1", "a2", "b"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_validation_rejects_non_finite(field, value):
+    args = {"family": "quartic_coupled", "p": 4.0, "a1": 1.0, "a2": 1.0, "b": 0.5}
+    with pytest.raises(ValueError, match="finite"):
+        NonlinearityF(**{**args, field: value})

@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from henon_morse.errors import SingularPivot
-from henon_morse.pencil import _negative_pivots, count_below, lowest_eigenpair
+from henon_morse.pencil import _negative_pivots, count_below, gershgorin_floor, lowest_eigenpair
 
 from oracles import dense_pencil, dense_pencil_eigvals
 
@@ -51,10 +51,29 @@ def test_count_below_matches_dense_oracle(pencil, shifts):
 
 
 @PROPERTY
-@given(pencils(), st.floats(-20.0, 0.5, allow_nan=False))
-def test_lowest_eigenpair_matches_dense_oracle(pencil, lo):
+@given(pencils())
+def test_gershgorin_floor_bounds_the_spectrum(pencil):
     eig = dense_pencil_eigvals(*pencil)
-    mu, x = answer_or_reject(lowest_eigenpair, pencil, lo, 7)
+    assert gershgorin_floor(pencil) <= eig[0] + 1e-12 * (1.0 + abs(eig[0]))
+
+
+def test_gershgorin_floor_of_a_flux_form_pencil():
+    # -w'' - V w on (0, 1), Dirichlet: the stiffness 2/h - 1/h - 1/h cancels
+    # on every interior row, so the floor is -max V exactly; the two rows next
+    # to the boundary keep 1/h^2 - V
+    mesh = 50
+    h = 1.0 / mesh
+    V = np.linspace(0.0, 3.0, mesh - 1)
+    pencil = (2.0 / h - h * V, np.zeros(mesh - 1), 2.0 / h - h * V[::-1],
+              np.full(mesh - 2, -1.0 / h), np.full(mesh - 1, h))
+    assert gershgorin_floor(pencil) == pytest.approx(-V[-2], abs=1e-12)
+
+
+@PROPERTY
+@given(pencils())
+def test_lowest_eigenpair_matches_dense_oracle(pencil):
+    eig = dense_pencil_eigvals(*pencil)
+    mu, x = answer_or_reject(lowest_eigenpair, pencil)
     assert abs(mu - eig[0]) <= 1e-10 * (1.0 + abs(eig[0]))
     A, B = dense_pencil(*pencil)
     y = np.concatenate([x[0::2], x[1::2]])  # interleaved -> component-major
@@ -97,6 +116,6 @@ def test_bisection_stops_in_a_zero_pivot_band():
     # singular under every shift nudge, so bisection ends on the pinned bracket
     pencil = (np.array([2.0]), np.array([2.0]), np.array([2.0]),
               np.array([]), np.array([0.125]))
-    mu, x = lowest_eigenpair(pencil, -1.0, seed=7)
+    mu, x = lowest_eigenpair(pencil)
     assert abs(mu) <= 1e-10
     assert abs(x[0] + x[1]) <= 1e-8 * abs(x[0])
