@@ -45,7 +45,7 @@ from .radial_bvp import (
 )
 from .spectral import MIN_MESH, lambda_ell, morse_index
 
-TRANSFORMED_GATE = 1e-3       # half-line defect for interpolated (stored) data
+TRANSFORMED_GATE = 1e-3       # half-line defect of the Hermite-interpolated profile
 POHOZAEV_GATE = 1e-6          # relative slack tolerance
 IDENTITY_GATE = 1e-5          # integral identity mismatch
 QK_GATE = 1e-6                # random-probe negativity tolerance
@@ -191,9 +191,6 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    if args.mesh < MIN_MESH:
-        print(f"--mesh must be at least {MIN_MESH}", file=sys.stderr)
-        return 2
     try:
         profile = hio.load_profile(args.profile)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -276,10 +273,8 @@ def cmd_liouville(args):
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    if not (0.0 <= args.energy < math.inf and all(0.0 <= s < math.inf for s in starts)
-            and 0.0 < args.length < math.inf and args.mesh >= MIN_MESH):
-        print("need --energy in [0, inf), --windows in [0, inf), --length in (0, inf), "
-              f"--mesh >= {MIN_MESH}", file=sys.stderr)
+    if not (0.0 <= args.energy < math.inf and all(0.0 <= s < math.inf for s in starts)):
+        print("need --energy and --windows in [0, inf)", file=sys.stderr)
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,11 +333,22 @@ def cmd_liouville(args):
     return 0
 
 
-def _horizon(text):
-    """A --T value: a finite number above 0."""
-    if not 0.0 < float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"horizon must be a finite number above 0, not {text}")
-    return float(text)
+def _bounded(convert, ok, what):
+    """An argparse type: ``convert`` the text and require ``ok`` of the value."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, not {text}")
+    return parse
+
+
+_positive = _bounded(float, lambda x: 0.0 < x < math.inf, "a finite number above 0")
+_grid = _bounded(int, lambda n: n >= 100, "an integer of at least 100")
+_mesh = _bounded(int, lambda n: n >= MIN_MESH, f"an integer of at least {MIN_MESH}")
 
 
 def build_parser():
@@ -355,18 +361,18 @@ def build_parser():
     ps = sub.add_parser("solve", help="compute one certified radial profile")
     ps.add_argument("--params", required=True, help="JSON parameter file")
     ps.add_argument("--out", required=True, help="output directory")
-    ps.add_argument("--grid", type=int, default=4000)
-    ps.add_argument("--tol", type=float, default=1e-10)
+    ps.add_argument("--grid", type=_grid, default=4000)
+    ps.add_argument("--tol", type=_positive, default=1e-10)
     ps.set_defaults(func=cmd_solve)
 
     pw = sub.add_parser("sweep", help="alpha sweep with certified Morse indices")
     pw.add_argument("--params", required=True,
                     help="JSON parameter file with 'alphas' and 'branches'")
     pw.add_argument("--out", required=True)
-    pw.add_argument("--grid", type=int, default=4000)
-    pw.add_argument("--mesh", type=int, default=1000)
-    pw.add_argument("--tol", type=float, default=1e-10)
-    pw.add_argument("--T", type=_horizon, default=None,
+    pw.add_argument("--grid", type=_grid, default=4000)
+    pw.add_argument("--mesh", type=_mesh, default=1000)
+    pw.add_argument("--tol", type=_positive, default=1e-10)
+    pw.add_argument("--T", type=_positive, default=None,
                     help="transform horizon (default 30/beta)")
     pw.add_argument("--workers", type=int, default=1)
     pw.set_defaults(func=cmd_sweep)
@@ -375,8 +381,8 @@ def build_parser():
     pv.add_argument("--profile", required=True,
                     help="base path of a stored profile (without extension)")
     pv.add_argument("--out", default=None, help="verification JSON path")
-    pv.add_argument("--mesh", type=int, default=1000)
-    pv.add_argument("--T", type=_horizon, default=None)
+    pv.add_argument("--mesh", type=_mesh, default=1000)
+    pv.add_argument("--T", type=_positive, default=None)
     pv.set_defaults(func=cmd_verify)
 
     pl = sub.add_parser("liouville", help="window instability certificates")
@@ -384,8 +390,8 @@ def build_parser():
     pl.add_argument("--energy", type=float, required=True)
     pl.add_argument("--windows", default="0,25,50,100",
                     help="comma-separated window starts")
-    pl.add_argument("--length", type=float, default=20.0)
-    pl.add_argument("--mesh", type=int, default=800)
+    pl.add_argument("--length", type=_positive, default=20.0)
+    pl.add_argument("--mesh", type=_mesh, default=800)
     pl.add_argument("--out", required=True)
     pl.set_defaults(func=cmd_liouville)
     return parser

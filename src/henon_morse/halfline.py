@@ -27,13 +27,12 @@ negative eigenvalue with eigenfunction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import HypothesisViolated, MeshTooCoarse
 from .nonlinearity import NonlinearityF
@@ -105,26 +104,13 @@ def gamma_of(N, alpha):
     return (N - 2.0) * beta_of(N, alpha)
 
 
-def _source_evaluator(profile):
-    """r -> (u, v, du, dv), dense when available, monotone cubic otherwise."""
-    if profile.dense is not None:
-        return profile.dense
-    interps = [PchipInterpolator(profile.grid, y)
-               for y in (profile.u, profile.v, profile.du, profile.dv)]
-
-    def evaluate(r):
-        r = np.asarray(r, dtype=float)
-        return np.array([ip(r) for ip in interps])
-
-    return evaluate
-
-
 def transform_profile(profile, T=None, grid_size=None):
     """Half-line image of a radial profile on a uniform t-grid.
 
-    Values are evaluated exactly at the grid images r = exp(-beta t) through
-    the profile's dense evaluator when present; derivatives use the chain
-    rule du_k/dt = -kappa beta r u'(r).
+    The profile is read at r = exp(-beta t) through the cubic Hermite
+    interpolant of its stored grid and exact slopes, so a saved and reloaded
+    profile transforms to the same arrays, and no step uses the equation the
+    residual checks.  Derivatives: du_k/dt = -kappa beta r u'(r).
     """
     p = profile.params
     beta = beta_of(p.N, p.alpha)
@@ -137,7 +123,10 @@ def transform_profile(profile, T=None, grid_size=None):
         grid_size = len(profile.grid) - 1
     t = np.linspace(0.0, T, grid_size + 1)
     r = np.exp(-beta * t)
-    u, v, dur, dvr = _source_evaluator(profile)(r)
+    spline = CubicHermiteSpline(profile.grid, np.array([profile.u, profile.v]),
+                                np.array([profile.du, profile.dv]), axis=1)
+    u, v = spline(r)
+    dur, dvr = spline.derivative()(r)
     return TransformedProfile(p, beta, gamma_of(p.N, p.alpha), t, kappa * u, kappa * v,
                               -kappa * beta * r * dur, -kappa * beta * r * dvr)
 

@@ -104,7 +104,11 @@ def save_profile(profile: RadialProfile, basepath, extra=None):
 
 
 def load_profile(basepath):
-    """Rebuild a RadialProfile from <base>.csv / <base>.json (no dense evaluator)."""
+    """Rebuild a RadialProfile from <base>.csv / <base>.json.
+
+    ``save_profile`` writes every value with ``repr``, so the rebuilt arrays
+    equal the saved ones bit for bit, and so does anything computed from them.
+    """
     base = Path(basepath)
     header = read_json(base.with_suffix(".json"))
     params = params_from_dict(header["params"])

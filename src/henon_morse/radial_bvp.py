@@ -30,8 +30,7 @@ reported before any shot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
@@ -80,9 +79,8 @@ class ProblemParams:
 class RadialProfile:
     """A sampled radial pair (u, v) with derivatives on a uniform grid over [0, 1].
 
-    Treated as immutable after construction.  ``dense`` is an optional
-    evaluator r -> (u, v, du, dv) kept when the profile was produced by
-    integration in this process; it is not serialized.
+    Treated as immutable after construction.  These arrays are the whole
+    profile: a saved and reloaded copy is the same data.
     """
 
     params: ProblemParams
@@ -92,14 +90,13 @@ class RadialProfile:
     du: np.ndarray
     dv: np.ndarray
     amplitude: tuple
-    dense: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @property
     def is_trivial(self):
         return max(abs(self.amplitude[0]), abs(self.amplitude[1])) == 0.0
 
     def scaled(self, t):
-        """Profile multiplied by a scalar (loses the dense evaluator)."""
+        """Profile multiplied by a scalar."""
         return RadialProfile(
             self.params, self.grid, t * self.u, t * self.v,
             t * self.du, t * self.dv,
@@ -241,8 +238,7 @@ def _sample(params, d, dense, grid_size, refine=1):
     vals = dense(fine)
     vals[:, 0] = [d[0], d[1], 0.0, 0.0]
     u, v, du, dv = vals[:, ::refine].copy()
-    profile = RadialProfile(params, grid, u, v, du, dv, (float(d[0]), float(d[1])),
-                            dense=dense)
+    profile = RadialProfile(params, grid, u, v, du, dv, (float(d[0]), float(d[1])))
     return profile, _sign_changes(fine[1:], vals[0, 1:])
 
 

@@ -32,6 +32,7 @@ from henon_morse.liouville import (
     witness_quadrature,
 )
 from henon_morse.nonlinearity import pure_power, quartic_coupled
+from henon_morse.radial_bvp import _scaling_amplitude
 from henon_morse.spectral import (
     SturmLiouvilleSpec,
     count_negative_eigenvalues,
@@ -168,7 +169,7 @@ def test_criterion_6_transform_fidelity(solve):
         prof = solve(N, alpha)
         tp = transform_profile(prof)  # grid 4000, default horizon
         r, u, v, du, dv = inverse_transform(tp)
-        src = prof.dense(r)
+        src = _scaling_amplitude(prof.params, 0, 1e-10)[1](r)  # the shot's own evaluator
         rt = max(float(np.max(np.abs(u - src[0]))),
                  float(np.max(np.abs(du - src[2]))))
         res = transformed_residual(tp)

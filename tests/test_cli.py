@@ -49,6 +49,16 @@ def test_profile_file_round_trip(tmp_path, solve):
     assert loaded.amplitude == prof.amplitude
 
 
+@pytest.mark.parametrize("alpha, nodes", [(4.0, 0), (2.0, 2)])
+def test_saved_profile_transforms_bit_for_bit(tmp_path, solve, alpha, nodes):
+    # the transform reads only the stored grid and slopes, which repr round-trips
+    prof = solve(2, alpha, nodes=nodes)
+    save_profile(prof, tmp_path / "p")
+    loaded, in_memory = transform_profile(load_profile(tmp_path / "p")), transform_profile(prof)
+    for name in ("tgrid", "u", "v", "du", "dv"):
+        assert np.array_equal(getattr(loaded, name), getattr(in_memory, name)), name
+
+
 def test_transformed_file_round_trip(tmp_path, solve):
     tp = transform_profile(solve(2, 4.0), T=30.0, grid_size=2000)
     save_transformed(tp, tmp_path / "t")
@@ -124,17 +134,19 @@ def test_solve_unsolvable_regime(tmp_path):
 
 
 def test_verify_certified_profile(tmp_path, solve):
-    save_profile(solve(2, 4.0), tmp_path / "profile")
-    rc = main(["verify", "--profile", str(tmp_path / "profile"),
-               "--out", str(tmp_path / "report.json"), "--mesh", "600"])
-    assert rc == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["pass"] is True
-    assert report["checks"]["radial_residual"]["pass"]
-    assert report["checks"]["transformed_residual"]["pass"]
-    assert report["checks"]["pohozaev_slack"]["pass"]
-    assert report["checks"]["pohozaev_lower_bound"]["pass"]
-    assert report["checks"]["qk_probe_min"]["pass"]
+    # a positive profile and a nodal one, both read from their stored grids
+    for name, alpha, nodes in (("positive", 4.0, 0), ("nodal2", 2.0, 2)):
+        save_profile(solve(2, alpha, nodes=nodes), tmp_path / name)
+        rc = main(["verify", "--profile", str(tmp_path / name),
+                   "--out", str(tmp_path / f"{name}.json"), "--mesh", "600"])
+        assert rc == 0, name
+        report = json.loads((tmp_path / f"{name}.json").read_text())
+        assert report["pass"] is True
+        assert report["checks"]["radial_residual"]["pass"]
+        assert report["checks"]["transformed_residual"]["pass"]
+        assert report["checks"]["pohozaev_slack"]["pass"]
+        assert report["checks"]["pohozaev_lower_bound"]["pass"]
+        assert report["checks"]["qk_probe_min"]["pass"]
 
 
 def test_verify_short_horizon(tmp_path, capsys, solve):
@@ -148,6 +160,7 @@ def test_verify_short_horizon(tmp_path, capsys, solve):
     assert "Traceback" not in capsys.readouterr().err
     checks = json.loads((tmp_path / "report.json").read_text())["checks"]
     assert checks["qk_probe_min"]["pass"]
+    assert checks["transformed_residual"]["pass"]
     assert not checks["pohozaev_identity"]["pass"]
 
 
@@ -161,6 +174,21 @@ def test_horizon_must_be_finite_and_positive(tmp_path, capsys, solve, T):
     assert main(["sweep", "--params", str(pfile), "--out", str(tmp_path / "sw"), "--T", T]) == 2
     assert "--T" in capsys.readouterr().err
     assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("solve", "--tol", "-1"), ("solve", "--tol", "0"), ("solve", "--tol", "nan"),
+    ("solve", "--tol", "inf"), ("solve", "--grid", "50"), ("sweep", "--tol", "-1"),
+    ("sweep", "--mesh", "10"), ("sweep", "--grid", "50"),
+])
+def test_rejects_bad_numeric_options(tmp_path, capsys, command, option, value):
+    pfile = tmp_path / "params.json"
+    write_params(pfile, N=2, alpha=4.0, alphas=[4.0], branches=["positive"])
+    out = tmp_path / "run"
+    assert main([command, "--params", str(pfile), "--out", str(out), option, value]) == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+    assert not (out / "sweep.json").exists() and not (out / "profile.json").exists()
 
 
 def test_verify_detects_corruption(tmp_path, solve):
