@@ -35,20 +35,16 @@ from .liouville import (
     integrate_limit_system,
     witness_quadrature,
 )
+from .gates import IDENTITY_GATE, POHOZAEV_GATE, QK_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
 from .nonlinearity import pure_power
 from .radial_bvp import (
-    RESIDUAL_GATE,
-    ProblemParams,
     action_energy,
+    lane_emden_params,
+    lane_emden_shot,
     relative_residual,
     shoot_nodal,
 )
-from .spectral import MIN_MESH, lambda_ell, morse_index
-
-TRANSFORMED_GATE = 1e-3       # half-line defect of the Hermite-interpolated profile
-POHOZAEV_GATE = 1e-6          # relative slack tolerance
-IDENTITY_GATE = 1e-5          # integral identity mismatch
-QK_GATE = 1e-6                # random-probe negativity tolerance
+from .spectral import MIN_MESH, SingularSpectrum, lambda_ell, morse_index, onset_alphas
 
 
 def _parse_branch(spec):
@@ -100,17 +96,28 @@ def cmd_solve(args):
     return 0
 
 
-def _sweep_row(job):
-    """One fully certified sweep row; returns a plain dict (worker-safe)."""
-    raw, alpha, branch_spec, grid, mesh, tol, horizon = job
+def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared=None):
+    """One fully certified sweep row as a plain dict.
+
+    With ``shared``, a dict, a mu = 0 row maps from the (M, 0) shot and
+    counts on the SingularSpectrum kept there, made by the first row that
+    needs them; without it the row is shot and counted on its own.
+    """
     row = {"alpha": alpha, "branch": branch_spec, "status": "ok", "reason": ""}
     try:
         params = hio.params_from_dict({**raw, "alpha": alpha})
-        profile = shoot_nodal(params, _parse_branch(branch_spec), tol=tol, grid_size=grid)
+        nodes = _parse_branch(branch_spec)
+        share = shared is not None and not (params.mu1 or params.mu2)
+        if share and "shot" not in shared:
+            shared["shot"] = lane_emden_shot(params, nodes, tol=tol, grid_size=grid)
+        profile = shoot_nodal(params, nodes, tol=tol, grid_size=grid,
+                              shot=shared["shot"] if share else None)
         row["amplitude"] = list(profile.amplitude)
         row["energy"] = action_energy(profile)
         row["relative_residual"] = relative_residual(profile)
-        report = morse_index(profile, mesh=mesh)
+        if share and "spectrum" not in shared:
+            shared["spectrum"] = SingularSpectrum(shared["shot"].profile, mesh)
+        report = morse_index(profile, mesh=mesh, spectrum=shared["spectrum"] if share else None)
         row["morse"] = hio.morse_report_to_dict(report)
         row["total_morse_index"] = report.total_index
         row["mesh_stable"] = report.mesh_stable
@@ -132,6 +139,29 @@ def _sweep_row(job):
     return row
 
 
+def _group_key(raw, alpha, branch_spec):
+    """Rows with one key share a shot: mu = 0 rows by (branch, M, F), other rows by alpha."""
+    try:
+        return branch_spec, lane_emden_params(hio.params_from_dict({**raw, "alpha": alpha}))
+    except (KeyError, TypeError, ValueError):
+        return branch_spec, alpha
+
+
+def _sweep_group(job):
+    """The rows of one group in ascending alpha, and its onset enclosures (worker-safe).
+
+    A group of two or more mu = 0 rows holds one shot and one spectrum for
+    the length of this call only.  A lone row has nothing to share: it is
+    counted on its own pencils, as ``verify`` counts it.
+    """
+    raw, alphas, branch_spec, grid, mesh, tol, horizon = job
+    shared = {} if len(alphas) > 1 else None
+    rows = [_sweep_row(raw, a, branch_spec, grid, mesh, tol, horizon, shared)
+            for a in sorted(alphas)]
+    spectrum = (shared or {}).get("spectrum")
+    return rows, onset_alphas(spectrum, max(alphas)) if spectrum else []
+
+
 def cmd_sweep(args):
     raw, _ = _load_params_file(args.params, need_alpha=False)
     alphas = raw.get("alphas", [])
@@ -146,14 +176,20 @@ def cmd_sweep(args):
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(raw, float(a), br, args.grid, args.mesh, args.tol, args.T)
-            for br in branches for a in alphas]
+    groups = {}
+    for br in branches:
+        for a in alphas:
+            groups.setdefault(_group_key(raw, float(a), br), []).append(float(a))
+    jobs = [(raw, group, br, args.grid, args.mesh, args.tol, args.T)
+            for (br, _), group in groups.items()]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+            done = list(pool.map(_sweep_group, jobs))
     else:
-        rows = [_sweep_row(j) for j in jobs]
-    rows.sort(key=lambda r: (r["branch"], r["alpha"]))
+        done = [_sweep_group(j) for j in jobs]
+    rows = sorted((row for group_rows, _ in done for row in group_rows),
+                  key=lambda r: (r["branch"], r["alpha"]))
+    onsets = {job[2]: found for job, (_, found) in zip(jobs, done) if found}
 
     onset = None
     for row in rows:
@@ -166,7 +202,8 @@ def cmd_sweep(args):
         "alphas": alphas,
         "branches": branches,
         "rows": rows,
-        "summary": {"smallest_alpha_with_index_above_1": onset},
+        "summary": {"smallest_alpha_with_index_above_1": onset,
+                    "onset_alphas": onsets},
         "tool": {"grid": args.grid, "mesh": args.mesh, "tol": args.tol, "T": args.T},
     }
     hio.write_json(out / "sweep.json", payload)

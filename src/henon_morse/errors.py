@@ -24,8 +24,8 @@ class DegenerateInput(HenonMorseError):
 class SingularPivot(HenonMorseError):
     """Symmetric factorization hit an (almost) exactly zero pivot.
 
-    Signals an eigenvalue at machine zero; the caller should perturb the
-    spectral shift by +-1e-12 and retry.
+    Signals an eigenvalue at machine zero; ``pencil.count_below`` retries at
+    shifts nudged past the zero-pivot band before it raises this.
     """
 
 

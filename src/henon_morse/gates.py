@@ -1,0 +1,10 @@
+"""Limits of the certificates that solve, sweep, verify and morse_index check.
+
+Each gate is defined here and only here.
+"""
+
+RESIDUAL_GATE = 1e-5          # relative ODE defect of a certified radial profile
+TRANSFORMED_GATE = 1e-3       # half-line defect of the Hermite-interpolated profile
+POHOZAEV_GATE = 1e-6          # relative slack tolerance
+IDENTITY_GATE = 1e-5          # integral identity mismatch
+QK_GATE = 1e-6                # random-probe negativity tolerance

@@ -166,4 +166,13 @@ def morse_report_to_dict(report):
         "mesh": report.mesh,
         "mesh_stable": report.mesh_stable,
         "warnings": report.warnings,
+        "nu_hat": [
+            {"j": j, "mesh": _finite_or_none(a), "2mesh": _finite_or_none(b)}
+            for j, a, b in report.nu_hat
+        ],
     }
+
+
+def _finite_or_none(bracket):
+    """A bracket for JSON: an unbounded end becomes null."""
+    return [x if np.isfinite(x) else None for x in bracket]

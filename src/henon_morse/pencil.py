@@ -25,7 +25,8 @@ from scipy.linalg import solve_banded
 from .errors import SingularPivot
 
 PIVOT_TINY = 1e-300
-SHIFT_NUDGES = (0.0, 1e-13, -1e-13, 1e-12)  # relative to 1 + |s|
+ZERO_PIVOT = 1e-14  # a 2x2 pivot with |det| <= ZERO_PIVOT scale^2 is singular
+SHIFT_NUDGES = (0.0, 1e2, -1e2, 1e4)  # in units of the shift's _zero_pivot_band
 SEED = 4242  # random start of the inverse iteration in lowest_eigenpair
 
 
@@ -54,7 +55,7 @@ def _negative_pivots(d11, d12, d22, off):
     Runs the Schur recursion d_i <- D_i - off_{i-1}^2 d_{i-1}^{-1} and sums
     the inertias of the 2x2 pivots, read off det and trace: det < 0 gives
     one negative eigenvalue, det > 0 gives two when the trace is negative.
-    A pivot with |det| <= 1e-14 scale^2 (scale = |a| + |b| + |c| bounds
+    A pivot with |det| <= ZERO_PIVOT scale^2 (scale = |a| + |b| + |c| bounds
     both eigenvalues) is treated as singular.
     """
     d11, d12, d22, off = (np.asarray(x).tolist() for x in (d11, d12, d22, off))
@@ -68,7 +69,7 @@ def _negative_pivots(d11, d12, d22, off):
             a, b, c = d11[i] - w2 * c, d12[i] + w2 * b, d22[i] - w2 * a
         det = a * c - b * b
         scale = abs(a) + abs(b) + abs(c)
-        if abs(det) <= 1e-14 * scale * scale:
+        if abs(det) <= ZERO_PIVOT * scale * scale:
             raise SingularPivot("factorization pivot at machine zero")
         if det < 0:
             neg += 1
@@ -77,19 +78,38 @@ def _negative_pivots(d11, d12, d22, off):
     return neg
 
 
+def _zero_pivot_band(pencil, s):
+    """Width in the shift of the band where a pivot of A - s B reads as singular.
+
+    A flagged pivot has its small eigenvalue within about 3 ZERO_PIVOT scale
+    of 0, and moving the shift by d moves it by at least d bw_i (the Schur
+    complements fall at least as fast as B).  The pivot scale is bounded by
+    its block row, |a| + |b| + |c| + |off_(i-1)| + |off_i|, so the band is
+    ZERO_PIVOT times the largest block-row scale per unit mass.
+    """
+    d11, d12, d22, off, bw = pencil
+    pad = np.abs(np.concatenate([[0.0], off, [0.0]]))
+    rows = np.abs(d11 - s * bw) + np.abs(d12) + np.abs(d22 - s * bw) + pad[:-1] + pad[1:]
+    return ZERO_PIVOT * float(np.max(rows / bw))
+
+
 def count_below(pencil, s):
     """Number of pencil eigenvalues below s, from the inertia of A - s B.
 
-    A machine-zero pivot is retried at the shift nudged by SHIFT_NUDGES;
-    SingularPivot is raised only when every nudge hits one.
+    A machine-zero pivot is retried at the shift nudged by SHIFT_NUDGES times
+    its ``_zero_pivot_band``.  A pivot just outside its band would leave the
+    next one dominated by off^2 / pivot, near-singular in turn; a hundred
+    bands keep that ratio clear of ZERO_PIVOT.  SingularPivot is raised only
+    when every nudge hits a zero pivot.
     """
     d11, d12, d22, off, bw = pencil
+    band = 0.0
     for nudge in SHIFT_NUDGES:
-        sh = s + nudge * (1.0 + abs(s))
+        sh = s + nudge * band
         try:
             return _negative_pivots(d11 - sh * bw, d12, d22 - sh * bw, off)
         except SingularPivot:
-            continue
+            band = band or _zero_pivot_band(pencil, s)
     raise SingularPivot(f"persistent zero pivot near shift {s}")
 
 
@@ -98,8 +118,8 @@ def bisect_eigenvalue(count, j, lo, hi, settled=None, rtol=1e-13):
 
     ``count(s)`` counts the eigenvalues below s.  Halves until ``settled(lo, hi)``
     or width ``rtol`` (1 + |hi|); returns (lo, hi, settled reached).  A
-    SingularPivot ends it in a bracket already pinned to 1e-10 (a zero-pivot
-    band wider than the nudges), and stands in a wider one.
+    SingularPivot (every nudge hit a zero pivot) ends it in a bracket already
+    pinned to 1e-10, and stands in a wider one.
     """
     while settled is None or not settled(lo, hi):
         if hi - lo <= rtol * (1.0 + abs(hi)):

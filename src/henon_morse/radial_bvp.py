@@ -10,21 +10,33 @@ shooting from the center.  Integration starts from a second-order Taylor
 expansion at eps = 1e-6 (the (N-1)/r term is removably singular for regular
 radial data) and uses the adaptive Dormand-Prince 8(5,3) pair (DOP853), the
 one integrator of every radial IVP.  Each shot's dense output is evaluated
-once, on the uniform certification grid with three points interleaved in
-each cell: the profile keeps the grid nodes, and the interior-zero check
-reads every point of the 4x grid.
+once per profile, on the uniform certification grid with three points
+interleaved in each cell: the profile keeps the grid nodes, and the
+interior-zero check reads every point of the 4x grid.
 
 The paper's scaling u -> lam^sigma u(lam r), sigma = (2 + alpha)/(p - 2),
 maps solutions with mu to solutions with lam^2 mu, so every shot starts at
 unit amplitude (on the diagonal ansatz for symmetric systems) and stops at
 its (k+1)-th zero r_k; lam = r_k turns it into the k-node profile for
 mu = mu' r_k^2 with amplitude r_k^sigma, with no second integration.  With
-mu = 0 that is one shot; with mu > 0, Illinois steps in log mu' solve
-mu' r_k^2 = mu.  The final profile is checked for its boundary value,
-relative to its amplitude, and its node count before it is returned, and it
-should be certified through ``residual`` before spectral post-processing.  For N >= 3 and
-p >= 2(N + alpha)/(N - 2) no solution exists (Pohozaev identity), which is
-reported before any shot.
+mu > 0, Illinois steps in log mu' solve mu' r_k^2 = mu.
+
+With mu = 0 a second change of variables removes alpha: t = r^beta,
+beta = (2 + alpha)/2, turns the problem in dimension N into the Lane-Emden
+problem -v'' - (M-1) v'/t = dF(v) in the dimension M = 2(N + alpha)/(2 + alpha),
+with u(r) = beta^(2/(p-2)) v(r^beta) (Gladiali, Grossi, Neves, Adv. Math.
+2013).  So every mu = 0 profile is mapped from one (M, 0) shot
+(``lane_emden_shot``); for N = 2, M = 2 at every alpha.  A sweep shoots once
+per (M, F, branch), counts the zeros once on the shot's 4x t-grid (the map
+sends zeros one to one) and evaluates the shot once per row, on the row's
+own r-grid; a lone profile counts its zeros on its own 4x grid.  With
+mu > 0 the map leaves a weight singular at t = 0, so those rows shoot in r.
+
+The final profile is checked for its boundary value, relative to its
+amplitude, and its node count before it is returned, and it should be
+certified through ``residual`` before spectral post-processing.  For N >= 3
+and p >= 2(N + alpha)/(N - 2) = 2M/(M - 2) no solution exists (Pohozaev
+identity), which is reported before any shot.
 """
 
 from __future__ import annotations
@@ -36,12 +48,15 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .errors import DegenerateInput, NoBracket, NoConverge, OverflowBlowUp
+from .gates import RESIDUAL_GATE
 from .nonlinearity import NonlinearityF
 
 EPS_ORIGIN = 1e-6
 BLOWUP_GUARD = 1e12
 AMPLITUDE_CAP = 1e8
-RESIDUAL_GATE = 1e-5  # relative ODE defect of a certified profile
+# (rtol, atol) of an (M, 0) shot: the map multiplies u by beta^(2/(p-2)) and
+# u' by a further beta r^(beta-1), so it runs ten times tighter than an r-shot
+LANE_EMDEN_TOL = (1e-13, 1e-15)
 
 
 def sphere_area(N):
@@ -253,7 +268,7 @@ def _sign_changes(rs, u):
     return int(np.count_nonzero(np.diff(sign)))
 
 
-def _scaling_amplitude(params, k, tol, diagonal=False):
+def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
     """k-node amplitude and profile evaluator, scaled from unit-amplitude shots.
 
     For mu > 0, g(t) = log(mu' r_k^2 / mu) = 0 is solved in t = log mu' from
@@ -269,6 +284,7 @@ def _scaling_amplitude(params, k, tol, diagonal=False):
     shot without the zero counts as one at its end: above the root, or, at
     r_cap, below the mu' = mu/r_cap^2 where any root with an amplitude up to
     the cap lies.  Converging on such a shot means no amplitude up to the cap.
+    ``ivp_tol`` is the shots' (rtol, atol).
     """
     sigma = (2.0 + params.alpha) / (params.f.p - 2.0)
     r_cap = AMPLITUDE_CAP ** (1.0 / sigma)
@@ -281,11 +297,11 @@ def _scaling_amplitude(params, k, tol, diagonal=False):
 
     def shot(mu_p, r_end):
         """(r_k, evaluator) of the unit shot with mu'; (r_end, None) without the zero."""
-        # atol is that of a shot at amplitude 100 with atol 1e-12: this shot
-        # is scaled up to the profile, and a looser one adds noise to residual
+        # atol = rtol / 100, that of a shot at amplitude 100: this shot is
+        # scaled up to the profile, and a looser one adds noise to residual
         try:
             dense = _integrate_dense(replace(params, mu1=mu_p, mu2=mu_p),
-                                     (1.0, 1.0 if diagonal else 0.0), rtol=1e-12, atol=1e-14,
+                                     (1.0, 1.0 if diagonal else 0.0), *ivp_tol,
                                      r_end=r_end, events=[zero])
         except OverflowBlowUp:
             return r_end, None
@@ -360,17 +376,111 @@ def _require_subcritical(params):
         )
 
 
-def _shoot_branch(params, k, tol, grid_size, diagonal):
+def lane_emden_params(params):
+    """The (M, 0) problem a mu = 0 problem maps to: dimension M = 2(N + alpha)/(2 + alpha).
+
+    M is written N - (N - 2) alpha/(2 + alpha), exactly 2 for N = 2 and
+    exactly N for alpha = 0.  Raises ValueError when mu1 or mu2 is positive.
+    """
+    if params.mu1 or params.mu2:
+        raise ValueError("only mu = 0 problems map to a Lane-Emden problem")
+    M = params.N - (params.N - 2.0) * params.alpha / (2.0 + params.alpha)
+    return ProblemParams(N=M, alpha=0.0, mu1=0.0, mu2=0.0, f=params.f)
+
+
+@dataclass(frozen=True)
+class LaneEmdenShot:
+    """k-node solution of an (M, 0) problem, shared by the mu = 0 rows mapped from it.
+
+    ``profile`` samples it on the uniform t-grid, ``zeros`` counts the
+    interior sign changes of its u on the 4x t-grid, and ``dense`` evaluates
+    it anywhere on [0, 1].
+    """
+
+    profile: RadialProfile
+    nodes: int
+    zeros: int
+    dense: object
+
+
+def _diagonal(params, nodes):
+    """Whether the shot runs on the diagonal u = v: the positive branch of a coupled system."""
+    if nodes < 0:
+        raise ValueError("nodes must be nonnegative")
+    f = params.f
+    if nodes or not (f.family == "quartic_coupled" and f.b > 0):
+        return False
+    if not (f.a1 == f.a2 and params.mu1 == params.mu2):
+        raise ValueError(
+            "shoot_positive handles scalar problems or symmetric systems; "
+            "use shoot_system_newton for general systems"
+        )
+    return True
+
+
+def lane_emden_shot(params, nodes, tol=1e-10, grid_size=4000):
+    """The (M, 0) shot behind the mu = 0 problem ``params``, for ``shoot_nodal(shot=...)``.
+
+    One unit-amplitude shot, evaluated once on the 4x t-grid of ``grid_size``.
+    """
+    diagonal = _diagonal(params, nodes)
+    _require_subcritical(params)
+    image = lane_emden_params(params)
+    amplitude, dense = _scaling_amplitude(image, nodes, tol, diagonal, LANE_EMDEN_TOL)
+    profile, zeros = _sample(image, (amplitude, amplitude if diagonal else 0.0), dense,
+                             grid_size, refine=4)
+    return LaneEmdenShot(profile, nodes, zeros, dense)
+
+
+def _mapped(params, amplitude, dense):
+    """Amplitude and evaluator of the mu = 0 profile mapped from its (M, 0) image.
+
+    u(r) = c v(r^beta) and u'(r) = c beta r^(beta-1) v'(r^beta), with
+    beta = (2 + alpha)/2 and c = beta^(2/(p-2)); both factors are exactly 1
+    at alpha = 0.
+    """
+    beta = 1.0 + 0.5 * params.alpha
+    c = beta ** (2.0 / (params.f.p - 2.0))
+
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        vals = dense(r ** beta)
+        vals[:2] *= c
+        vals[2:] *= c * beta * r ** (beta - 1.0)
+        return vals
+
+    return c * amplitude, profile
+
+
+def _shoot_branch(params, k, tol, grid_size, shot=None):
     """Profile with k interior zeros and u(1) = 0, checked before it is returned.
 
-    The zeros are counted on the 4x grid of the profile's one evaluation.  A
+    mu = 0 profiles are mapped from ``shot``, or from a fresh (M, 0) shot
+    when none is given.  The zeros are counted on the 4x grid of the
+    profile's one evaluation, or taken from the shot's 4x t-grid.  A
     rescaled profile's u(1) is its amplitude times the unit shot's event
     location error, so the boundary bound is tol (1 + amplitude).
     """
+    diagonal = _diagonal(params, k)
     _require_subcritical(params)
-    amplitude, dense = _scaling_amplitude(params, k, tol, diagonal)
-    profile, zeros = _sample(params, (amplitude, amplitude if diagonal else 0.0), dense,
-                             grid_size, refine=4)
+    zeros = None
+    if params.mu1 or params.mu2:
+        amplitude, dense = _scaling_amplitude(params, k, tol, diagonal)
+    else:
+        image = lane_emden_params(params)
+        if shot is None:
+            amplitude, dense = _scaling_amplitude(image, k, tol, diagonal, LANE_EMDEN_TOL)
+        elif (shot.profile.params, shot.nodes) == (image, k):
+            amplitude, dense, zeros = shot.profile.amplitude[0], shot.dense, shot.zeros
+        else:
+            raise ValueError("the shot maps to another dimension, coupling or branch")
+        amplitude, dense = _mapped(params, amplitude, dense)
+        if amplitude > AMPLITUDE_CAP:
+            raise NoBracket(f"the {k}-node solution has amplitude {amplitude:.6g}, "
+                            f"above {AMPLITUDE_CAP:.0e}")
+    profile, counted = _sample(params, (amplitude, amplitude if diagonal else 0.0), dense,
+                               grid_size, refine=4 if zeros is None else 1)
+    zeros = counted if zeros is None else zeros
     boundary = abs(float(profile.u[-1]))
     if boundary > tol * (1.0 + amplitude):
         raise NoConverge(
@@ -384,36 +494,26 @@ def _shoot_branch(params, k, tol, grid_size, diagonal):
     return profile
 
 
-def shoot_positive(params, tol=1e-10, grid_size=4000):
+def shoot_positive(params, tol=1e-10, grid_size=4000, shot=None):
     """Positive radial solution with u > 0 on [0,1) and |u(1)| <= tol (1 + u(0)).
 
     Scalar problems (second component identically zero) shoot on the first
     component; symmetric systems (a1 = a2, mu1 = mu2) use the diagonal ansatz
-    u = v, which reduces to a scalar shoot.
+    u = v, which reduces to a scalar shoot.  ``shot``, from
+    ``lane_emden_shot``, is the (M, 0) shot a mu = 0 problem maps from.
     """
-    diagonal = False
-    if params.f.family == "quartic_coupled" and params.f.b > 0:
-        # coupled system: only the symmetric diagonal ansatz is supported here
-        if not (params.f.a1 == params.f.a2 and params.mu1 == params.mu2):
-            raise ValueError(
-                "shoot_positive handles scalar problems or symmetric systems; "
-                "use shoot_system_newton for general systems"
-            )
-        diagonal = True
-    return _shoot_branch(params, 0, tol, grid_size, diagonal)
+    return _shoot_branch(params, 0, tol, grid_size, shot)
 
 
-def shoot_nodal(params, nodes, tol=1e-10, grid_size=4000):
+def shoot_nodal(params, nodes, tol=1e-10, grid_size=4000, shot=None):
     """Scalar radial solution with exactly ``nodes`` interior zeros.
 
     |u(1)| <= tol (1 + |u(0)|), as for the positive shoot; nodes = 0
     delegates to it.
     """
-    if nodes < 0:
-        raise ValueError("nodes must be nonnegative")
     if nodes == 0:
-        return shoot_positive(params, tol=tol, grid_size=grid_size)
-    return _shoot_branch(params, nodes, tol, grid_size, diagonal=False)
+        return shoot_positive(params, tol=tol, grid_size=grid_size, shot=shot)
+    return _shoot_branch(params, nodes, tol, grid_size, shot)
 
 
 def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):

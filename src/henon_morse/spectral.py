@@ -19,17 +19,30 @@ until a Richardson margin settles: with R = b + (b - a)/3, e = |b - a|/3, a
 count is certified when a, b and [R - e, R + e] lie strictly on one side of
 its ladder point.  Otherwise the report warns, naming l, and ``mesh_stable``
 is false when a and b lie on different sides.
+
+A ``SingularSpectrum`` keeps every count of its pencils, so the brackets one
+report narrows serve the next.  For mu = 0 it serves every row of a sweep
+that maps to the same Lane-Emden problem (``radial_bvp.lane_emden_params``):
+with t = r^beta, beta = (2 + alpha)/2, the sector form Q_l at (N, alpha) is
+beta times the form of the (M, 0) image with l(l+N-2)/beta^2 in place of
+l(l+N-2).  By Sylvester's law of inertia each count at (N, alpha) is a count
+of the image's pencils against the ladder -l(l+N-2)/beta^2, the multiplicities
+still those of degree l in dimension N; nu_j(N, alpha) = beta^2 nu_j(M), and
+the truncation certificate scales by beta^2.  Rows with mu > 0 (the map
+leaves a weight singular at t = 0) and ``verify`` count on the profile's own
+r-grid, so ``verify`` checks the sweep's mapped counts independently.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .pencil import bisect_eigenvalue, count_below, top_eigenvalue
-from .radial_bvp import RadialProfile, require_certified
+from .radial_bvp import RadialProfile, lane_emden_params, require_certified
 
 MIN_MESH = 200  # smallest spectral mesh a count accepts
 
@@ -72,6 +85,7 @@ class MorseReport:
     mesh: int
     mesh_stable: bool
     warnings: list[str]
+    nu_hat: list[tuple[int, tuple, tuple]]  # (j, [lo, hi) at mesh, at 2 mesh)
 
     def counts(self):
         return {ell: neg for ell, _, neg in self.per_ell}
@@ -139,11 +153,16 @@ def sector_nonneg_certificate(spec):
     return float(max(np.max(top_eigenvalue(w * spec.v11, w * spec.v12, w * spec.v22)), 0.0))
 
 
-def ell_truncation(spec):
-    """Smallest l whose sector is certified nonnegative, with the certificate."""
-    cert = sector_nonneg_certificate(spec)
+def ell_truncation(spec, N=None, scale=1.0):
+    """Smallest l whose sector is certified nonnegative, with the certificate.
+
+    For the (M, 0) image of an (N, alpha) profile, N and scale = beta^2 give
+    the profile's: the certificate is scale times the image's.
+    """
+    N = spec.N if N is None else N
+    cert = scale * sector_nonneg_certificate(spec)
     ell = 0
-    while lambda_ell(ell, spec.N) < cert:
+    while lambda_ell(ell, N) < cert:
         ell += 1
     return ell, cert
 
@@ -161,7 +180,9 @@ def _decide(counts, j, a, b, t):
     a = (lo, hi) brackets it at mesh on one side of t (a count below j at t
     puts it at or above t), b at 2 mesh; the rule holds when b lies on that
     side of (3t + 2a)/5 too.  b is counted where one count could settle it, a
-    bisected until one could.  Returns (a, b, certified, b on a's side of t).
+    bisected until one could or b lies on a's side: both brackets may come
+    narrowed by other ladder points, so the edge can jump past b's.  Returns
+    (a, b, certified, b on a's side of t).
     """
     count_a, count_b = counts
     below = a[1] <= t
@@ -176,24 +197,99 @@ def _decide(counts, j, a, b, t):
         if b[0] < s < b[1]:
             b = (b[0], s) if count_b(s) >= j else (s, b[1])
             continue
-        *a, ok = bisect_eigenvalue(count_a, j, *a, lambda l, h: b[0] < edge(l, h) < b[1], 1e-12)
+        # b lies beyond s, away from a: move s (towards t) past b's near end
+        *a, ok = bisect_eigenvalue(count_a, j, *a, (lambda l, h: edge(l, h) > b[0]) if below
+                                   else (lambda l, h: edge(l, h) < b[1]), 1e-12)
         if not ok:
             return a, b, False, (count_b(t) >= j) == below
 
 
-def morse_index(profile, mesh=1000):
+class _Counts:
+    """Eigenvalue counts of one pencil below a shift, keeping every count made.
+
+    Counts rise with the shift, so a shift between two kept ones with equal
+    counts, or below one with count 0, is read off without a factorization.
+    """
+
+    def __init__(self, count):
+        self.count = count
+        self.known = []  # (shift, count), sorted
+
+    def __call__(self, s):
+        i = bisect.bisect_left(self.known, (s, -1))
+        if i < len(self.known):
+            t, n = self.known[i]
+            if t == s or n == 0 or (i and self.known[i - 1][1] == n):
+                return n
+        n = self.count(s)
+        self.known.insert(i, (s, n))
+        return n
+
+    def bracket(self, j):
+        """Narrowest [lo, hi) the kept counts prove holds eigenvalue j: count(lo) < j <= count(hi)."""
+        lo = max((s for s, n in self.known if n < j), default=-math.inf)
+        hi = min((s for s, n in self.known if n >= j), default=math.inf)
+        return lo, hi
+
+
+class SingularSpectrum:
+    """The l = 0 and singular pencils of one certified profile at mesh and 2 mesh.
+
+    ``radial`` and ``singular`` are the count functions at (mesh, 2 mesh);
+    the singular one takes nu.  Every count is kept for later reports.
+    """
+
+    def __init__(self, profile, mesh=1000):
+        require_certified(profile)
+        spec = build_sector(profile, 0)
+        self.params, self.spec, self.mesh = profile.params, spec, mesh
+        self.radial = [_Counts(lambda s, m=m: count_negative_eigenvalues(spec, m, s))
+                       for m in (mesh, 2 * mesh)]
+        self.singular = [_Counts(lambda nu, m=m: count_negative_eigenvalues(
+            replace(spec, ell=1, lambda_ell=-nu), m)) for m in (mesh, 2 * mesh)]
+
+
+def onset_alphas(spectrum, alpha_max):
+    """Enclosures [lo, hi) of the alpha_k where sector k's count turns positive, N = 2.
+
+    Every planar mu = 0 row maps to M = 2 and counts sector k positive when
+    beta^2 nu_1 < -k^2, that is beyond alpha_k = 2 k / sqrt(|nu_1|) - 2.  The
+    ends come from the bracket of nu_1 at mesh that ``spectrum`` holds; the
+    list runs up to alpha_max and leaves out the alpha_k below 0.
+    """
+    lo, hi = spectrum.singular[0].bracket(1)
+    if spectrum.params.N != 2 or not -math.inf < lo < hi < 0.0:
+        return []
+    out = []
+    for k in range(1, int(0.5 * (alpha_max + 2.0) * math.sqrt(-lo)) + 1):
+        upper = 2.0 * k / math.sqrt(-hi) - 2.0
+        if upper >= 0.0:
+            out.append([2.0 * k / math.sqrt(-lo) - 2.0, upper])
+    return out
+
+
+def morse_index(profile, mesh=1000, spectrum=None):
     """Total Morse index with its truncation certificate and Richardson margin.
 
     ``per_ell`` runs over l = 0 .. l_max, the first certified-nonnegative
     degree (listed with count 0); the module docstring gives the method.
+    ``spectrum`` is the SingularSpectrum of the (M, 0) image of a mu = 0
+    profile, counted against the ladder scaled by 1/beta^2; without it the
+    profile's own pencils are counted.  ``nu_hat`` lists the brackets of
+    nu_1 .. nu_(c+1), c the count at l = 1, as far as the counts kept so far
+    have narrowed them.
     """
-    require_certified(profile)
-    spec = build_sector(profile, 0)
-    ell_max, cert = ell_truncation(spec)
-    rung = [-lambda_ell(ell, spec.N) for ell in range(ell_max + 1)]
-    radial = [lambda s, m=m: count_negative_eigenvalues(spec, m, s) for m in (mesh, 2 * mesh)]
-    singular = [lambda nu, m=m: count_negative_eigenvalues(replace(spec, ell=1, lambda_ell=-nu), m)
-                for m in (mesh, 2 * mesh)]
+    p = profile.params
+    if spectrum is None:
+        spectrum, scale = SingularSpectrum(profile, mesh), 1.0
+    else:
+        require_certified(profile)
+        if (spectrum.params, spectrum.mesh) != (lane_emden_params(p), mesh):
+            raise ValueError("the spectrum is of another Lane-Emden problem or mesh")
+        scale = (1.0 + 0.5 * p.alpha) ** 2
+    spec, radial, singular = spectrum.spec, spectrum.radial, spectrum.singular
+    ell_max, cert = ell_truncation(spec, p.N, scale)
+    rung = [-lambda_ell(ell, p.N) / scale for ell in range(ell_max + 1)]
 
     counts = [radial[0](0.0)] if ell_max else []
     while 0 < len(counts) < ell_max and (len(counts) == 1 or counts[-1]):
@@ -205,22 +301,23 @@ def morse_index(profile, mesh=1000):
     checks = [(radial, j, _bracket(radial[0], j, 0.0, step), [0])
               for j, step in ((counts[0], -0.5 * vmax), (counts[0] + 1, 1.0)) if j and ell_max]
     if ell_max > 1:
-        checks.append((singular, counts[1] + 1,
-                       _bracket(singular[0], counts[1] + 1, rung[1], 1.0 - rung[1]), [1]))
+        checks.append((singular, counts[1] + 1,  # first step to nu = 1 in the profile's units
+                       _bracket(singular[0], counts[1] + 1, rung[1], 1.0 / scale - rung[1]), [1]))
     for j in range(1, counts[1] + 1 if ell_max > 1 else 1):
         ell = sum(c >= j for c in counts[1:])  # nu_j lies between rungs ell and ell + 1
         checks.append((singular, j, (rung[ell + 1], rung[ell]),
                        [e for e in (ell, ell + 1) if e < ell_max]))
     flagged, stable = set(), True
     for pair, j, a, ells in checks:
-        b = (-math.inf, math.inf)
+        lo, hi = pair[0].bracket(j)
+        a, b = (max(a[0], lo), min(a[1], hi)), pair[1].bracket(j)
         for ell in ells:
             a, b, certified, same_side = _decide(pair, j, a, b, rung[ell])
             stable = stable and same_side
             if not certified:
                 flagged.add(ell)
 
-    per_ell = [(ell, sh_multiplicity(ell, spec.N), neg) for ell, neg in enumerate(counts)]
+    per_ell = [(ell, sh_multiplicity(ell, p.N), neg) for ell, neg in enumerate(counts)]
     return MorseReport(
         per_ell=per_ell,
         ell_max=ell_max,
@@ -230,4 +327,6 @@ def morse_index(profile, mesh=1000):
         mesh_stable=stable,
         warnings=[f"count at ell={ell} lies within the discretization error of its "
                   "ladder point" for ell in sorted(flagged)],
+        nu_hat=[(j, *(tuple(scale * x for x in c.bracket(j)) for c in singular))
+                for j in range(1, counts[1] + 2 if ell_max > 1 else 1)],
     )

@@ -169,7 +169,7 @@ def test_criterion_6_transform_fidelity(solve):
         prof = solve(N, alpha)
         tp = transform_profile(prof)  # grid 4000, default horizon
         r, u, v, du, dv = inverse_transform(tp)
-        src = _scaling_amplitude(prof.params, 0, 1e-10)[1](r)  # the shot's own evaluator
+        src = _scaling_amplitude(prof.params, 0, 1e-10)[1](r)  # a shot in r
         rt = max(float(np.max(np.abs(u - src[0]))),
                  float(np.max(np.abs(du - src[2]))))
         res = transformed_residual(tp)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from henon_morse import radial_bvp, spectral
 from henon_morse.cli import main
 from henon_morse.io import (
     load_profile,
@@ -16,7 +17,13 @@ from henon_morse.io import (
 )
 from henon_morse.halfline import transform_profile
 from henon_morse.nonlinearity import pure_power
-from henon_morse.radial_bvp import ProblemParams, RadialProfile, integrate_radial_ivp
+from henon_morse.radial_bvp import (
+    ProblemParams,
+    RadialProfile,
+    integrate_radial_ivp,
+    shoot_positive,
+)
+from henon_morse.spectral import morse_index
 
 
 def write_params(path, **overrides):
@@ -365,3 +372,87 @@ def test_usage_errors(tmp_path, capsys, solve):
                  ["verify", "--profile", str(tmp_path / "profile"), "--mesh", "100"]):
         assert main(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+PLANAR = {"N": 2, "mu1": 0.0, "mu2": 0.0, "family": "pure_power", "p": 4,
+          "a1": 1.0, "a2": 1.0, "b": 0.0}
+HEADLINE = {**PLANAR, "alphas": [float(a) for a in range(0, 21, 2)], "branches": ["positive"]}
+
+
+def count_work(monkeypatch):
+    """Calls of solve_ivp in radial_bvp and of the sector count, as a running tally."""
+    work = {"ivp": 0, "count": 0}
+    ivp, count = radial_bvp.solve_ivp, spectral.count_negative_eigenvalues
+
+    def counted_ivp(*args, **kwargs):
+        work["ivp"] += 1
+        return ivp(*args, **kwargs)
+
+    def counted_count(*args, **kwargs):
+        work["count"] += 1
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(radial_bvp, "solve_ivp", counted_ivp)
+    monkeypatch.setattr(spectral, "count_negative_eigenvalues", counted_count)
+    return work
+
+
+def run_sweep(tmp_path, name, params, *options):
+    pfile = tmp_path / f"{name}.json"
+    pfile.write_text(json.dumps(params))
+    assert main(["sweep", "--params", str(pfile), "--out", str(tmp_path / name),
+                 *options]) == 0
+    return json.loads((tmp_path / name / "sweep.json").read_text())
+
+
+def test_headline_sweep_shoots_once(tmp_path, monkeypatch):
+    # every planar row maps to the one (2, 0) shot and its singular spectrum:
+    # one IVP for the eleven rows, and the counts of one pencil pair
+    work = count_work(monkeypatch)
+    payload = run_sweep(tmp_path, "headline", HEADLINE)
+    assert [r["total_morse_index"] for r in payload["rows"]] == \
+        [1, 3, 5, 7, 7, 9, 11, 13, 13, 15, 17]
+    assert payload["summary"]["smallest_alpha_with_index_above_1"] == 2.0
+    assert work["ivp"] == 1
+    assert work["count"] <= 100
+
+
+def test_back_to_back_sweeps_do_identical_work(tmp_path, monkeypatch):
+    # the shot and the spectrum live for one sweep call: a second call in the
+    # same process shoots and counts again, and writes the same file
+    params = {**PLANAR, "alphas": [0.0, 4.0, 8.0], "branches": ["positive", "nodal:1"]}
+    work = count_work(monkeypatch)
+    tallies, files = [], []
+    for name in ("first", "second"):
+        before = dict(work)
+        run_sweep(tmp_path, name, params, "--grid", "2000", "--mesh", "500")
+        tallies.append({k: work[k] - before[k] for k in work})
+        files.append(strip_created((tmp_path / name / "sweep.json").read_text()))
+    assert tallies[0] == tallies[1]
+    assert tallies[0]["ivp"] == 2  # one shot per branch
+    assert files[0] == files[1]
+
+
+def test_sweep_workers_write_identical_rows(tmp_path):
+    # each group is one pool task, so two workers write the serial rows
+    params = {**PLANAR, "alphas": [0.0, 2.0, 4.0], "branches": ["positive", "nodal:1"]}
+    payloads = [run_sweep(tmp_path, f"w{n}", params, "--grid", "2000", "--mesh", "500",
+                          "--workers", str(n)) for n in (1, 2)]
+    assert payloads[0]["rows"] == payloads[1]["rows"]
+    assert payloads[0]["summary"] == payloads[1]["summary"]
+
+
+def test_onset_alphas_match_direct_counts(tmp_path):
+    # N = 2: sector k turns negative where beta^2 nu_1(2) = -k^2, at
+    # alpha_k = 2k / sqrt(|nu_1|) - 2 = 0.6005, 3.2010, 5.8016 (the Richardson
+    # value of nu_1 is -0.591479); each reported enclosure holds it, and the
+    # r-variable count of sector k is 0 just below and positive just above
+    payload = run_sweep(tmp_path, "onsets", {**PLANAR, "alphas": [0.0, 8.0],
+                                             "branches": ["positive"]})
+    onsets = payload["summary"]["onset_alphas"]["positive"]
+    assert len(onsets) >= 3
+    for k, (lo, hi) in enumerate(onsets[:3], 1):
+        assert lo <= 2.0 * k / 0.591479 ** 0.5 - 2.0 <= hi
+        for alpha, negative in ((lo - 0.05, False), (hi + 0.05, True)):
+            params = ProblemParams(N=2, alpha=alpha, mu1=0.0, mu2=0.0, f=pure_power(4))
+            assert (morse_index(shoot_positive(params), mesh=1000).counts()[k] > 0) == negative

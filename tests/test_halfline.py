@@ -24,7 +24,12 @@ from henon_morse.halfline import (
     weighted_eigen_min,
 )
 from henon_morse.nonlinearity import pure_power, quartic_coupled
-from henon_morse.radial_bvp import ProblemParams, _scaling_amplitude, integrate_radial_ivp
+from henon_morse.radial_bvp import (
+    LANE_EMDEN_TOL,
+    ProblemParams,
+    _scaling_amplitude,
+    integrate_radial_ivp,
+)
 from henon_morse.spectral import lambda_ell, morse_index
 
 from oracles import build_weighted_forms, simpson_integral
@@ -44,7 +49,8 @@ def test_transform_alpha_zero_is_plain_substitution(solve):
     tp = transform_profile(prof, T=5.0, grid_size=500)
     assert tp.kappa == 1.0
     rs = np.exp(-tp.tgrid)
-    src = _scaling_amplitude(prof.params, 0, 1e-10)[1](rs)  # the shot's own evaluator
+    # at alpha = 0 the (M, 0) problem is the problem itself: the shot's own evaluator
+    src = _scaling_amplitude(prof.params, 0, 1e-10, ivp_tol=LANE_EMDEN_TOL)[1](rs)
     assert np.allclose(tp.u, src[0], atol=1e-12)
 
 
@@ -59,7 +65,7 @@ def test_round_trip(solve):
         prof = solve(N, alpha)
         tp = transform_profile(prof)
         r, u, v, du, dv = inverse_transform(tp)
-        src = _scaling_amplitude(prof.params, 0, 1e-10)[1](r)
+        src = _scaling_amplitude(prof.params, 0, 1e-10)[1](r)  # a shot in r
         assert float(np.max(np.abs(u - src[0]))) <= 1e-8
         assert float(np.max(np.abs(du - src[2]))) <= 1e-8
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from henon_morse.errors import SingularPivot
@@ -101,14 +101,32 @@ def test_singular_first_pivot_is_nudged(n):
     assert count_below(pencil, s) == int(np.sum(eig < s))
 
 
-def test_persistent_singular_pivot_raises():
-    # a rank-one first pivot far larger than every shift nudge stays singular,
-    # though the pencil's eigenvalues (about -0.62, 1.0, 1.62, 2e6) avoid 0
+def test_large_rank_one_pivot_is_nudged_past_its_band():
+    # the rank-one first pivot [[1e6, 1e6], [1e6, 1e6]] reads singular within
+    # about 5e-8 of s = 0, wider than a nudge relative to 1 + |s|; the
+    # pencil's eigenvalues (about -0.62, 1.0, 1.62, 2e6) avoid 0, and a nudge
+    # sized to the band counts the one below it
     big = 1e6
     pencil = (np.array([big, 1.0]), np.array([big, 0.0]), np.array([big, 1.0]),
               np.array([-1.0]), np.array([1.0, 1.0]))
     with pytest.raises(SingularPivot):
-        count_below(pencil, 0.0)
+        _negative_pivots(*pencil[:4])
+    assert count_below(pencil, 0.0) == int(np.sum(dense_pencil_eigvals(*pencil) < 0.0)) == 1
+
+
+@PROPERTY
+@given(pencils(), st.integers(0, 1))
+@example(pencil=(np.array([4.0, 1.0]), np.array([4.0, 0.0]), np.array([4.0, -2.0]),
+                 np.array([3.0]), np.array([0.1, 1.0])), which=0)
+def test_count_below_at_a_singular_leading_pivot(pencil, which):
+    # at an eigenvalue of the leading block alone its pivot is singular, while
+    # the coupling keeps the pencil's spectrum away: a well-posed count
+    d11, d12, d22, off, bw = pencil
+    s = float(np.linalg.eigvalsh([[d11[0], d12[0]], [d12[0], d22[0]]])[which]) / bw[0]
+    eig = dense_pencil_eigvals(*pencil)
+    if np.min(np.abs(eig - s)) <= 1e-6 * (1.0 + float(np.max(np.abs(eig)))):
+        return
+    assert count_below(pencil, s) == int(np.sum(eig < s))
 
 
 def test_bisection_stops_in_a_zero_pivot_band():

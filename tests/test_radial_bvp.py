@@ -16,6 +16,7 @@ from henon_morse.radial_bvp import (
     _taylor_start,
     action_energy,
     integrate_radial_ivp,
+    lane_emden_shot,
     nehari_defect,
     nehari_project,
     nonlinear_mass,
@@ -244,6 +245,24 @@ def test_scaling_solve_matches_bisection(N, alpha, nodes, f):
     diagonal = f.b > 0
     amplitude = _scaling_amplitude(params, nodes, tol=1e-10, diagonal=diagonal)[0]
     assert rk4_brackets(params, amplitude, nodes, diagonal)
+
+
+@pytest.mark.parametrize("N, alpha, nodes, f", [
+    (3, 2.0, 0, pure_power(4)),
+    (3, 2.0, 1, pure_power(3)),
+    (2, 8.0, 1, pure_power(4)),
+    (2, 4.0, 0, quartic_coupled(b=0.5)),
+])
+def test_lane_emden_map_matches_bisection(N, alpha, nodes, f):
+    # a mu = 0 profile is mapped from the (M, 0) shot (M = 2.5 and 2 here):
+    # the shared shot and a fresh one give the same profile, and the fixed-step
+    # RK4 integration in r brackets its amplitude to rel 1e-9
+    params = ProblemParams(N=N, alpha=alpha, mu1=0.0, mu2=0.0, f=f)
+    shared = shoot_nodal(params, nodes, shot=lane_emden_shot(params, nodes))
+    alone = shoot_nodal(params, nodes)
+    assert shared.amplitude == alone.amplitude
+    assert np.array_equal(shared.u, alone.u) and np.array_equal(shared.du, alone.du)
+    assert rk4_brackets(params, shared.amplitude[0], nodes, diagonal=f.b > 0)
 
 
 def test_mu_positive_nodal_amplitude_matches_rk4(solve):

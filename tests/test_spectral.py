@@ -6,8 +6,16 @@ import pytest
 from henon_morse import spectral
 from henon_morse.errors import DegenerateInput
 from henon_morse.nonlinearity import pure_power
-from henon_morse.radial_bvp import ProblemParams, integrate_radial_ivp, shoot_positive
+from henon_morse.pencil import bisect_eigenvalue
+from henon_morse.radial_bvp import (
+    ProblemParams,
+    integrate_radial_ivp,
+    lane_emden_shot,
+    shoot_nodal,
+    shoot_positive,
+)
 from henon_morse.spectral import (
+    SingularSpectrum,
     SturmLiouvilleSpec,
     build_sector,
     count_negative_eigenvalues,
@@ -264,3 +272,43 @@ def test_ladder_counts_match_oscillation_oracle(solve, N, alpha, nodes):
 
     assert [neg for _, _, neg in report.per_ell] == [
         oscillation_count(N, ell, V) for ell in range(report.ell_max + 1)]
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 2.0), (2, 8.0)])
+def test_singular_eigenvalue_scales_by_beta_squared(solve, N, alpha):
+    # nu_1(N, alpha) = beta^2 nu_1(M), M = 2.5 and 2: bisected on the
+    # profile's own r-pencil and on its (M, 0) image's, each extrapolated
+    # from mesh 1000 and 2000 (they agree to 1.6e-8 and 2.0e-6)
+    prof = solve(N, alpha)
+    image = lane_emden_shot(prof.params, 0).profile
+    assert image.params.N == 2.0 * (N + alpha) / (2.0 + alpha)
+
+    def nu_1(profile):
+        a, b = (0.5 * sum(bisect_eigenvalue(count, 1, -1e3, 0.0, rtol=1e-10)[:2])
+                for count in SingularSpectrum(profile, 1000).singular)
+        return b + (b - a) / 3.0
+
+    assert nu_1(prof) == pytest.approx((1.0 + 0.5 * alpha) ** 2 * nu_1(image), rel=1e-5)
+
+
+@pytest.mark.parametrize("nodes", [0, 1])
+def test_mapped_counts_match_own_pencil(nodes):
+    # one (2, 0) spectrum serves alpha = 8, 2, 0 in turn, each row starting
+    # from brackets the rows before it narrowed; every count, warning and
+    # mesh flag is that of the row's own r-pencil, and each bracket of an
+    # eigenvalue below -l(l+N-2) at l = 1 overlaps the row's own (above it,
+    # N = 2 puts the continuous spectrum, [0, inf), which the two
+    # discretizations sample differently)
+    shot = lane_emden_shot(params_for(2, 8.0), nodes)
+    spectrum = SingularSpectrum(shot.profile, 1000)
+    for alpha in (8.0, 2.0, 0.0):
+        prof = shoot_nodal(params_for(2, alpha), nodes, shot=shot)
+        mapped, own = morse_index(prof, 1000, spectrum), morse_index(prof, 1000)
+        assert (mapped.per_ell, mapped.warnings, mapped.mesh_stable) == \
+            (own.per_ell, own.warnings, own.mesh_stable)
+        assert [j for j, *_ in mapped.nu_hat] == [j for j, *_ in own.nu_hat]
+        for (j, a, _), (_, b, _) in zip(mapped.nu_hat, own.nu_hat):
+            if j <= own.counts()[1]:
+                assert max(a[0], b[0]) < min(a[1], b[1])
+    with pytest.raises(ValueError):
+        morse_index(shoot_positive(params_for(3, 2.0)), 1000, spectrum)
