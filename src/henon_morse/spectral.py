@@ -41,10 +41,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import SingularPivot
 from .pencil import bisect_eigenvalue, count_below, top_eigenvalue
 from .radial_bvp import RadialProfile, lane_emden_params, require_certified
 
 MIN_MESH = 200  # smallest spectral mesh a count accepts
+ONSET_RTOL = 1e-5  # width of the nu_1 bracket behind the onset enclosures, relative to 1 + |nu_1|
 
 
 def lambda_ell(ell, N):
@@ -254,12 +256,17 @@ def onset_alphas(spectrum, alpha_max):
 
     Every planar mu = 0 row maps to M = 2 and counts sector k positive when
     beta^2 nu_1 < -k^2, that is beyond alpha_k = 2 k / sqrt(|nu_1|) - 2.  The
-    ends come from the bracket of nu_1 at mesh that ``spectrum`` holds; the
-    list runs up to alpha_max and leaves out the alpha_k below 0.
+    ends come from the bracket of nu_1 at mesh that ``spectrum`` holds,
+    bisected to ONSET_RTOL, which puts four decimals on each alpha_k up to 20;
+    the list runs up to alpha_max and leaves out the alpha_k below 0.
     """
     lo, hi = spectrum.singular[0].bracket(1)
     if spectrum.params.N != 2 or not -math.inf < lo < hi < 0.0:
         return []
+    try:
+        lo, hi, _ = bisect_eigenvalue(spectrum.singular[0], 1, lo, hi, rtol=ONSET_RTOL)
+    except SingularPivot:
+        pass  # the bracket as the rows left it still encloses nu_1
     out = []
     for k in range(1, int(0.5 * (alpha_max + 2.0) * math.sqrt(-lo)) + 1):
         upper = 2.0 * k / math.sqrt(-hi) - 2.0
