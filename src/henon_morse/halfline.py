@@ -36,7 +36,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import HypothesisViolated, MeshTooCoarse
 from .nonlinearity import NonlinearityF
-from .pencil import lowest_eigenpair
+from .pencil import flux_pencil, lowest_eigenpair
 from .radial_bvp import ProblemParams
 
 DEFAULT_HORIZON_SCALE = 30.0
@@ -327,29 +327,21 @@ def _weighted_blocks(U, gamma, delta, lam, mesh):
 
     Stiffness A encodes int e^(-gamma t)|h'|^2 + lam e^(-gamma t)|h|^2
     - e^(-delta t)<U h, h>; the diagonal mass B comes from the e^(-delta t)
-    weight.  Unknowns sit at nodes i = 1..mesh (h(0) = 0 Dirichlet, natural
-    end at T); diagonal 2x2 blocks couple the two components, adjacent nodes
-    couple through scalar multiples of the identity.
+    weight.  Unknowns sit at nodes i = 1..mesh, with trapezoid node weights:
+    the link to t = 0 is kept (h(0) = 0, Dirichlet) and the one past T is 0
+    (natural end).
     """
     T = float(U.tgrid[-1])
     ht = T / mesh
     ts = ht * np.arange(mesh + 1)
     k_half = np.exp(-gamma * (ts[:-1] + 0.5 * ht)) / ht
-    node_w = np.full(mesh + 1, ht)
-    node_w[0] = node_w[-1] = 0.5 * ht
-    m11, m12, m22 = (np.interp(ts, U.tgrid, m) for m in (U.m11, U.m12, U.m22))
-    eg = np.exp(-gamma * ts)
-    ed = np.exp(-delta * ts)
-
-    i = np.arange(1, mesh + 1)
-    stiff = k_half[i - 1] + np.where(i < mesh, k_half[np.minimum(i, mesh - 1)], 0.0)
-    w = node_w[i]
-    d11 = stiff + w * (lam * eg[i] - ed[i] * m11[i])
-    d22 = stiff + w * (lam * eg[i] - ed[i] * m22[i])
-    d12 = -w * ed[i] * m12[i]
-    off = -k_half[i[:-1]]
-    bw = w * ed[i]
-    return d11, d12, d22, off, bw, ts, k_half
+    w = np.full(mesh, ht)
+    w[-1] = 0.5 * ht
+    m11, m12, m22 = (np.interp(ts[1:], U.tgrid, m) for m in (U.m11, U.m12, U.m22))
+    eg, ed = np.exp(-gamma * ts[1:]), np.exp(-delta * ts[1:])
+    pencil = flux_pencil(np.append(k_half, 0.0), w, lam * eg - ed * m11, -ed * m12,
+                         lam * eg - ed * m22, w * ed)
+    return pencil, ts, k_half
 
 
 def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
@@ -365,7 +357,7 @@ def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
     """
     if not (delta > gamma > 0):
         raise ValueError("need delta > gamma > 0")
-    *pencil, ts, k_half = _weighted_blocks(U, gamma, delta, lam, mesh)
+    pencil, ts, k_half = _weighted_blocks(U, gamma, delta, lam, mesh)
     mu_min, y = lowest_eigenpair(pencil)
     h1 = np.concatenate([[0.0], y[0::2]])
     h2 = np.concatenate([[0.0], y[1::2]])

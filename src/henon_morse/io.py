@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from pathlib import Path
 
@@ -45,15 +46,19 @@ def params_to_dict(params: ProblemParams):
 
 
 def params_from_dict(d):
+    """ProblemParams of a parameter file: an integral N and finite alpha, mu1, mu2."""
+    N, alpha = float(d["N"]), float(d["alpha"])
+    mu1, mu2 = float(d.get("mu1", 0.0)), float(d.get("mu2", 0.0))
+    if not N.is_integer():
+        raise ValueError(f"dimension N must be an integer, not {d['N']!r}")
+    if not all(map(math.isfinite, (alpha, mu1, mu2))):
+        raise ValueError("alpha, mu1 and mu2 must be finite")
     f = NonlinearityF(
         family=d["family"], p=float(d["p"]),
         a1=float(d.get("a1", 1.0)), a2=float(d.get("a2", 1.0)),
         b=float(d.get("b", 0.0)),
     )
-    return ProblemParams(
-        N=int(d["N"]), alpha=float(d["alpha"]),
-        mu1=float(d.get("mu1", 0.0)), mu2=float(d.get("mu2", 0.0)), f=f,
-    )
+    return ProblemParams(N=int(N), alpha=alpha, mu1=mu1, mu2=mu2, f=f)
 
 
 def _write_csv(path, header, columns):

@@ -32,7 +32,7 @@ from scipy.integrate import simpson, solve_ivp
 
 from .errors import NonTermination, OverflowBlowUp
 from .nonlinearity import NonlinearityF, golden_min
-from .pencil import lowest_eigenpair
+from .pencil import flux_pencil, lowest_eigenpair
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -174,21 +174,6 @@ def lower_mass_window(traj, eps, refine=2000):
     return out
 
 
-def _window_blocks(traj, a, b, mesh):
-    """Dirichlet FD blocks of -d^2/dt^2 - s D2F(u, v) on (a, b)."""
-    h = (b - a) / mesh
-    ts = a + h * np.arange(1, mesh)  # interior nodes
-    vals = traj.dense(ts)
-    fuu, fuv, fvv = traj.f.hess(vals[0], vals[1])
-    s = traj.scale
-    d11 = 2.0 / h - h * s * fuu
-    d22 = 2.0 / h - h * s * fvv
-    d12 = -h * s * fuv
-    off = np.full(mesh - 2, -1.0 / h)
-    bw = np.full(mesh - 1, h)
-    return d11, d12, d22, off, bw, ts
-
-
 def instability_witness(traj, window, mesh=800):
     """Smallest Dirichlet eigenvalue of the second variation on a window.
 
@@ -200,8 +185,13 @@ def instability_witness(traj, window, mesh=800):
     a, b = float(window[0]), float(window[1])
     if not (traj.tgrid[0] <= a < b <= traj.tgrid[-1]):
         raise ValueError("window must lie inside the trajectory domain")
-    *pencil, ts = _window_blocks(traj, a, b, mesh)
-    q_min, x = lowest_eigenpair(pencil)
+    h = (b - a) / mesh
+    ts = a + h * np.arange(1, mesh)  # interior nodes
+    vals = traj.dense(ts)
+    fuu, fuv, fvv = traj.f.hess(vals[0], vals[1])
+    # mesh links of weight 1/h, both outer ones kept: Dirichlet at a and b
+    q_min, x = lowest_eigenpair(flux_pencil(np.full(mesh, 1.0 / h), h * traj.scale,
+                                            -fuu, -fuv, -fvv, np.full(mesh - 1, h)))
     tfull = np.concatenate([[a], ts, [b]])
     phi1 = np.concatenate([[0.0], x[0::2], [0.0]])
     phi2 = np.concatenate([[0.0], x[1::2], [0.0]])

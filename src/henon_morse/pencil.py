@@ -7,12 +7,21 @@ A w = mu B w on interleaved unknowns (w1_0, w2_0, w1_1, w2_1, ...):
     off-diagonal      off_i * I coupling node i to node i + 1,
     mass              B = diag(bw_i, bw_i) with bw > 0.
 
+Every pencil of the package is the flux form
+
+    sum_j k_j |x_j - x_(j-1)|^2 + sum_i w_i <Q_i x_i, x_i>   against   sum_i bw_i |x_i|^2,
+
+assembled by ``flux_pencil`` alone: the sector forms of ``spectral``, the
+weighted half-line form of ``halfline`` and the window forms of
+``liouville``.  Its n + 1 link weights k carry the ends: link j joins node
+j - 1 to node j, and the outer links k_0 and k_n join the end nodes to a
+zero outside value.  An outer link that is kept is a Dirichlet end; one
+set to 0 is a reflecting or natural end.
+
 Because B is diagonal positive, the number of eigenvalues below a shift s
 equals the number of negative eigenvalues of A - s B (Sylvester), which the
 block LDL^T pivot recursion delivers without computing any eigenvalue.
-The sector counts of ``spectral``, the weighted half-line form of
-``halfline`` and the window witnesses of ``liouville`` all go through here;
-the lowest eigenpair starts from the pencil's own ``gershgorin_floor``.
+The lowest eigenpair starts from the pencil's own ``gershgorin_floor``.
 """
 
 from __future__ import annotations
@@ -35,13 +44,26 @@ def top_eigenvalue(a, b, c):
     return 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
 
 
+def flux_pencil(k, w, q11, q12, q22, bw):
+    """Pencil of the flux form with link weights k, node weights w and 2x2 potentials Q.
+
+    Node i has the stiffness k_i + k_(i+1) of its two links, and its block is
+    that stiffness plus w_i Q_i; adjacent nodes couple through -k.  Returns
+    (d11, d12, d22, off, bw); the module docstring gives the end conventions.
+    """
+    stiff = k[:-1] + k[1:]
+    return stiff + w * q11, w * q12, stiff + w * q22, -k[1:-1], bw
+
+
 def gershgorin_floor(pencil):
     """Block-Gershgorin bound g = min_i (lam_min(D_i) - |off_{i-1}| - |off_i|) / bw_i.
 
     No eigenvalue lies below g: 2 |off_i x_i . x_{i+1}| <= |off_i| (|x_i|^2 +
     |x_{i+1}|^2) gives x^T A x >= g x^T B x.  The reach is taken off the
-    diagonal first, so a flux-form stiffness (off = -k, diagonal k_{i-1} + k_i)
-    cancels exactly: g is minus the largest potential eigenvalue per unit mass.
+    diagonal first.  On a ``flux_pencil`` pencil with k >= 0 the reach is the
+    stiffness k_i + k_(i+1) less the outer links, so it cancels exactly:
+    g = min_i lam_min(w_i Q_i) / bw_i, but for a kept outer link k_0 or k_n,
+    which adds itself to its end row.
     """
     d11, d12, d22, off, bw = pencil
     pad = np.abs(np.concatenate([[0.0], off, [0.0]]))

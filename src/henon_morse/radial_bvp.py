@@ -411,10 +411,8 @@ def _diagonal(params, nodes):
     if nodes or not (f.family == "quartic_coupled" and f.b > 0):
         return False
     if not (f.a1 == f.a2 and params.mu1 == params.mu2):
-        raise ValueError(
-            "shoot_positive handles scalar problems or symmetric systems; "
-            "use shoot_system_newton for general systems"
-        )
+        raise ValueError("the positive branch of a coupled system is shot on the diagonal "
+                         "u = v, which needs a1 = a2 and mu1 = mu2")
     return True
 
 

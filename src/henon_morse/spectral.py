@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularPivot
-from .pencil import bisect_eigenvalue, count_below, top_eigenvalue
+from .pencil import bisect_eigenvalue, count_below, flux_pencil, top_eigenvalue
 from .radial_bvp import RadialProfile, lane_emden_params, require_certified
 
 MIN_MESH = 200  # smallest spectral mesh a count accepts
@@ -109,40 +109,26 @@ def build_sector(profile: RadialProfile, ell: int) -> SturmLiouvilleSpec:
     )
 
 
-def _assemble_blocks(spec, mesh):
-    """Pencil (d11, d12, d22, off, mass) of the conservative FD discretization.
+def count_negative_eigenvalues(spec, mesh=1000, shift=0.0):
+    """Number of sector eigenvalues below ``shift``: the inertia of A - shift B.
 
-    Nodes r_i = i h, i = 1..mesh-1 (Dirichlet at r = 1 drops node mesh); the
-    r = 0 end has no boundary row: the flux to the left of node 1 vanishes
-    for l = 0 (reflection closure consistent with w'(0) = 0) and couples to
-    w = 0 for l >= 1 (centrifugal decay).
+    A is the conservative difference form on the nodes r_i = i h,
+    i = 1..mesh-1 (Dirichlet at r = 1 drops node mesh), with link weights
+    r_(i+1/2)^(N-1) / h.  The link through r = 0 is dropped for l = 0
+    (reflection, consistent with w'(0) = 0) and kept for l >= 1, where it
+    couples to w = 0 (centrifugal decay).
     """
+    if mesh < MIN_MESH:
+        raise ValueError(f"mesh must be at least {MIN_MESH}")
     h = 1.0 / mesh
     r = h * np.arange(1, mesh)
-    k_half = (h * (np.arange(mesh) + 0.5)) ** (spec.N - 1)  # r_{i+1/2}^(N-1), i=0..mesh-1
-
+    k = (h * (np.arange(mesh) + 0.5)) ** (spec.N - 1) / h
+    if spec.ell == 0:
+        k[0] = 0.0
     v11, v12, v22 = (np.interp(r, spec.rgrid, v) for v in (spec.v11, spec.v12, spec.v22))
     cent = spec.lambda_ell / (r * r)
     mass = h * r ** (spec.N - 1)
-
-    # diagonal 2x2 blocks: stiffness + node terms; fluxes on both sides of node i
-    left = k_half[:-1] / h   # k_{i-1/2}
-    right = k_half[1:] / h   # k_{i+1/2}
-    stiff = left + right
-    if spec.ell == 0:
-        stiff[0] -= left[0]  # reflection: no flux through r = 0
-    d11 = stiff + mass * (cent - v11)
-    d22 = stiff + mass * (cent - v22)
-    d12 = mass * (-v12)
-    off = -right[:-1]  # coupling of node i to node i+1, i = 1..mesh-2
-    return d11, d12, d22, off, mass
-
-
-def count_negative_eigenvalues(spec, mesh=1000, shift=0.0):
-    """Number of sector eigenvalues below ``shift``: the inertia of A - shift B."""
-    if mesh < MIN_MESH:
-        raise ValueError(f"mesh must be at least {MIN_MESH}")
-    return count_below(_assemble_blocks(spec, mesh), shift)
+    return count_below(flux_pencil(k, mass, cent - v11, -v12, cent - v22, mass), shift)
 
 
 def sector_nonneg_certificate(spec):

@@ -260,6 +260,24 @@ def dense_pencil_eigvals(d11, d12, d22, off, bw):
     return eigh(*dense_pencil(d11, d12, d22, off, bw), eigvals_only=True)
 
 
+def dense_flux_form(k, w, q11, q12, q22, bw):
+    """Dense (A, B) of sum_j k_j |x_j - x_(j-1)|^2 + sum_i w_i <Q_i x_i, x_i> against diag(bw).
+
+    Component-major like ``dense_pencil``.  A = D^T diag(k) D + diag(w Q),
+    with D the (n + 1) x n difference matrix of the n nodes and the zero
+    outside values x_(-1) = x_n = 0: built from the form, not from a block
+    layout.
+    """
+    n = len(bw)
+    D = np.eye(n + 1, n) - np.eye(n + 1, n, -1)  # row j: x_j - x_(j-1)
+    L = D.T @ np.diag(np.asarray(k, dtype=float)) @ D
+    wq11, wq12, wq22 = (np.broadcast_to(w * np.asarray(q, dtype=float), n)
+                        for q in (q11, q12, q22))
+    A = np.block([[L + np.diag(wq11), np.diag(wq12)], [np.diag(wq12), L + np.diag(wq22)]])
+    B = np.diag(np.concatenate([bw, bw]).astype(float))
+    return A, B
+
+
 def build_weighted_forms(U, gamma, delta, lam, mesh):
     """Dense (A, B, tmesh) of the half-line weighted forms, interleaved (h1_i, h2_i).
 

@@ -124,12 +124,25 @@ def test_solve_malformed_params(tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"N": 3}))
     assert main(["solve", "--params", str(missing), "--out", str(tmp_path / "y")]) == 2
-    # values that parse but that the solver rejects are parameter errors too
+    # values that parse but that the solver rejects are parameter errors too,
+    # and so are a fractional N (not truncated) and a non-finite alpha or mu
+    # (not read as "no solution")
     for i, overrides in enumerate(({"branch": "nodal:x"}, {"branch": "nodal:0"},
-                                   {"family": "quartic_coupled", "a2": 2.0, "b": 0.5})):
+                                   {"family": "quartic_coupled", "a2": 2.0, "b": 0.5},
+                                   {"N": 2.6}, {"alpha": float("nan")},
+                                   {"alpha": float("inf")}, {"mu1": float("nan")})):
         pfile = tmp_path / f"params{i}.json"
         write_params(pfile, **overrides)
         assert main(["solve", "--params", str(pfile), "--out", str(tmp_path / f"z{i}")]) == 2
+
+
+@pytest.mark.parametrize("overrides", [{"a2": 2.0}, {"mu2": 1.0}], ids=["a1-a2", "mu1-mu2"])
+def test_solve_rejects_asymmetric_coupled_system(tmp_path, capsys, overrides):
+    pfile = tmp_path / "params.json"
+    write_params(pfile, family="quartic_coupled", b=0.5, **overrides)
+    assert main(["solve", "--params", str(pfile), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "shot on the diagonal u = v, which needs a1 = a2 and mu1 = mu2" in err
 
 
 def test_solve_unsolvable_regime(tmp_path):
@@ -213,6 +226,16 @@ def test_verify_detects_corruption(tmp_path, solve):
         report = json.loads((tmp_path / f"{name}.json").read_text())
         assert not report["checks"]["radial_residual"]["pass"]
         assert not report["checks"]["transformed_residual"]["pass"]
+
+
+@pytest.mark.parametrize("field, value", [("N", 2.6), ("alpha", float("nan"))])
+def test_verify_rejects_malformed_stored_params(tmp_path, capsys, solve, field, value):
+    save_profile(solve(2, 4.0), tmp_path / "profile")
+    header = json.loads((tmp_path / "profile.json").read_text())
+    header["params"][field] = value
+    (tmp_path / "profile.json").write_text(json.dumps(header))
+    assert main(["verify", "--profile", str(tmp_path / "profile")]) == 2
+    assert "profile load error: " in capsys.readouterr().err
 
 
 def test_verify_trivial_profile(tmp_path):
@@ -299,6 +322,18 @@ def test_sweep_records_parameter_errors(tmp_path):
                                  "alphas": [-0.5, 1.0], "branches": ["nodal:0"]}))
     rc = main(["sweep", "--params", str(pfile), "--out", str(tmp_path / "sw")])
     assert rc == 0
+    rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
+    assert len(rows) == 2
+    assert all(r["status"] == "failed" and r["reason"].startswith("ValueError: ")
+               for r in rows)
+
+
+def test_sweep_fails_rows_with_a_nonfinite_alpha(tmp_path):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({"N": 2, "family": "pure_power", "p": 4,
+                                 "alphas": [float("nan"), float("inf")],
+                                 "branches": ["positive"]}))
+    assert main(["sweep", "--params", str(pfile), "--out", str(tmp_path / "sw")]) == 0
     rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())["rows"]
     assert len(rows) == 2
     assert all(r["status"] == "failed" and r["reason"].startswith("ValueError: ")

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from henon_morse.errors import SingularPivot
-from henon_morse.pencil import _negative_pivots, count_below, gershgorin_floor, lowest_eigenpair
+from henon_morse.pencil import (
+    _negative_pivots,
+    count_below,
+    flux_pencil,
+    gershgorin_floor,
+    lowest_eigenpair,
+)
 
-from oracles import dense_pencil, dense_pencil_eigvals
+from oracles import dense_flux_form, dense_pencil, dense_pencil_eigvals
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -24,6 +31,22 @@ def pencils(draw, max_nodes=8):
         return np.array(draw(st.lists(el, min_size=k, max_size=k)), dtype=float)
 
     return vec(n, entry), vec(n, entry), vec(n, entry), vec(n - 1, entry), vec(n, mass)
+
+
+@st.composite
+def flux_forms(draw, max_nodes=8, ends=True):
+    """(k, w, q11, q12, q22, bw) with links k >= 0; the outer two are 0 unless ``ends``."""
+    n = draw(st.integers(1, max_nodes))
+    entry = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    positive = st.floats(0.1, 4.0, allow_nan=False, allow_infinity=False)
+
+    def vec(k, el):
+        return np.array(draw(st.lists(el, min_size=k, max_size=k)), dtype=float)
+
+    k = vec(n + 1, st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False))
+    if not ends:
+        k[0] = k[-1] = 0.0
+    return k, vec(n, positive), vec(n, entry), vec(n, entry), vec(n, entry), vec(n, positive)
 
 
 def answer_or_reject(fn, *args):
@@ -64,9 +87,34 @@ def test_gershgorin_floor_of_a_flux_form_pencil():
     mesh = 50
     h = 1.0 / mesh
     V = np.linspace(0.0, 3.0, mesh - 1)
-    pencil = (2.0 / h - h * V, np.zeros(mesh - 1), 2.0 / h - h * V[::-1],
-              np.full(mesh - 2, -1.0 / h), np.full(mesh - 1, h))
+    pencil = flux_pencil(np.full(mesh, 1.0 / h), h, -V, np.zeros(mesh - 1), -V[::-1],
+                         np.full(mesh - 1, h))
     assert gershgorin_floor(pencil) == pytest.approx(-V[-2], abs=1e-12)
+
+
+@PROPERTY
+@given(flux_forms())
+def test_flux_pencil_matches_dense_form(form):
+    eig = dense_pencil_eigvals(*flux_pencil(*form))
+    ref = eigh(*dense_flux_form(*form), eigvals_only=True)
+    assert np.max(np.abs(eig - ref)) <= 1e-10 * (1.0 + float(np.max(np.abs(ref))))
+
+
+@PROPERTY
+@given(flux_forms(ends=False))
+def test_gershgorin_floor_of_flux_forms_is_the_potential_floor(form):
+    # with no outer links every row's reach is its whole stiffness
+    k, w, q11, q12, q22, bw = form
+    floor = min(np.linalg.eigvalsh([[a, b], [b, c]])[0] / m
+                for a, b, c, m in zip(w * q11, w * q12, w * q22, bw))
+    assert gershgorin_floor(flux_pencil(*form)) == pytest.approx(floor, abs=1e-12 * (1.0 + np.max(k)))
+
+
+@PROPERTY
+@given(pencils(), st.lists(st.floats(-12.0, 12.0, allow_nan=False), min_size=2, max_size=8))
+def test_count_below_never_falls_as_the_shift_rises(pencil, shifts):
+    counts = [answer_or_reject(count_below, pencil, s) for s in sorted(shifts)]
+    assert counts == sorted(counts)
 
 
 @PROPERTY
