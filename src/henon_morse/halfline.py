@@ -350,10 +350,10 @@ def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
     Returns (mu_min, (tmesh, h1, h2)): the smallest generalized eigenvalue of
     the weighted stiffness against the e^(-delta t) mass and its
     eigenfunction, normalized to unit weighted mass with h(0) = 0, from
-    ``pencil.lowest_eigenpair`` (Sturm bisection on the block factorization
-    inertia, robust against the huge dynamic range of the weights, then
-    inverse iteration).  mu_min < 0 iff some admissible test function makes
-    the form negative.
+    ``pencil.lowest_eigenpair`` (a Sturm bracket from the block inertia,
+    robust against the huge dynamic range of the weights, isolates it and
+    the Kato-Temple bound certifies its Rayleigh quotient).  mu_min < 0 iff
+    some admissible test function makes the form negative.
     """
     if not (delta > gamma > 0):
         raise ValueError("need delta > gamma > 0")

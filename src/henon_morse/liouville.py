@@ -10,10 +10,10 @@ window (a, b) some compactly supported pair phi makes
 
     q(phi) = int (|phi'|^2 - s <D2F(u, v) phi, phi>) dt
 
-strictly negative.  ``instability_witness`` certifies this by computing the
-smallest Dirichlet eigenvalue of -d^2/dt^2 - s D2F(u, v) on the window
-together with its minimizer (``pencil.lowest_eigenpair``), which doubles as
-an explicit witness.
+strictly negative.  ``instability_witness`` certifies this by the smallest
+Dirichlet eigenvalue of -d^2/dt^2 - s D2F(u, v) on the window, held by an
+isolating Sturm bracket and the Kato-Temple bound on the Rayleigh quotient
+of its minimizer (``pencil.lowest_eigenpair``), an explicit witness.
 
 The module also provides the two constructive ingredients used by the
 blow-up machinery: logarithmic cutoffs psi_n = phi(ln t / n) u approximating

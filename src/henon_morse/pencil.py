@@ -21,12 +21,14 @@ set to 0 is a reflecting or natural end.
 Because B is diagonal positive, the number of eigenvalues below a shift s
 equals the number of negative eigenvalues of A - s B (Sylvester), which the
 block LDL^T pivot recursion delivers without computing any eigenvalue.
-The lowest eigenpair starts from the pencil's own ``gershgorin_floor``.
+The lowest eigenvalue is certified by an isolating Sturm bracket from the
+pencil's own ``gershgorin_floor`` and the Kato-Temple bound.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -158,36 +160,58 @@ def bisect_eigenvalue(count, j, lo, hi, settled=None, rtol=1e-13):
 
 
 def lowest_eigenpair(pencil):
-    """Smallest pencil eigenvalue with its eigenvector.
+    """Smallest pencil eigenvalue lambda_1 with its eigenvector, certified.
 
-    Sturm bisection to relative width 1e-13 from just below the pencil's
-    ``gershgorin_floor``, then six steps of banded inverse iteration from a
-    random start (seed SEED) just below the eigenvalue.  Returns (mu, x), x
-    interleaved like the unknowns and normalized to x^T B x = 1.
+    Sturm bisection up from just below the pencil's ``gershgorin_floor``
+    isolates lambda_1 in [lo, hi): count(lo) = 0, count(hi) = 1 (so hi <=
+    lambda_2) and hi - lo <= 1e-3 (1 + |hi|).  Four banded inverse-iteration
+    steps at lo from a random start (seed SEED), then at most three
+    Rayleigh-quotient steps, give interleaved x, x^T B x = 1.  rho = x^T A x is
+    returned once it lies in [lo, hi) and the Kato-Temple bound, with eps^2 =
+    r^T B^-1 r and r = A x - rho B x, gives rho - eps^2 / (hi - rho) <=
+    lambda_1 <= rho with eps^2 / (hi - rho) <= 1e-13 (1 + |rho|).  Otherwise
+    (a cluster no such bracket splits, or rows of tiny mass whose rounding
+    keeps eps^2 high) the bisection goes on to width 1e-13 (1 + |hi|), and six
+    inverse-iteration steps just below its midpoint give x.  Returns (mu, x).
     """
+    d11, d12, d22, off, bw = pencil
+    Bv = np.repeat(bw, 2)
+    ab = np.zeros((5, len(Bv)))  # LAPACK band storage of A, two bands each side
+    ab[2, 0::2], ab[2, 1::2] = d11, d22
+    ab[1, 1::2] = ab[3, 0::2] = d12  # (j, j+1) entries
+    ab[0, 2::2] = ab[0, 3::2] = ab[4, 0:-2:2] = ab[4, 1:-2:2] = off  # (j, j+2) entries
+    x = start = np.random.default_rng(SEED).standard_normal(len(Bv))
+
+    def inverse_step(x, s):
+        """(A - s B)^-1 B x, normalized to x^T B x = 1 and oriented along x."""
+        shifted = ab.copy()
+        shifted[2] -= s * Bv
+        y = solve_banded((2, 2), shifted, Bv * x)
+        return y / math.copysign(math.sqrt(float(np.dot(Bv * y, y))), float(np.dot(Bv * y, x)))
+
+    count = lru_cache(maxsize=None)(lambda s: count_below(pencil, s))  # settled re-reads hi
     g = gershgorin_floor(pencil)
     lo = g - 1e-6 * (1.0 + abs(g))  # strictly below: uncoupled pencils attain g
     hi = max(1.0, lo + 1.0)
-    while count_below(pencil, hi) < 1:
+    while count(hi) < 1:
         hi = 2.0 * hi + 1.0
-    lo, hi, _ = bisect_eigenvalue(lambda s: count_below(pencil, s), 1, lo, hi)
+    lo, hi, isolated = bisect_eigenvalue(
+        count, 1, lo, hi, lambda lo, hi: count(hi) == 1 and hi - lo <= 1e-3 * (1.0 + abs(hi)))
+    # a Rayleigh shift at lambda_1 to working precision makes the solve singular or overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(7 if isolated else 0):
+            try:
+                x = inverse_step(x, lo if step < 4 else rho)
+            except (np.linalg.LinAlgError, ValueError):
+                break
+            ax = sum(np.roll(ab[k] * x, k - 2) for k in range(5))  # A x; the band pads with 0
+            rho = float(np.dot(x, ax))
+            r = ax - rho * Bv * x  # eps^2 = r^T B^-1 r below
+            if step >= 4 and lo <= rho < hi and np.dot(r / Bv, r) <= 1e-13 * (1 + abs(rho)) * (hi - rho):
+                return rho, x
+    lo, hi, _ = bisect_eigenvalue(count, 1, lo, hi)
     mu = 0.5 * (lo + hi)
-
-    d11, d12, d22, off, bw = pencil
-    n = len(d11)
-    sigma = mu - 1e-6 * (1.0 + abs(mu))
-    ab = np.zeros((5, 2 * n))  # LAPACK band storage, two bands each side
-    ab[2, 0::2] = d11 - sigma * bw
-    ab[2, 1::2] = d22 - sigma * bw
-    ab[1, 1::2] = d12          # (j, j+1) entries
-    ab[3, 0::2] = d12
-    ab[0, 2::2] = off          # (j, j+2) entries
-    ab[0, 3::2] = off
-    ab[4, 0:-2:2] = off
-    ab[4, 1:-2:2] = off
-    Bv = np.repeat(bw, 2)
-    x = np.random.default_rng(SEED).standard_normal(2 * n)
+    x = start
     for _ in range(6):
-        x = solve_banded((2, 2), ab, Bv * x)
-        x = x / math.sqrt(float(np.dot(Bv * x, x)))
+        x = inverse_step(x, mu - 1e-6 * (1.0 + abs(mu)))
     return mu, x

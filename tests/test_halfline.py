@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from henon_morse import pencil
 from henon_morse.errors import HypothesisViolated, MeshTooCoarse
 from henon_morse.halfline import (
     MatrixPotential,
@@ -217,6 +218,26 @@ def test_weighted_eigen_sign_bridge(solve):
     phi2 = np.interp(tp.tgrid, ts, h2 * taper)
     q = eval_Qk(tp, 0.0, (phi1, phi2))
     assert q < 0
+
+
+def test_weighted_eigen_count_budget(solve, monkeypatch):
+    # the twin of test_witness_count_budget: the bisection stops once a bracket
+    # of width 1e-3 (1 + |hi|) isolates mu_min, and the Kato-Temple bound on
+    # the Rayleigh quotient certifies it: 16 inertia counts on the stable
+    # sector ell = 1, where bisecting to width 1e-13 took 49
+    tp = transform_profile(solve(3, 0.0))
+    real = pencil.count_below
+    shifts = []
+
+    def counted(pen, s):
+        shifts.append(s)
+        return real(pen, s)
+
+    monkeypatch.setattr(pencil, "count_below", counted)
+    mu, _ = weighted_eigen_min(_weighted_instance(tp), tp.gamma, tp.beta * 3.0,
+                               lambda_ell(1, 3) * tp.beta ** 2, mesh=1000)
+    assert mu >= 0
+    assert len(shifts) <= 20, len(shifts)
 
 
 def test_weighted_eigen_zero_potential():

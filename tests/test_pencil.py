@@ -130,6 +130,42 @@ def test_lowest_eigenpair_matches_dense_oracle(pencil):
     assert np.linalg.norm(A @ y - mu * (B @ y)) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("link, isolated", [(1e-7, True), (0.0, False)])
+def test_lowest_eigenpair_of_two_weakly_coupled_wells(link, isolated, monkeypatch):
+    # two mirror-image wells joined by one link: link 1e-7 puts lambda_2 about
+    # 1e-8 |lambda_1| above lambda_1, so no 1e-3 bracket isolates lambda_1.
+    # The bisection narrows on until count(hi) = 1, and the Kato-Temple bound
+    # certifies the Rayleigh quotient against that hi in fewer counts than a
+    # bisection to width 1e-13 takes.  Unjoined wells (link 0) share lambda_1,
+    # no bracket isolates it, and the bisection goes on to width 1e-13.
+    m = 40
+    h = 1.0 / m
+    well = 30.0 * np.exp(-40.0 * (h * np.arange(1, m + 1) - 0.5) ** 2)
+    V = np.concatenate([well, well[::-1]])
+    k = np.full(2 * m + 1, 1.0 / h)
+    k[m] = link
+    pen = flux_pencil(k, h, -V, 0.3 * V, -0.5 * V, np.full(2 * m, h))
+    eig = dense_pencil_eigvals(*pen)
+    assert (eig[1] - eig[0] > 1e-9 * abs(eig[0])) == isolated
+
+    shifts = []
+
+    def counted(p, s):
+        shifts.append(s)
+        return count_below(p, s)
+
+    monkeypatch.setattr("henon_morse.pencil.count_below", counted)
+    mu, x = lowest_eigenpair(pen)
+    assert abs(mu - eig[0]) <= 1e-12 * abs(eig[0])
+    if isolated:
+        assert abs(mu - eig[0]) < 1e-3 * (eig[1] - eig[0])  # lambda_1, not lambda_2
+    assert (len(shifts) < 40) == isolated, len(shifts)
+    A, B = dense_pencil(*pen)
+    y = np.concatenate([x[0::2], x[1::2]])
+    scale = np.linalg.norm(A, 2) + (1.0 + abs(mu)) * np.linalg.norm(B, 2)
+    assert np.linalg.norm(A @ y - mu * (B @ y)) <= 1e-6 * scale
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_singular_first_pivot_is_nudged(n):
     # A - sB has the exactly singular first pivot [[1, 2], [2, 4]] at s = 2,
