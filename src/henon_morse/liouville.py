@@ -33,6 +33,7 @@ from scipy.integrate import simpson, solve_ivp
 from .errors import NonTermination, OverflowBlowUp
 from .nonlinearity import NonlinearityF, golden_min
 from .pencil import flux_pencil, lowest_eigenpair
+from .radial_bvp import dop853_evaluator
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -43,7 +44,8 @@ BLOWUP_GUARD = 1e12
 class LimitTrajectory:
     """A sampled trajectory of the autonomous limit system.
 
-    ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T].  ``period``
+    ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T], by
+    ``radial_bvp.dop853_evaluator`` on the integration's steps.  ``period``
     is the period P of a closed scalar orbit, whose ``dense`` evaluates one
     integrated period at t mod P; it is None for every other trajectory.
     """
@@ -119,10 +121,10 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
                         rtol=1e-12, atol=1e-12, dense_output=True, events=blowup)
     if len(sol.t_events[0]):
         raise OverflowBlowUp(f"limit trajectory exceeded {BLOWUP_GUARD:.0e} at t = {sol.t[-1]:.3f}")
-    period, dense = None, sol.sol
+    period, dense = None, dop853_evaluator(sol.sol)
     if scalar and len(sol.t_events[1]) == 2:
-        period = float(sol.t_events[1][1])
-        dense = lambda t: sol.sol(np.mod(t, period))
+        period, one_period = float(sol.t_events[1][1]), dense
+        dense = lambda t: one_period(np.mod(t, period))
     vals = dense(tgrid)
     return LimitTrajectory(f, interval, scale, tgrid,
                            vals[0], vals[1], vals[2], vals[3], dense=dense, period=period)

@@ -19,8 +19,10 @@ zero outside value.  An outer link that is kept is a Dirichlet end; one
 set to 0 is a reflecting or natural end.
 
 Because B is diagonal positive, the number of eigenvalues below a shift s
-equals the number of negative eigenvalues of A - s B (Sylvester), which the
-block LDL^T pivot recursion delivers without computing any eigenvalue.
+equals the number of negative eigenvalues of A - s B (Sylvester), counted
+without computing any eigenvalue: by LAPACK ``dstebz`` on the two tridiagonal
+pencils of a d12 = 0 pencil (every scalar sector, window and weighted form),
+by the block LDL^T pivot recursion on a coupled one.
 The lowest eigenvalue is certified by an isolating Sturm bracket from the
 pencil's own ``gershgorin_floor`` and the Kato-Temple bound.
 """
@@ -32,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dstebz
 
 from .errors import SingularPivot
 
@@ -120,13 +123,26 @@ def _zero_pivot_band(pencil, s):
 def count_below(pencil, s):
     """Number of pencil eigenvalues below s, from the inertia of A - s B.
 
-    A machine-zero pivot is retried at the shift nudged by SHIFT_NUDGES times
-    its ``_zero_pivot_band``.  A pivot just outside its band would leave the
-    next one dominated by off^2 / pivot, near-singular in turn; a hundred
-    bands keep that ratio clear of ZERO_PIVOT.  SingularPivot is raised only
-    when every nudge hits a zero pivot.
+    With d12 = 0, one ``dstebz`` call counts both tridiagonal pencils, stacked
+    with a zero link, in their scaled standard forms d / bw, off / sqrt(bw_i
+    bw_(i+1)), of the same inertia (Sylvester).  RANGE 'V' over (-inf, vu],
+    vu the float below s, with ABSTOL = inf takes just the Sturm counts, and
+    LAPACK's pivmin rule stands in for the nudges.  Coupled pencils, and those
+    with non-finite scaled entries, run ``_negative_pivots``: a machine-zero
+    pivot is retried at the shift nudged by SHIFT_NUDGES times its
+    ``_zero_pivot_band``.  A pivot just outside its band would leave the next
+    one dominated by off^2 / pivot, near-singular in turn; a hundred bands
+    keep that ratio clear of ZERO_PIVOT.  SingularPivot is raised only when
+    every nudge hits a zero pivot.
     """
     d11, d12, d22, off, bw = pencil
+    if not np.any(d12):
+        e = off / np.sqrt(bw[:-1] * bw[1:])
+        d, e = np.concatenate([d11 / bw, d22 / bw]), np.concatenate([e, [0.0], e])
+        if np.all(np.isfinite(d)) and np.all(np.isfinite(e * e)):
+            m, *_, info = dstebz(d, e, 1, -np.inf, np.nextafter(s, -np.inf), 0, 0, np.inf, "E")
+            if info == 0:
+                return int(m)
     band = 0.0
     for nudge in SHIFT_NUDGES:
         sh = s + nudge * band

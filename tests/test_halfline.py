@@ -10,6 +10,7 @@ from henon_morse.errors import HypothesisViolated, MeshTooCoarse
 from henon_morse.halfline import (
     MatrixPotential,
     TransformedProfile,
+    _weighted_blocks,
     beta_of,
     c_np_constant,
     eval_Qk,
@@ -238,6 +239,36 @@ def test_weighted_eigen_count_budget(solve, monkeypatch):
                                lambda_ell(1, 3) * tp.beta ** 2, mesh=1000)
     assert mu >= 0
     assert len(shifts) <= 20, len(shifts)
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_weighted_pencil_counts_agree_on_both_routes(solve, ell, monkeypatch):
+    # the weighted form of the N=3 alpha=0 profile has masses down to about
+    # 1e-41 at the horizon.  At every shift the eigen-solve visits, the LAPACK
+    # count equals the pivot recursion's, but within 1e-12 (1 + |mu|) of
+    # mu_min: on the unstable sector l = 0 the bisection runs on to width
+    # 1e-13, and there a shift 5e-14 (1 + |mu|) from mu_min reads 0 against 1
+    # by rounding alone
+    tp = transform_profile(solve(3, 0.0))
+    lam = lambda_ell(ell, 3) * tp.beta ** 2
+    args = (_weighted_instance(tp), tp.gamma, tp.beta * 3.0, lam, 1000)
+    pen = _weighted_blocks(*args)[0]
+    d11, d12, d22, off, bw = pen
+    assert not np.any(d12) and 1e-43 < np.min(bw) < 1e-39
+    real = pencil.count_below
+    shifts = []
+
+    def counted(p, s):
+        shifts.append(s)
+        return real(p, s)
+
+    monkeypatch.setattr(pencil, "count_below", counted)
+    mu, _ = weighted_eigen_min(*args)
+    assert (mu < 0) == (ell == 0) and len(shifts) > 10
+    clear = [s for s in shifts if abs(s - mu) > 1e-12 * (1.0 + abs(mu))]
+    assert len(clear) >= len(shifts) - 6
+    for s in clear:
+        assert real(pen, s) == pencil._negative_pivots(d11 - s * bw, d12, d22 - s * bw, off)
 
 
 def test_weighted_eigen_zero_potential():

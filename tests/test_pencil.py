@@ -34,6 +34,14 @@ def pencils(draw, max_nodes=8):
 
 
 @st.composite
+def scalar_pencils(draw, max_nodes=8):
+    """(d11, 0, d22, off, bw) with masses graded down by up to 1e-6 along the nodes."""
+    d11, _, d22, off, bw = draw(pencils(max_nodes))
+    grade = draw(st.floats(0.0, 6.0, allow_nan=False))
+    return d11, np.zeros_like(d11), d22, off, bw * np.logspace(0.0, -grade, len(bw))
+
+
+@st.composite
 def flux_forms(draw, max_nodes=8, ends=True):
     """(k, w, q11, q12, q22, bw) with links k >= 0; the outer two are 0 unless ``ends``."""
     n = draw(st.integers(1, max_nodes))
@@ -63,6 +71,10 @@ def answer_or_reject(fn, *args):
 
 @PROPERTY
 @given(pencils(), st.lists(st.floats(-12.0, 12.0, allow_nan=False), min_size=1, max_size=6))
+@example(pencil=(np.array([1.0, -3.0, 2.0]), np.zeros(3), np.array([-1.0, 0.5, 4.0]),
+                 np.array([2.0, -1.5]), np.array([0.5, 1.0, 2.0])), shifts=[-1.0, 0.0, 1.5])
+@example(pencil=(np.array([1.5]), np.array([0.0]), np.array([-2.0]), np.array([]),
+                 np.array([0.5])), shifts=[-4.5, 0.0, 2.9, 3.1])
 def test_count_below_matches_dense_oracle(pencil, shifts):
     eig = dense_pencil_eigvals(*pencil)
     # below and above the whole spectrum, plus shifts clear of every eigenvalue
@@ -202,6 +214,8 @@ def test_large_rank_one_pivot_is_nudged_past_its_band():
 @given(pencils(), st.integers(0, 1))
 @example(pencil=(np.array([4.0, 1.0]), np.array([4.0, 0.0]), np.array([4.0, -2.0]),
                  np.array([3.0]), np.array([0.1, 1.0])), which=0)
+@example(pencil=(np.array([4.0, 1.0]), np.zeros(2), np.array([6.0, -2.0]),
+                 np.array([3.0]), np.array([0.1, 1.0])), which=0)
 def test_count_below_at_a_singular_leading_pivot(pencil, which):
     # at an eigenvalue of the leading block alone its pivot is singular, while
     # the coupling keeps the pencil's spectrum away: a well-posed count
@@ -211,6 +225,26 @@ def test_count_below_at_a_singular_leading_pivot(pencil, which):
     if np.min(np.abs(eig - s)) <= 1e-6 * (1.0 + float(np.max(np.abs(eig)))):
         return
     assert count_below(pencil, s) == int(np.sum(eig < s))
+
+
+@PROPERTY
+@given(scalar_pencils(), st.lists(st.floats(-12.0, 12.0, allow_nan=False),
+                                  min_size=1, max_size=6))
+def test_count_below_of_uncoupled_pencils(pencil, shifts):
+    # d12 = 0 pencils are counted by LAPACK: against the dense oracle at
+    # shifts clear of the spectrum, and against the pivot recursion wherever
+    # it reads no zero pivot
+    d11, d12, d22, off, bw = pencil
+    eig = dense_pencil_eigvals(*pencil)
+    span = 1.0 + float(np.max(np.abs(eig)))
+    for s in [-2.0 * span, 2.0 * span] + shifts:
+        count = count_below(pencil, s)
+        if np.min(np.abs(eig - s)) > 1e-8 * span:
+            assert count == int(np.sum(eig < s))
+        try:
+            assert count == _negative_pivots(d11 - s * bw, d12, d22 - s * bw, off)
+        except SingularPivot:
+            pass
 
 
 def test_bisection_stops_in_a_zero_pivot_band():

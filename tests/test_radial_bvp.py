@@ -1,9 +1,12 @@
 """Shooting, certification and Nehari machinery for the radial problem."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from henon_morse import radial_bvp
+from henon_morse import liouville, radial_bvp
 from henon_morse.errors import DegenerateInput, NoBracket, OverflowBlowUp
 from henon_morse.nonlinearity import pure_power, quartic_coupled
 from henon_morse.radial_bvp import (
@@ -15,6 +18,7 @@ from henon_morse.radial_bvp import (
     _scaling_amplitude,
     _taylor_start,
     action_energy,
+    dop853_evaluator,
     integrate_radial_ivp,
     lane_emden_shot,
     nehari_defect,
@@ -191,6 +195,57 @@ def test_shoot_evaluates_dense_output_once(monkeypatch):
     assert sizes == [4001]
     assert np.array_equal(prof.grid, np.linspace(0.0, 1.0, 1001))
     assert interior_zeros(prof) == 2
+
+
+def captured_solutions(monkeypatch, module):
+    """The OdeSolution of every solve_ivp call the module makes from now on."""
+    real = module.solve_ivp
+    sols = []
+
+    def captured(*args, **kwargs):
+        result = real(*args, **kwargs)
+        sols.append(result.sol)
+        return result
+
+    monkeypatch.setattr(module, "solve_ivp", captured)
+    return sols
+
+
+def assert_evaluator_is_scipys(sol, grid):
+    # grid points, every step boundary, points outside [t_min, t_max] and
+    # the same points unsorted, then 0-d inputs: bit for bit OdeSolution.__call__
+    evaluate = dop853_evaluator(sol)
+    span = sol.t_max - sol.t_min
+    outside = [sol.t_min - span, sol.t_min - 1e-9, sol.t_max + 1e-9, sol.t_max + span]
+    points = np.concatenate([grid, sol.ts, outside])
+    for t in (points, np.random.default_rng(7).permutation(points)):
+        assert np.array_equal(evaluate(t), sol(t))
+    for t in (sol.ts[0], sol.ts[len(sol.ts) // 2], grid[len(grid) // 3], *outside):
+        assert evaluate(np.asarray(t)).shape == evaluate(float(t)).shape == (4,)
+        assert np.array_equal(evaluate(np.asarray(t)), sol(t))
+
+
+def test_dop853_evaluator_on_a_lane_emden_shot(monkeypatch):
+    sols = captured_solutions(monkeypatch, radial_bvp)
+    lane_emden_shot(params_for(2, 4.0), 1)
+    (sol,) = sols
+    assert len(sol.ts) > 20
+    assert_evaluator_is_scipys(sol, np.linspace(sol.t_min, sol.t_max, 4001))
+
+
+def test_dop853_evaluator_on_a_liouville_period(monkeypatch):
+    sols = captured_solutions(monkeypatch, liouville)
+    traj = liouville.integrate_limit_system(pure_power(4), 1.0, liouville.HALF_LINE,
+                                            (0.0, 0.0, math.sqrt(2.0), 0.0), T=125.0, steps=2500)
+    (sol,) = sols
+    assert traj.period == pytest.approx(sol.t_max)
+    assert_evaluator_is_scipys(sol, np.mod(traj.tgrid, traj.period))
+
+
+def test_dop853_evaluator_refuses_other_interpolants():
+    sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="RK45", dense_output=True)
+    with pytest.raises(TypeError):
+        dop853_evaluator(sol.sol)
 
 
 def test_positive_shoot_certificates(solve):
