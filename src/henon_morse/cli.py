@@ -23,6 +23,7 @@ from .halfline import (
     pohozaev_check,
     pohozaev_identity_residual,
     pohozaev_lower_bound,
+    pohozaev_record,
     smooth_bump,
     eval_Qk,
     transform_profile,
@@ -35,7 +36,8 @@ from .liouville import (
     integrate_limit_system,
     witness_quadrature,
 )
-from .gates import IDENTITY_GATE, POHOZAEV_GATE, QK_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
+from .gates import (IDENTITY_GATE, POHOZAEV_GATE, QK_GATE, RESIDUAL_GATE,
+                    TRANSFORMED_GATE, WITNESS_GATE)
 from .nonlinearity import pure_power
 from .radial_bvp import (
     action_energy,
@@ -126,12 +128,7 @@ def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared=None):
             row["reason"] = "sector counts changed under mesh doubling"
         tp = transform_profile(profile, T=horizon)
         row["transformed_residual"] = transformed_residual(tp)
-        try:
-            pc = pohozaev_check(tp)
-            row["pohozaev"] = {"lhs": pc.lhs, "rhs": pc.rhs,
-                               "slack": pc.slack, "band": pc.tail_band}
-        except HypothesisViolated as exc:
-            row["pohozaev"] = {"skipped": str(exc)}
+        row["pohozaev"] = pohozaev_record(tp)
     except (HenonMorseError, ValueError) as exc:
         # a parameter error fails this row only, like a solver error
         row["status"] = "failed"
@@ -182,8 +179,10 @@ def cmd_sweep(args):
             groups.setdefault(_group_key(raw, float(a), br), []).append(float(a))
     jobs = [(raw, group, br, args.grid, args.mesh, args.tol, args.T)
             for (br, _), group in groups.items()]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its workers at its first task: no more than there are groups
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_group, jobs))
     else:
         done = [_sweep_group(j) for j in jobs]
@@ -191,11 +190,10 @@ def cmd_sweep(args):
                   key=lambda r: (r["branch"], r["alpha"]))
     onsets = {job[2]: found for job, (_, found) in zip(jobs, done) if found}
 
-    onset = None
-    for row in rows:
-        if row["status"] == "ok" and row.get("total_morse_index", 0) > 1:
-            if onset is None or row["alpha"] < onset:
-                onset = row["alpha"]
+    # index > 1 breaks symmetry only for the ground state, the positive branch
+    onset = min((row["alpha"] for row in rows
+                 if row["branch"] == "positive" and row["status"] == "ok"
+                 and row.get("total_morse_index", 0) > 1), default=None)
     payload = {
         "kind": "sweep",
         "base_params": {k: v for k, v in raw.items() if k not in ("alphas", "branches")},
@@ -339,7 +337,7 @@ def cmd_liouville(args):
     for s in starts:
         q_min, pair = instability_witness(traj, (s, s + args.length), mesh=args.mesh)
         q_direct, mass = witness_quadrature(traj, pair)
-        sound = abs(q_direct - q_min * mass) <= 1e-8 * (1.0 + abs(q_min))
+        sound = abs(q_direct - q_min * mass) <= WITNESS_GATE * (1.0 + abs(q_min))
         windows.append({
             "window": [s, s + args.length],
             "q_min": q_min,
@@ -386,6 +384,7 @@ def _bounded(convert, ok, what):
 _positive = _bounded(float, lambda x: 0.0 < x < math.inf, "a finite number above 0")
 _grid = _bounded(int, lambda n: n >= 100, "an integer of at least 100")
 _mesh = _bounded(int, lambda n: n >= MIN_MESH, f"an integer of at least {MIN_MESH}")
+_workers = _bounded(int, lambda n: n >= 1, "an integer of at least 1")
 
 
 def build_parser():
@@ -411,7 +410,8 @@ def build_parser():
     pw.add_argument("--tol", type=_positive, default=1e-10)
     pw.add_argument("--T", type=_positive, default=None,
                     help="transform horizon (default 30/beta)")
-    pw.add_argument("--workers", type=int, default=1)
+    pw.add_argument("--workers", type=_workers, default=1,
+                    help="worker processes, at most one per sweep group")
     pw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="re-certify a stored profile")

@@ -1,4 +1,4 @@
-"""Limits of the certificates that solve, sweep, verify and morse_index check.
+"""Limits of the certificates that solve, sweep, verify, liouville and morse_index check.
 
 Each gate is defined here and only here.
 """
@@ -8,3 +8,4 @@ TRANSFORMED_GATE = 1e-3       # half-line defect of the Hermite-interpolated pro
 POHOZAEV_GATE = 1e-6          # relative slack tolerance
 IDENTITY_GATE = 1e-5          # integral identity mismatch
 QK_GATE = 1e-6                # random-probe negativity tolerance
+WITNESS_GATE = 1e-8           # quadrature recheck of a window witness, relative to 1 + |q_min|

@@ -271,6 +271,15 @@ def pohozaev_check(tp):
     return PohozaevCheck(lhs=lhs, rhs=rhs, tail_band=factor * tail)
 
 
+def pohozaev_record(tp):
+    """``pohozaev_check`` as a JSON record, or {"skipped": reason} off its hypothesis."""
+    try:
+        pc = pohozaev_check(tp)
+    except HypothesisViolated as exc:
+        return {"skipped": str(exc)}
+    return {"lhs": pc.lhs, "rhs": pc.rhs, "slack": pc.slack, "band": pc.tail_band}
+
+
 def pohozaev_identity_residual(tp):
     """Relative mismatch of the two exact integral identities behind the estimate.
 

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HypothesisViolated
-from .halfline import TransformedProfile, pohozaev_check, transformed_residual
+from .halfline import TransformedProfile, pohozaev_record, transformed_residual
 from .nonlinearity import NonlinearityF
 from .radial_bvp import (
     ProblemParams,
@@ -126,12 +125,6 @@ def save_transformed(tp: TransformedProfile, basepath, extra=None):
     base = Path(basepath)
     _write_csv(base.with_suffix(".csv"), ["t", "u", "v", "du", "dv"],
                [tp.tgrid, tp.u, tp.v, tp.du, tp.dv])
-    try:
-        pc = pohozaev_check(tp)
-        pohozaev = {"lhs": pc.lhs, "rhs": pc.rhs, "slack": pc.slack,
-                    "band": pc.tail_band}
-    except HypothesisViolated as exc:
-        pohozaev = {"skipped": str(exc)}
     header = {
         "kind": "transformed_profile",
         "params": params_to_dict(tp.params),
@@ -141,7 +134,7 @@ def save_transformed(tp: TransformedProfile, basepath, extra=None):
         "T": tp.T,
         "grid_size": len(tp.tgrid) - 1,
         "residual": transformed_residual(tp),
-        "pohozaev": pohozaev,
+        "pohozaev": pohozaev_record(tp),
     }
     if extra:
         header.update(extra)

@@ -29,15 +29,15 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
+from scipy.optimize import minimize_scalar
 
 from .errors import NonTermination, OverflowBlowUp
-from .nonlinearity import NonlinearityF, golden_min
+from .nonlinearity import NonlinearityF
 from .pencil import flux_pencil, lowest_eigenpair
-from .radial_bvp import dop853_evaluator
+from .radial_bvp import BLOWUP_GUARD, blowup_event, dop853_evaluator
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
-BLOWUP_GUARD = 1e12
 
 
 @dataclass
@@ -98,15 +98,11 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
         fu, fv = f.grad(y[0], y[1])
         return (y[2], y[3], -scale * fu, -scale * fv)
 
-    def blowup(t, y):
-        return abs(y[0]) + abs(y[1]) - BLOWUP_GUARD
-
-    blowup.terminal = True
-
+    y0 = np.array([u0, v0, du0, dv0])
+    events, tol = [blowup_event()], 1e-12
     scalar = (v0 == 0.0 and dv0 == 0.0 and scale > 0
               and not np.any(f.grad(np.array([1.0, -1.0]), np.zeros(2))[1]))
     if scalar:
-        y0 = np.array([u0, v0, du0, dv0])
         normal = np.array(rhs(0.0, y0))
 
         def section(t, y):
@@ -114,11 +110,9 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
 
         section.direction = 1.0
         section.terminal = 2  # the first crossing is the start itself
-        sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853",
-                        rtol=1e-13, atol=1e-13, dense_output=True, events=(blowup, section))
-    else:
-        sol = solve_ivp(rhs, (0.0, T), [u0, v0, du0, dv0], method="DOP853",
-                        rtol=1e-12, atol=1e-12, dense_output=True, events=blowup)
+        events, tol = [*events, section], 1e-13
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853",
+                    rtol=tol, atol=tol, dense_output=True, events=events)
     if len(sol.t_events[0]):
         raise OverflowBlowUp(f"limit trajectory exceeded {BLOWUP_GUARD:.0e} at t = {sol.t[-1]:.3f}")
     period, dense = None, dop853_evaluator(sol.sol)
@@ -142,9 +136,9 @@ def lower_mass_window(traj, eps, refine=2000):
     mass is the integral over (center - eps, center + eps).  For a nontrivial
     bounded trajectory the masses stay above a common positive bound.
 
-    Peak centers are polished by golden-section on the dense evaluator and
-    each mass is integrated on its own window subgrid, so masses of
-    congruent windows agree to quadrature precision.
+    Peak centers are polished by Brent's bounded minimizer on the dense
+    evaluator and each mass is integrated on its own window subgrid, so
+    masses of congruent windows agree to quadrature precision.
     """
     # deferred: importing scipy.signal roughly doubles the package import time
     from scipy.signal import find_peaks
@@ -167,7 +161,8 @@ def lower_mass_window(traj, eps, refine=2000):
 
     out = []
     for idx in peaks:
-        c, _ = golden_min(neg_density, float(t[idx]) - dt, float(t[idx]) + dt, tol=1e-13)
+        c = minimize_scalar(neg_density, bounds=(float(t[idx]) - dt, float(t[idx]) + dt),
+                            method="bounded", options={"xatol": 1e-13}).x
         if c - eps < t[0] or c + eps > t[-1]:
             continue
         ts = np.linspace(c - eps, c + eps, refine + 1)

@@ -26,30 +26,6 @@ PURE_POWER = "pure_power"
 QUARTIC_COUPLED = "quartic_coupled"
 
 
-def golden_min(fun, lo, hi, tol=1e-12):
-    """Golden-section minimum of a unimodal-enough fun, seeded by coarse sampling."""
-    xs = np.linspace(lo, hi, 2001)
-    vals = np.array([fun(x) for x in xs])
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
 def _signed_pow(x, q):
     """|x|^(q-1) x, defined as 0 at x = 0 for q > 0."""
     return np.sign(x) * np.abs(x) ** q

@@ -162,7 +162,8 @@ def _ivp_rhs(params):
     return rhs
 
 
-def _blowup_event():
+def blowup_event():
+    """Terminal event: |u| + |v| crosses BLOWUP_GUARD upward."""
     def event(r, y):
         return abs(y[0]) + abs(y[1]) - BLOWUP_GUARD
 
@@ -233,7 +234,7 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
         )
     sol = solve_ivp(
         _ivp_rhs(params), (eps, r_end), y0, method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True, events=[_blowup_event(), *events],
+        rtol=rtol, atol=atol, dense_output=True, events=[blowup_event(), *events],
     )
     if sol.t_events[0].size:
         raise OverflowBlowUp(

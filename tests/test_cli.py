@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from henon_morse import radial_bvp, spectral
+from henon_morse import cli, radial_bvp, spectral
 from henon_morse.cli import main
 from henon_morse.io import (
     load_profile,
@@ -199,7 +199,8 @@ def test_horizon_must_be_finite_and_positive(tmp_path, capsys, solve, T):
 @pytest.mark.parametrize("command, option, value", [
     ("solve", "--tol", "-1"), ("solve", "--tol", "0"), ("solve", "--tol", "nan"),
     ("solve", "--tol", "inf"), ("solve", "--grid", "50"), ("sweep", "--tol", "-1"),
-    ("sweep", "--mesh", "10"), ("sweep", "--grid", "50"),
+    ("sweep", "--mesh", "10"), ("sweep", "--grid", "50"), ("sweep", "--workers", "0"),
+    ("sweep", "--workers", "-3"),
 ])
 def test_rejects_bad_numeric_options(tmp_path, capsys, command, option, value):
     pfile = tmp_path / "params.json"
@@ -290,6 +291,8 @@ def test_sweep_nodal_branch(tmp_path):
     row = payload["rows"][0]
     assert row["status"] == "ok"
     assert row["total_morse_index"] >= 2.0 + 3  # cited planar bound
+    # an index above 1 breaks symmetry only on the positive branch
+    assert payload["summary"]["smallest_alpha_with_index_above_1"] is None
 
 
 def test_sweep_empty_alphas(tmp_path):
@@ -475,6 +478,44 @@ def test_sweep_workers_write_identical_rows(tmp_path):
                           "--workers", str(n)) for n in (1, 2)]
     assert payloads[0]["rows"] == payloads[1]["rows"]
     assert payloads[0]["summary"] == payloads[1]["summary"]
+
+
+MIXED = {**PLANAR, "alphas": [0.0, 2.0], "branches": ["positive", "nodal:1"]}
+
+
+def test_sweep_onset_comes_from_the_positive_branch(tmp_path):
+    # the nodal:1 row at alpha = 0 has index 8, yet symmetry breaks at the
+    # first positive row of index above 1
+    payload = run_sweep(tmp_path, "mixed", MIXED, "--grid", "2000", "--mesh", "500")
+    index = {(r["branch"], r["alpha"]): r["total_morse_index"] for r in payload["rows"]}
+    assert index[("nodal:1", 0.0)] > 1
+    assert (index[("positive", 0.0)], index[("positive", 2.0)]) == (1, 3)
+    assert payload["summary"]["smallest_alpha_with_index_above_1"] == 2.0
+
+
+def test_sweep_pool_has_one_worker_per_group_at_most(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    payload = run_sweep(tmp_path, "pooled", MIXED, "--grid", "2000", "--mesh", "500",
+                        "--workers", "64")
+    assert sizes == [2]  # two groups, one per branch
+    assert len(payload["rows"]) == 4
 
 
 def test_onset_alphas_match_direct_counts(tmp_path):

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import beta
 
 from henon_morse import pencil
-from henon_morse.errors import NonTermination
+from henon_morse.errors import NonTermination, OverflowBlowUp
 from henon_morse.liouville import (
     FULL_LINE,
     HALF_LINE,
@@ -109,6 +109,12 @@ def test_coupled_start_keeps_full_horizon():
     assert traj.period is None
     ref = full_horizon_power_trajectory(4.0, 2.0, init, 125.0, traj.tgrid)
     assert float(np.max(np.abs(np.array([traj.u, traj.v, traj.du, traj.dv]) - ref))) <= 1e-8
+
+
+def test_coupled_start_hits_the_blowup_guard():
+    # s < 0 turns the well into a hill: u'' = u^3, v'' = v^3 leave every bound in finite time
+    with pytest.raises(OverflowBlowUp):
+        integrate_limit_system(pure_power(4), -1.0, FULL_LINE, (0.5, 0.2, 0.0, 0.0), T=10.0)
 
 
 def test_turning_point_amplitude(quartic_orbit):
