@@ -94,15 +94,24 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
         return LimitTrajectory(f, interval, scale, tgrid, z, z.copy(), z.copy(), z.copy(),
                                dense=lambda t: np.zeros((4,) + np.shape(t)))
 
+    grad = f.pointwise()[0]
+
     def rhs(t, y):
-        fu, fv = f.grad(y[0], y[1])
-        return (y[2], y[3], -scale * fu, -scale * fv)
+        u, v, du, dv = y.tolist()
+        fu, fv = grad(u, v)
+        return (du, dv, -scale * fu, -scale * fv)
 
     y0 = np.array([u0, v0, du0, dv0])
     events, tol = [blowup_event()], 1e-12
     scalar = (v0 == 0.0 and dv0 == 0.0 and scale > 0
               and not np.any(f.grad(np.array([1.0, -1.0]), np.zeros(2))[1]))
     if scalar:
+        # E = u'^2/2 + s F(u, 0) is conserved, so |u| turns at (E / (s F(1, 0)))^(1/p)
+        energy = 0.5 * (du0 * du0) + scale * float(f.value(u0, 0.0))
+        turning = (energy / (scale * float(f.value(1.0, 0.0)))) ** (1.0 / f.p)
+        if turning > BLOWUP_GUARD:
+            raise OverflowBlowUp(f"limit trajectory exceeded {BLOWUP_GUARD:.0e}: its energy "
+                                 f"{energy:.3e} turns at |u| = {turning:.3e}")
         normal = np.array(rhs(0.0, y0))
 
         def section(t, y):

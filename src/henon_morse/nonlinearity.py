@@ -31,6 +31,14 @@ def _signed_pow(x, q):
     return np.sign(x) * np.abs(x) ** q
 
 
+def _pow(x, q):
+    """x ** q on floats, +-inf where Python raises OverflowError (numpy's value for x >= 0 or odd q)."""
+    try:
+        return x ** q
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 @dataclass(frozen=True)
 class NonlinearityF:
     """A p-homogeneous C^2 coupling with positive values off the origin.
@@ -93,6 +101,36 @@ class NonlinearityF:
         fuv = 2.0 * self.b * u * v
         fvv = 3.0 * self.a2 * np.square(v) + self.b * np.square(u)
         return fuu, fuv, fvv
+
+    def pointwise(self):
+        """(grad, hess) as closures on two Python floats, for right-hand sides.
+
+        Bit for bit ``grad`` and ``hess`` on float64 scalars, with the same
+        order of operations and numpy's +-inf on overflow, without the cost
+        of numpy's 0-d arithmetic on every call.
+        """
+        a1, a2, b = self.a1, self.a2, self.b
+        if self.family == PURE_POWER:
+            q, r, copysign = self.p - 1, self.p - 2, math.copysign
+            c1, c2 = a1 * q, a2 * q
+
+            def grad(u, v):
+                # numpy's sign(+-0) * 0 is +0, where copysign would keep -0
+                return (a1 * (copysign(_pow(abs(u), q), u) if u else 0.0),
+                        a2 * (copysign(_pow(abs(v), q), v) if v else 0.0))
+
+            def hess(u, v):
+                return c1 * _pow(abs(u), r), 0.0, c2 * _pow(abs(v), r)
+        else:
+            b2, c1, c2 = 2.0 * b, 3.0 * a1, 3.0 * a2
+
+            def grad(u, v):
+                return a1 * _pow(u, 3) + b * u * (v * v), a2 * _pow(v, 3) + b * (u * u) * v
+
+            def hess(u, v):
+                return c1 * (u * u) + b * (v * v), b2 * u * v, c2 * (v * v) + b * (u * u)
+
+        return grad, hess
 
     def coercivity_constant(self):
         """min of F on the l^p sphere |u|^p + |v|^p = 1 (strictly positive).

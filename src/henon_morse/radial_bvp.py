@@ -20,7 +20,8 @@ maps solutions with mu to solutions with lam^2 mu, so every shot starts at
 unit amplitude (on the diagonal ansatz for symmetric systems) and stops at
 its (k+1)-th zero r_k; lam = r_k turns it into the k-node profile for
 mu = mu' r_k^2 with amplitude r_k^sigma, with no second integration.  With
-mu > 0, Illinois steps in log mu' solve mu' r_k^2 = mu.
+mu > 0, Newton steps in log mu' solve mu' r_k^2 = mu; each shot carries the
+sensitivity w = du/dmu', which gives dr_k/dmu' = -w(r_k)/u'(r_k).
 
 With mu = 0 a second change of variables removes alpha: t = r^beta,
 beta = (2 + alpha)/2, turns the problem in dimension N into the Lane-Emden
@@ -143,14 +144,21 @@ def _taylor_start(params, d, r):
     ])
 
 
-def _ivp_rhs(params):
-    f = params.f
+def _ivp_rhs(params, sensitivity=None):
+    """Right-hand side of the first-order system in (u, v, u', v') on Python floats.
+
+    With a ``sensitivity`` layout it also carries w = du/dmu1, which solves
+    w'' + (N-1) w'/r - mu1 w + r^alpha (F_uu + F_uv)(u, v) w = u: "scalar"
+    puts w in the idle v slot, (u, w, u', w'), and "diagonal" appends it to
+    the diagonal u = v, where w is dv/dmu2 as well: (u, v, u', v', w, w').
+    """
+    grad, hess = params.f.pointwise()
     N, a = params.N, params.alpha
     mu1, mu2 = params.mu1, params.mu2
 
     def rhs(r, y):
-        u, v, du, dv = y
-        fu, fv = f.grad(u, v)
+        u, v, du, dv = y.tolist()
+        fu, fv = grad(u, v)
         w = r ** a
         return (
             du,
@@ -159,7 +167,25 @@ def _ivp_rhs(params):
             -(N - 1.0) * dv / r + mu2 * v - w * fv,
         )
 
-    return rhs
+    def scalar(r, y):
+        u, w, du, dw = y.tolist()
+        fu = grad(u, 0.0)[0]
+        fuu = hess(u, 0.0)[0]
+        x = r ** a
+        return (
+            du,
+            dw,
+            -(N - 1.0) * du / r + mu1 * u - x * fu,
+            -(N - 1.0) * dw / r + mu1 * w + u - x * fuu * w,
+        )
+
+    def diagonal(r, y):
+        u, v, _, _, w, dw = y.tolist()
+        fuu, fuv, _ = hess(u, v)
+        return (*rhs(r, y[:4]), dw,
+                -(N - 1.0) * dw / r + mu1 * w + u - r ** a * (fuu + fuv) * w)
+
+    return {None: rhs, "scalar": scalar, "diagonal": diagonal}[sensitivity]
 
 
 def blowup_event():
@@ -202,12 +228,17 @@ def dop853_evaluator(sol):
 
 
 def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
-                     r_end=1.0, events=()):
+                     r_end=1.0, events=(), sensitivity=False):
     """Adaptive integration of the IVP; returns a dense evaluator on [0, r_end].
 
-    ``events`` are extra solve_ivp events; the radii where they fired are kept
-    on the evaluator as ``t_events``, and a terminal one ends the integration
-    there.  Raises OverflowBlowUp when the guard triggers first.
+    ``events`` are extra solve_ivp events; the radii where they fired, and the
+    states there, are kept on the evaluator as ``t_events`` and ``y_events``,
+    and a terminal one ends the integration there.  With ``sensitivity`` the
+    state carries w = du/dmu1 from w(0) = w'(0) = 0 (``_ivp_rhs`` layouts:
+    "scalar" when d2 = 0, else "diagonal") at an infinite atol, so its error
+    terms are 0 and never steer the step size: u is integrated bit for bit
+    as without it.  The evaluator returns (u, v, u', v') alone.  Raises
+    OverflowBlowUp when the guard triggers first.
     """
     d = (float(d[0]), float(d[1]))
     if d == (0.0, 0.0):
@@ -232,9 +263,24 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
         raise OverflowBlowUp(
             f"could not find a valid series start for amplitude {d}"
         )
+    layout = sensitivity and ("scalar" if d[1] == 0.0 else "diagonal")
+    guard = blowup_event()
+    if layout:
+        w0 = (d[0] * eps * eps / (2.0 * params.N), d[0] * eps / params.N)
+        if layout == "scalar":
+            y0[1::2] = w0
+            atol = np.array([atol, math.inf, atol, math.inf])
+
+            def guard(r, y):  # w rides in the v slot: the guard watches u alone
+                return abs(y[0]) - BLOWUP_GUARD
+
+            guard.terminal, guard.direction = True, 1
+        else:
+            y0 = np.append(y0, w0)
+            atol = np.array([atol] * 4 + [math.inf] * 2)
     sol = solve_ivp(
-        _ivp_rhs(params), (eps, r_end), y0, method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True, events=[blowup_event(), *events],
+        _ivp_rhs(params, layout or None), (eps, r_end), y0, method="DOP853",
+        rtol=rtol, atol=atol, dense_output=True, events=[guard, *events],
     )
     if sol.t_events[0].size:
         raise OverflowBlowUp(
@@ -254,10 +300,13 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
         if np.any(small):
             out[:, small] = _taylor_start(params, d, r[small])
         if np.any(~small):
-            out[:, ~small] = dense(r[~small])
+            out[:, ~small] = dense(r[~small])[:4]
+            if layout == "scalar":
+                out[1::2, ~small] = 0.0
         return out[:, 0] if scalar else out
 
     evaluate.t_events = sol.t_events[1:]
+    evaluate.y_events = sol.y_events[1:]
     return evaluate
 
 
@@ -304,13 +353,19 @@ def _sign_changes(rs, u):
 def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
     """k-node amplitude and profile evaluator, scaled from unit-amplitude shots.
 
-    For mu > 0, g(t) = log(mu' r_k^2 / mu) = 0 is solved in t = log mu' from
-    the mu' = 0 shot, by secant steps until the root is bracketed and Illinois
-    steps after, until the amplitude error, at most (sigma/2) |g| r_k^sigma
-    while r_k grows with mu', is within tol (1 + amplitude).  If the shots run
-    out first (mu' resolved to its last bit: the sensitivity to mu' grows like
-    e^sqrt(mu)), the best shot is kept if its mu mismatch |g| is within
-    RESIDUAL_GATE.
+    For mu > 0, g(t) = log(mu' r_k^2 / mu) = 0 is solved in t = log mu' by
+    Newton steps, with dg/dt = 1 + 2 mu' r_k'/r_k from the mu'-sensitivity
+    w = du/dmu' the shots carry: r_k' = -w(r_k)/u'(r_k).  The slope is
+    floored at 1/2 (r_k can fall as mu' grows, since the nonlinearity grows
+    with u) and is 1 after a shot without the zero.  The first guess is one
+    Newton step on mu' (r_k + r_k' mu')^2 = mu, from r_k and r_k' of the
+    mu' = 0 shot.  Shots keep a bracket in t; a step that leaves it, or one
+    after a shot without the zero, bisects it instead once both ends are
+    finite.  The iteration stops once the amplitude error, at most
+    (sigma/2) |g| r_k^sigma while r_k grows with mu', is within
+    tol (1 + amplitude).  If the shots run out first (mu' resolved to its
+    last bit: the sensitivity to mu' grows like e^sqrt(mu)), the best shot
+    is kept if its mu mismatch |g| is within RESIDUAL_GATE.
 
     Shots stop at r_cap = AMPLITUDE_CAP^(1/sigma), and those with mu' > 0
     also at 2 sqrt(mu/mu'), since a later zero puts mu' r_k^2 above 4 mu.  A
@@ -329,51 +384,48 @@ def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
     zero.terminal = k + 1
 
     def shot(mu_p, r_end):
-        """(r_k, evaluator) of the unit shot with mu'; (r_end, None) without the zero."""
+        """(r_k, evaluator, r_k') of the unit shot with mu'; (r_end, None, 0) without the zero."""
         # atol = rtol / 100, that of a shot at amplitude 100: this shot is
         # scaled up to the profile, and a looser one adds noise to residual
         try:
             dense = _integrate_dense(replace(params, mu1=mu_p, mu2=mu_p),
                                      (1.0, 1.0 if diagonal else 0.0), *ivp_tol,
-                                     r_end=r_end, events=[zero])
+                                     r_end=r_end, events=[zero], sensitivity=mu > 0.0)
         except OverflowBlowUp:
-            return r_end, None
+            return r_end, None, 0.0
         zeros = dense.t_events[0]
-        return (float(zeros[k]), dense) if zeros.size > k else (r_end, None)
+        if zeros.size <= k:
+            return r_end, None, 0.0
+        if mu == 0.0:
+            return float(zeros[k]), dense, 0.0
+        y = dense.y_events[0][k]  # (u, w, u', w'), or (u, v, u', v', w, w') on the diagonal
+        return float(zeros[k]), dense, -float(y[4 if diagonal else 1] / y[2])
 
     def settled(g, r_k):
         return sigma * g * r_k ** sigma <= 2.0 * tol * (1.0 + r_k ** sigma)
 
-    best = (0.0 if mu == 0.0 else math.inf, *shot(0.0, r_cap))  # (|g|, r_k, evaluator)
-    if mu > 0.0 and best[2] is not None:
-        t = math.log(mu / best[1] ** 2)
-        ends, last = {}, 0  # [t, g] of the ends below (-1) and above (+1) the root
-        prev = here = None  # (t, g) of the last two shots, None for one without the zero
+    r_k, dense, dr = shot(0.0, r_cap)
+    best = (0.0 if mu == 0.0 else math.inf, r_k, dense)  # (|g|, r_k, evaluator)
+    if mu > 0.0 and dense is not None:
+        t = math.log(mu / r_k ** 2)  # the root if r_k did not move
+        x = dr * math.exp(t)
+        if 3.0 * x > -r_k:  # the Newton step in sqrt(mu') from there
+            t += 2.0 * math.log((r_k + 2.0 * x) / (r_k + 3.0 * x))
+        lo, hi = -math.inf, math.inf  # t below and above the root
         for _ in range(100):
             mu_p = math.exp(t)
-            r_k, dense = shot(mu_p, min(r_cap, 2.0 * math.sqrt(mu / mu_p)))
+            r_k, dense, dr = shot(mu_p, min(r_cap, 2.0 * math.sqrt(mu / mu_p)))
             g = math.log(mu_p * r_k * r_k / mu)
             best = min(best, (abs(g), r_k, dense), key=lambda b: b[0])
-            prev, here = here, (t, g) if dense is not None else None
-            dense = None  # only the best shot's evaluator stays alive
             if settled(*best[:2]):
                 break
-            side = 1 if g > 0.0 else -1
-            if side == last and -side in ends:  # the other end kept twice: halve its weight
-                ends[-side][1] *= 0.5
-            ends[side], last = [t, g], side
-            if len(ends) < 2:
-                # secant through the last two shots when both found the zero,
-                # else a unit slope, as g rises like t where r_k barely moves
-                slope = (g - prev[1]) / (t - prev[0]) if prev and here else 1.0
-                t -= g / (slope if slope > 0.0 else 1.0)
-                continue
-            (t0, g0), (t1, g1) = ends[-1], ends[1]
-            t = t0 - g0 * (t1 - t0) / (g1 - g0)
-            if not min(t0, t1) < t < max(t0, t1):
-                t = 0.5 * (t0 + t1)
-                if t in (t0, t1):
+            lo, hi = (lo, t) if g > 0.0 else (t, hi)
+            step = t - g / max(0.5, 1.0 + 2.0 * mu_p * dr / r_k)
+            if not lo < step < hi or (dense is None and math.isfinite(lo + hi)):
+                step = 0.5 * (lo + hi)
+                if step in (lo, hi):
                     break
+            t, dense = step, None  # only the best shot's evaluator stays alive
     g, r_k, dense = best
     if dense is None:
         raise NoBracket(

@@ -393,6 +393,7 @@ def test_liouville_rejects_bad_options(tmp_path, capsys, option, value):
     assert not (tmp_path / "li" / "liouville.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_liouville_blow_up_exits_1(tmp_path, capsys):
     rc = main(["liouville", "--energy", "1e300", "--out", str(tmp_path / "li")])
     assert rc == 1

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import beta
 
-from henon_morse import pencil
+from henon_morse import liouville, pencil
 from henon_morse.errors import NonTermination, OverflowBlowUp
 from henon_morse.liouville import (
     FULL_LINE,
@@ -115,6 +115,14 @@ def test_coupled_start_hits_the_blowup_guard():
     # s < 0 turns the well into a hill: u'' = u^3, v'' = v^3 leave every bound in finite time
     with pytest.raises(OverflowBlowUp):
         integrate_limit_system(pure_power(4), -1.0, FULL_LINE, (0.5, 0.2, 0.0, 0.0), T=10.0)
+
+
+def test_scalar_start_beyond_the_guard_raises_before_integrating(monkeypatch):
+    # energy is conserved, so a turning point |u| = (4 E)^(1/4) above the
+    # guard is known before any step: no integration, no overflow warning
+    monkeypatch.setattr(liouville, "solve_ivp", None)
+    with pytest.raises(OverflowBlowUp, match="limit trajectory exceeded 1e\\+12"):
+        integrate_limit_system(pure_power(4), 1.0, HALF_LINE, (0.0, 0.0, 1e25, 0.0), T=10.0)
 
 
 def test_turning_point_amplitude(quartic_orbit):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from henon_morse.nonlinearity import NonlinearityF, pure_power, quartic_coupled
 
 from oracles import fd_hessian, max_on_circle_sampled, min_on_p_sphere_sampled
 
 RNG = np.random.default_rng(20260809)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 FAMILIES = [
     pure_power(2.5),
@@ -167,3 +170,74 @@ def test_validation_rejects_non_finite(field, value):
     args = {"family": "quartic_coupled", "p": 4.0, "a1": 1.0, "a2": 1.0, "b": 0.5}
     with pytest.raises(ValueError, match="finite"):
         NonlinearityF(**{**args, field: value})
+
+
+# -- the float kernel of the right-hand sides ---------------------------------
+
+coefficient = st.floats(0.1, 10.0)
+
+
+@st.composite
+def couplings(draw):
+    """Either family: pure_power with p in (2, 12], or quartic_coupled with b in [0, 4]."""
+    if draw(st.booleans()):
+        return pure_power(draw(st.floats(2.0, 12.0, exclude_min=True)),
+                          draw(coefficient), draw(coefficient))
+    return quartic_coupled(draw(coefficient), draw(coefficient), draw(st.floats(0.0, 4.0)))
+
+
+# every finite double: +-0, subnormals, both signs, and values whose powers overflow
+finite = st.floats(allow_nan=False, allow_infinity=False)
+SUBNORMAL = 5e-324
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@PROPERTY
+@given(couplings(), finite, finite)
+@example(pure_power(4), -0.0, 0.0)
+@example(pure_power(2.5), -SUBNORMAL, 0.0)
+@example(pure_power(12), 1e-300, -3.0)
+@example(quartic_coupled(b=0.5), -0.0, -0.0)
+@example(quartic_coupled(b=0.0), 1e200, -1e200)
+def test_pointwise_kernel_is_grad_and_hess_bit_for_bit(f, u, v):
+    grad, hess = f.pointwise()
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = (*f.grad(np.float64(u), np.float64(v)), *f.hess(np.float64(u), np.float64(v)))
+    got = (*grad(u, v), *hess(u, v))
+    assert all(type(x) is float for x in got)
+    assert all(same_bits(x, y) for x, y in zip(got, want)), (got, want)
+
+
+# moderate values, so that p F and its pieces stay normal numbers
+moderate = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-30)
+
+
+@PROPERTY
+@given(couplings(), moderate, moderate)
+def test_pointwise_kernel_euler_identities(f, u, v):
+    # p F = u F_u + v F_v and <D2F (u, v), (u, v)> = (p - 1)(u F_u + v F_v)
+    grad, hess = f.pointwise()
+    fu, fv = grad(u, v)
+    fuu, fuv, fvv = hess(u, v)
+    lin = fu * u + fv * v
+    value = float(f.value(u, v))
+    assert abs(f.p * value - lin) <= 1e-12 * f.p * value
+    quad = fuu * u * u + 2.0 * fuv * u * v + fvv * v * v
+    assert abs(quad - (f.p - 1.0) * lin) <= 1e-12 * (f.p - 1.0) * f.p * value
+
+
+@PROPERTY
+@given(couplings().filter(lambda f: f.p >= 3.1), st.floats(-1.0, 1.0), st.booleans())
+def test_pointwise_kernel_overflows_to_inf(f, v, negative):
+    # |u|^(p-2) > 1e308: Python's float power raises OverflowError there,
+    # where numpy gives inf, and so must the kernel
+    big = min(10.0 ** (320.0 / (f.p - 2.0)), 1.7e308)
+    u = -big if negative else big
+    grad, hess = f.pointwise()
+    fu, _ = grad(u, v)
+    fuu, _, _ = hess(u, v)
+    assert fu == math.copysign(math.inf, u)
+    assert fuu == math.inf

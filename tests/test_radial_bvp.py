@@ -144,15 +144,71 @@ def count_integrations(monkeypatch):
 
 
 def test_mu_positive_shot_budget(monkeypatch):
-    # Illinois steps on log mu' need far fewer integrations than the 41 and 46
-    # of plain bisection on the amplitude; the profile is the best shot
-    # rescaled, not integrated again
+    # Newton in log mu' on the mu'-sensitivity: the mu' = 0 shot and three
+    # Newton shots, where secant and Illinois steps took 6; the profile is
+    # the best shot rescaled, not integrated again
     calls = count_integrations(monkeypatch)
     params = params_for(3, 1.0, mu=1.0)
     for shoot in (lambda: shoot_positive(params), lambda: shoot_nodal(params, 1)):
         calls.clear()
         shoot()
-        assert len(calls) <= 18, calls
+        assert len(calls) <= 4, calls
+
+
+@pytest.mark.parametrize("mu, amplitude, shots", [(40.0, 34.68209391826684, 25),
+                                                  (100.0, 68.93318003720418, 35)])
+def test_large_mu_converges_within_the_old_shot_count(monkeypatch, mu, amplitude, shots):
+    # near the mu' where the unit shot loses its zero, r_k grows like
+    # -log(mu'_c - mu'); Newton may take no more shots than the secant and
+    # Illinois steps it replaced, and lands on their amplitudes
+    calls = count_integrations(monkeypatch)
+    prof = shoot_positive(params_for(3, 1.0, mu=mu))
+    assert len(calls) <= shots, calls
+    assert prof.amplitude[0] == pytest.approx(amplitude, rel=1e-10)
+
+
+def test_mu_positive_diagonal_amplitude():
+    # the diagonal carries w in two extra components; amplitude of the
+    # secant and Illinois steps, at 1e-10
+    f = quartic_coupled(b=0.5)
+    prof = shoot_positive(ProblemParams(N=3, alpha=1.0, mu1=1.0, mu2=1.0, f=f))
+    assert prof.amplitude[0] == pytest.approx(7.0518948040189695, rel=1e-10)
+    assert prof.amplitude[1] == prof.amplitude[0]
+
+
+def unit_shot(f, mu_p, d, sensitivity):
+    def zero(r, y):
+        return y[0]
+
+    zero.terminal = 2
+    return _integrate_dense(ProblemParams(N=3, alpha=1.0, mu1=mu_p, mu2=mu_p, f=f), d,
+                            1e-12, 1e-14, r_end=20.0, events=[zero], sensitivity=sensitivity)
+
+
+@pytest.mark.parametrize("f", [pure_power(4), pure_power(3), pure_power(2.5),
+                               quartic_coupled(b=0.5)])
+def test_sensitivity_leaves_the_scalar_shot_bit_for_bit(f):
+    # w rides in the idle v slot at an infinite atol, so it never steers the
+    # step size: u, its zeros and the (u, 0, u', 0) evaluator stay bit for bit
+    plain = unit_shot(f, 0.0567, (1.0, 0.0), False)
+    carried = unit_shot(f, 0.0567, (1.0, 0.0), True)
+    r = np.linspace(0.0, plain.t_events[0][-1], 2001)
+    assert np.array_equal(plain(r), carried(r))
+    assert np.array_equal(plain.t_events[0], carried.t_events[0])
+    assert np.array_equal(plain.y_events[0][:, [0, 2]], carried.y_events[0][:, [0, 2]])
+
+
+@pytest.mark.parametrize("f, d, slot", [(pure_power(4), (1.0, 0.0), 1),
+                                        (pure_power(3), (1.0, 0.0), 1),
+                                        (quartic_coupled(b=0.5), (1.0, 1.0), 4)])
+def test_sensitivity_gives_the_zero_drift(f, d, slot):
+    # dr_k/dmu' = -w(r_k)/u'(r_k) against a centred difference of two shots
+    mu_p, h = 0.2, 1e-5
+    y = unit_shot(f, mu_p, d, True).y_events[0][0]
+    drift = -y[slot] / y[2]
+    fd = (unit_shot(f, mu_p + h, d, False).t_events[0][0]
+          - unit_shot(f, mu_p - h, d, False).t_events[0][0]) / (2.0 * h)
+    assert drift == pytest.approx(fd, rel=1e-6)
 
 
 def test_mu_zero_shoot_integrates_once(monkeypatch):
