@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +181,8 @@ def cmd_sweep(args):
     # the pool forks all its workers at its first task: no more than there are groups
     workers = min(args.workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_group, jobs))
     else:

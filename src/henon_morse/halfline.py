@@ -31,13 +31,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import HypothesisViolated, MeshTooCoarse
 from .nonlinearity import NonlinearityF
 from .pencil import flux_pencil, lowest_eigenpair
-from .radial_bvp import ProblemParams
+from .radial_bvp import ProblemParams, simpson
 
 DEFAULT_HORIZON_SCALE = 30.0
 
@@ -110,7 +108,9 @@ def transform_profile(profile, T=None, grid_size=None):
     The profile is read at r = exp(-beta t) through the cubic Hermite
     interpolant of its stored grid and exact slopes, so a saved and reloaded
     profile transforms to the same arrays, and no step uses the equation the
-    residual checks.  Derivatives: du_k/dt = -kappa beta r u'(r).
+    residual checks.  The cubic and its derivative are evaluated as scipy's
+    ``CubicHermiteSpline`` does (PPoly's interval choice, coefficients and
+    term order), bit for bit.  Derivatives: du_k/dt = -kappa beta r u'(r).
     """
     p = profile.params
     beta = beta_of(p.N, p.alpha)
@@ -123,10 +123,15 @@ def transform_profile(profile, T=None, grid_size=None):
         grid_size = len(profile.grid) - 1
     t = np.linspace(0.0, T, grid_size + 1)
     r = np.exp(-beta * t)
-    spline = CubicHermiteSpline(profile.grid, np.array([profile.u, profile.v]),
-                                np.array([profile.du, profile.dv]), axis=1)
-    u, v = spline(r)
-    dur, dvr = spline.derivative()(r)
+    x, y, dy = profile.grid, np.array([profile.u, profile.v]), np.array([profile.du, profile.dv])
+    dx, i = np.diff(x), np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+    slope = np.diff(y) / dx
+    c = (dy[:, :-1] + dy[:, 1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = (a[:, i] for a in (y[:, :-1], dy[:, :-1],
+                                        (slope - dy[:, :-1]) / dx - c, c / dx))
+    s = r - x[i]
+    u, v = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+    dur, dvr = c1 + (c2 * 2.0) * s + (c3 * 3.0) * (s * s)
     return TransformedProfile(p, beta, gamma_of(p.N, p.alpha), t, kappa * u, kappa * v,
                               -kappa * beta * r * dur, -kappa * beta * r * dvr)
 
@@ -216,7 +221,7 @@ def eval_Qk(tp, lam, phi, dphi=None):
         + lam * tp.beta ** 2 * eg * (phi1 ** 2 + phi2 ** 2)
         - (U.m11 * phi1 ** 2 + 2.0 * U.m12 * phi1 * phi2 + U.m22 * phi2 ** 2)
     )
-    return float(simpson(quad, x=t))
+    return float(simpson(quad, t))
 
 
 def smooth_bump(tgrid, a, b):
@@ -252,7 +257,7 @@ def pohozaev_check(tp):
     eg = np.exp(-tp.gamma * t)
     g = (eg * (tp.du - tp.gamma * tp.u)) ** 2 + (eg * (tp.dv - tp.gamma * tp.v)) ** 2
     factor = 2.0 * (p.N + tp.gamma) / p.f.p
-    rhs = factor * float(simpson(g, x=t))
+    rhs = factor * float(simpson(g, t))
     lhs = float(tp.du[0] ** 2 + tp.dv[0] ** 2)
 
     # tail envelope: fit the decay rate over the last decade of samples
@@ -298,16 +303,16 @@ def pohozaev_identity_residual(tp):
     eg = np.exp(-tp.gamma * t)
     lhs = float(tp.du[0] ** 2 + tp.dv[0] ** 2)
 
-    int_F = float(simpson(np.exp(-(p.N + tp.gamma) * t) * F, x=t))
-    int_nu = float(simpson(np.exp(-(rho + tp.gamma) * t) * (nu1 * tp.u ** 2 + nu2 * tp.v ** 2), x=t))
+    int_F = float(simpson(np.exp(-(p.N + tp.gamma) * t) * F, t))
+    int_nu = float(simpson(np.exp(-(rho + tp.gamma) * t) * (nu1 * tp.u ** 2 + nu2 * tp.v ** 2), t))
     ida = 2.0 * (p.N + tp.gamma) * int_F - (rho + tp.gamma) * int_nu
     res_a = abs(lhs - ida) / (1.0 + abs(lhs))
 
     g = (eg * (tp.du - tp.gamma * tp.u)) ** 2 + (eg * (tp.dv - tp.gamma * tp.v)) ** 2
-    int_g = float(simpson(g, x=t))
+    int_g = float(simpson(g, t))
     idb = float(simpson(
         eg * (p.f.p * np.exp(-p.N * t) * F
-              - np.exp(-rho * t) * (nu1 * tp.u ** 2 + nu2 * tp.v ** 2)), x=t))
+              - np.exp(-rho * t) * (nu1 * tp.u ** 2 + nu2 * tp.v ** 2)), t))
     res_b = abs(int_g - idb) / (1.0 + abs(int_g))
     return max(res_a, res_b)
 

@@ -28,13 +28,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .errors import NonTermination, OverflowBlowUp
 from .nonlinearity import NonlinearityF
 from .pencil import flux_pencil, lowest_eigenpair
-from .radial_bvp import BLOWUP_GUARD, blowup_event, dop853_evaluator
+from .radial_bvp import BLOWUP_GUARD, blowup_event, simpson, solve_ivp
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -44,8 +42,8 @@ HALF_LINE = "half_line"
 class LimitTrajectory:
     """A sampled trajectory of the autonomous limit system.
 
-    ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T], by
-    ``radial_bvp.dop853_evaluator`` on the integration's steps.  ``period``
+    ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T], through the
+    dense output of ``radial_bvp.solve_ivp``.  ``period``
     is the period P of a closed scalar orbit, whose ``dense`` evaluates one
     integrated period at t mod P; it is None for every other trajectory.
     """
@@ -120,11 +118,10 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
         section.direction = 1.0
         section.terminal = 2  # the first crossing is the start itself
         events, tol = [*events, section], 1e-13
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True, events=events)
+    sol = solve_ivp(rhs, (0.0, T), y0, tol, tol, events=events)
     if len(sol.t_events[0]):
         raise OverflowBlowUp(f"limit trajectory exceeded {BLOWUP_GUARD:.0e} at t = {sol.t[-1]:.3f}")
-    period, dense = None, dop853_evaluator(sol.sol)
+    period, dense = None, sol.sol
     if scalar and len(sol.t_events[1]) == 2:
         period, one_period = float(sol.t_events[1][1]), dense
         dense = lambda t: one_period(np.mod(t, period))
@@ -149,7 +146,8 @@ def lower_mass_window(traj, eps, refine=2000):
     evaluator and each mass is integrated on its own window subgrid, so
     masses of congruent windows agree to quadrature precision.
     """
-    # deferred: importing scipy.signal roughly doubles the package import time
+    # deferred: scipy.signal and scipy.optimize roughly double the package import time
+    from scipy.optimize import minimize_scalar
     from scipy.signal import find_peaks
 
     t = traj.tgrid
@@ -176,7 +174,7 @@ def lower_mass_window(traj, eps, refine=2000):
             continue
         ts = np.linspace(c - eps, c + eps, refine + 1)
         vals = traj.dense(ts)
-        out.append((c, float(simpson(density_arrays(vals[0], vals[1]), x=ts))))
+        out.append((c, float(simpson(density_arrays(vals[0], vals[1]), ts))))
     return out
 
 

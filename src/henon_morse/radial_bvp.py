@@ -8,12 +8,14 @@ Radial profiles of
 on [0, 1] with u(1) = v(1) = 0 and u'(0) = v'(0) = 0 are computed by
 shooting from the center.  Integration starts from a second-order Taylor
 expansion at eps = 1e-6 (the (N-1)/r term is removably singular for regular
-radial data) and uses the adaptive Dormand-Prince 8(5,3) pair (DOP853), the
-one integrator of every radial IVP.  Each shot's dense output is evaluated
-once per profile, on the uniform certification grid with three points
-interleaved in each cell: the profile keeps the grid nodes, and the
-interior-zero check reads every point of the 4x grid, in one vectorized
-``dop853_evaluator`` pass, bit for bit scipy's ``OdeSolution``.
+radial data) and uses the adaptive Dormand-Prince 8(5,3) pair (DOP853) of
+``solve_ivp``, the one integrator of every radial shot and of the limit
+system: scipy's DOP853 step for step, on the tableau of scipy's own
+coefficient file, without importing ``scipy.integrate``.  Each shot's dense
+output is evaluated once per profile, on the uniform certification grid with
+three points interleaved in each cell: the profile keeps the grid nodes, and
+the interior-zero check reads every point of the 4x grid, in one vectorized
+pass, bit for bit scipy's ``OdeSolution``.
 
 The paper's scaling u -> lam^sigma u(lam r), sigma = (2 + alpha)/(p - 2),
 maps solutions with mu to solutions with lam^2 mu, so every shot starts at
@@ -43,12 +45,15 @@ identity), which is reported before any shot.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
-from scipy.integrate._ivp.rk import Dop853DenseOutput
+import scipy
 
 from .errors import DegenerateInput, NoBracket, NoConverge, OverflowBlowUp
 from .gates import RESIDUAL_GATE
@@ -198,33 +203,148 @@ def blowup_event():
     return event
 
 
-def dop853_evaluator(sol):
-    """Vectorized evaluator of the DOP853 ``OdeSolution`` sol, equal to sol(t) bit for bit.
+# scipy's DOP853 tableau, loaded by file path: the file imports numpy alone,
+# and importing it as a module would run scipy.integrate's heavy __init__
+_spec = importlib.util.spec_from_file_location(
+    "_dop853", Path(scipy.__file__).parent / "integrate/_ivp/dop853_coefficients.py")
+_DOP = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_DOP)
+_S = _DOP.N_STAGES  # 12
+# (row of A, node) of stages 1..15: 1..11 within a step, 13..15 for its dense output
+_STAGES = [(a[:s], c) for s, (a, c) in enumerate(zip(_DOP.A[1:], _DOP.C[1:]), start=1)]
 
-    The steps are stacked once; points then take one searchsorted, with the
-    segment choice of ``OdeSolution.__call__``, and the multiply-adds of
-    ``Dop853DenseOutput`` in its order.  Raises TypeError for other methods.
+
+def _interpolate(terms, t_old, h, y_old, t):
+    """scipy's ``Dop853DenseOutput`` at t, from the rows of F highest power first."""
+    x = np.asarray((t - t_old) / h)[..., None]
+    y = np.zeros(x.shape[:-1] + y_old.shape[-1:])
+    for i, f in enumerate(terms):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
+
+
+def _brentq(g, xpre, xcur, tol=4 * np.finfo(float).eps):
+    """Root of g in [xpre, xcur]: scipy's C brentq, xtol = rtol = tol, operation for operation."""
+    fpre, fcur = g(xpre), g(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("the event does not change sign over the step")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (tol + tol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            break
+        step = (sbis, sbis)  # bisect, unless an inverse interpolation step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                step = (scur, stry)
+        (spre, scur), xpre, fpre = step, xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = g(xcur)
+    return xcur
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
+    """scipy's ``solve_ivp(method="DOP853", dense_output=True)``, operation for operation.
+
+    Its initial step, stages, error norm, step control, dense coefficients
+    and events (``direction``, integer ``terminal``, brentq roots), forward
+    in t, so ``t``, ``nfev``, the events and ``sol`` are scipy's bit for bit;
+    ``sol`` evaluates any points in one vectorized pass.  ``message`` says
+    why a run failed (status -1), and is None otherwise.
     """
-    steps = sol.interpolants
-    if not all(type(step) is Dop853DenseOutput for step in steps):
-        raise TypeError("dop853_evaluator needs a DOP853 dense output")
-    t_old, h = np.array([(step.t_old, step.h) for step in steps]).T
-    y_old = np.array([step.y_old for step in steps])
-    F = np.array([step.F[::-1] for step in steps])  # highest power first
+    t, t_bound = map(float, t_span)
+    y, atol = np.asarray(y0, dtype=float), np.asarray(atol)
+    rtol, nfev = max(rtol, 100 * np.finfo(float).eps), 0
 
-    def evaluate(t):
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    fy, scale = f(t, y), atol + np.abs(y) * rtol  # select_initial_step
+    d0, d1 = (np.linalg.norm(v / scale) / y.size ** 0.5 for v in (y, fy))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    d2 = np.linalg.norm((f(t + h0, y + h0 * fy) - fy) / scale) / y.size ** 0.5 / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs, K = min(100 * h0, h1, t_bound - t), np.empty((_DOP.N_STAGES_EXTENDED, y.size))
+    ends = [getattr(e, "terminal", 0) or math.inf for e in events]
+    signs = [getattr(e, "direction", 0) for e in events]
+    counts, g = [0] * len(events), [e(t, y) for e in events]
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    ts, steps, status, message = [t], [], None, None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs, K[0] = np.abs(h), fy
+            for s, (a, c) in enumerate(_STAGES[:_S - 1], start=1):
+                K[s] = f(t + c * h, y + np.dot(K[:s].T, a) * h)
+            y_new = y + h * np.dot(K[:_S].T, _DOP.B)
+            K[_S] = f_new = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5, e3 = (np.linalg.norm(np.dot(K[:_S + 1].T, E) / scale) ** 2
+                      for E in (_DOP.E5, _DOP.E3))
+            error = h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error ** -0.125), True
+        else:
+            status, message = -1, "Required step size is less than spacing between numbers."
+            break
+        for s, (a, c) in enumerate(_STAGES[_S:], start=_S + 1):
+            K[s] = f(t + c * h, y + np.dot(K[:s].T, a) * h)
+        F = np.empty((_DOP.INTERPOLATOR_POWER, y.size))
+        F[0] = dy = y_new - y
+        F[1], F[2], F[3:] = h * K[0] - dy, 2 * dy - h * (f_new + K[0]), h * np.dot(_DOP.D, K)
+        steps.append((F, t, h, y))
+        step = partial(_interpolate, F[::-1], t, h, y)
+        t_old, t, y, fy = t, t_new, y_new, f_new
+        status, g_new = 0 if t >= t_bound else None, [e(t, y) for e in events]
+        active = [i for i, (a, b) in enumerate(zip(g, g_new))
+                  if (a <= 0 <= b and signs[i] >= 0) or (a >= 0 >= b and signs[i] <= 0)]
+        g, roots = g_new, sorted((_brentq(lambda s: float(events[i](s, step(s))), t_old, t), i)
+                                 for i in active)
+        counts = [c + (i in active) for i, c in enumerate(counts)]
+        if any(counts[i] >= ends[i] for i in active):
+            roots = roots[:1 + next(j for j, (_, i) in enumerate(roots) if counts[i] >= ends[i])]
+            status, t = 1, roots[-1][0]
+            y = step(t)
+        for root, i in roots:
+            t_events[i].append(root)
+            y_events[i].append(step(root))
+        if len(ts) > 1 and ts[-1] == t:  # a terminal root at the step's start
+            steps.pop()
+        else:
+            ts.append(t)
+    # a run that failed at its first step has no dense output
+    F, t_old, h, y_old = map(np.array, zip(*steps or [(None,) * 4]))
+    ts = np.array(ts)
+
+    def sol(t):  # OdeSolution's segment choice: a step point belongs to the earlier step
         t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(sol.ts_sorted, t, side=sol.side) - 1, 0, len(steps) - 1)
-        if not sol.ascending:
-            seg = len(steps) - 1 - seg
-        x = ((t - t_old[seg]) / h[seg])[..., None]
-        y = np.zeros(t.shape + y_old.shape[1:])
-        for i in range(F.shape[1]):
-            y += F[seg, i]
-            y *= x if i % 2 == 0 else 1 - x
-        return np.moveaxis(y + y_old[seg], -1, 0)
+        seg = np.clip(np.searchsorted(ts, t) - 1, 0, len(F) - 1)
+        terms = (F[seg, k] for k in reversed(range(F.shape[1])))
+        return np.moveaxis(_interpolate(terms, t_old[seg], h[seg], y_old[seg], t), -1, 0)
 
-    return evaluate
+    return SimpleNamespace(t=ts, t_events=list(map(np.asarray, t_events)), status=status,
+                           y_events=list(map(np.asarray, y_events)), message=message,
+                           nfev=nfev, sol=sol)
 
 
 def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
@@ -278,10 +398,8 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
         else:
             y0 = np.append(y0, w0)
             atol = np.array([atol] * 4 + [math.inf] * 2)
-    sol = solve_ivp(
-        _ivp_rhs(params, layout or None), (eps, r_end), y0, method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True, events=[guard, *events],
-    )
+    sol = solve_ivp(_ivp_rhs(params, layout or None), (eps, r_end), y0, rtol, atol,
+                    events=[guard, *events])
     if sol.t_events[0].size:
         raise OverflowBlowUp(
             f"|u|+|v| exceeded {BLOWUP_GUARD:.0e} at r = {sol.t[-1]:.6f} "
@@ -289,7 +407,7 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
         )
     if sol.status == -1:
         raise NoConverge(f"IVP integration failed: {sol.message}")
-    dense = dop853_evaluator(sol.sol)
+    dense = sol.sol
 
     def evaluate(r):
         r = np.asarray(r, dtype=float)
@@ -702,6 +820,21 @@ def require_certified(profile):
         )
 
 
+def simpson(y, x):
+    """scipy.integrate.simpson(y, x=x) on 1-D samples, bit for bit (even counts included)."""
+    n = len(y) - 1 + len(y) % 2  # the odd count the pairs of intervals cover
+    h = np.diff(x)
+    h0, h1 = h[0:n - 2:2], h[1:n - 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:n - 2:2] * (2.0 - 1.0 / ratio) + y[1:n - 1:2]
+                                 * (hsum * (hsum / (h0 * h1))) + y[2:n:2] * (2.0 - ratio)))
+    if n < len(y):  # scipy's three-point correction for the last interval
+        a, b = h[-2], h[-1]
+        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2] - b ** 3 / (6 * a * (a + b)) * y[-3])
+    return total
+
+
 def quadratic_part(profile):
     """Q = int (u'^2 + mu1 u^2 + v'^2 + mu2 v^2) over the ball (radial measure)."""
     p = profile.params
@@ -711,7 +844,7 @@ def quadratic_part(profile):
         profile.du ** 2 + p.mu1 * profile.u ** 2
         + profile.dv ** 2 + p.mu2 * profile.v ** 2
     ) * weight
-    return float(simpson(integrand, x=r))
+    return float(simpson(integrand, r))
 
 
 def nonlinear_mass(profile):
@@ -720,7 +853,7 @@ def nonlinear_mass(profile):
     r = profile.grid
     weight = sphere_area(p.N) * r ** (p.N - 1)
     integrand = r ** p.alpha * p.f.p * p.f.value(profile.u, profile.v) * weight
-    return float(simpson(integrand, x=r))
+    return float(simpson(integrand, r))
 
 
 def action_energy(profile):

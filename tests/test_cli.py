@@ -1,11 +1,16 @@
 """End-to-end checks of the command-line pipeline and file formats."""
 
+import concurrent.futures
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from henon_morse import cli, radial_bvp, spectral
+import henon_morse
+from henon_morse import radial_bvp, spectral
 from henon_morse.cli import main
 from henon_morse.io import (
     load_profile,
@@ -494,6 +499,22 @@ def test_sweep_onset_comes_from_the_positive_branch(tmp_path):
     assert payload["summary"]["smallest_alpha_with_index_above_1"] == 2.0
 
 
+# the same one-liner runs in the CI "Console script" step
+HEAVY_IMPORT_CHECK = (
+    "import sys, henon_morse.cli; heavy = sorted(m for m in sys.modules if m.split('.')[:2] in "
+    "[['scipy', s] for s in ('integrate', 'interpolate', 'optimize', 'special', 'signal')]); "
+    "assert not heavy, heavy"
+)
+
+
+def test_cli_import_loads_numpy_and_scipy_linalg_only():
+    # scipy.integrate and .interpolate pull in .special, .optimize and .sparse,
+    # about half the start-up of every CLI run
+    src = str(Path(henon_morse.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+                    + HEAVY_IMPORT_CHECK], check=True, capture_output=True, timeout=120)
+
+
 def test_sweep_pool_has_one_worker_per_group_at_most(tmp_path, monkeypatch):
     sizes = []
 
@@ -512,7 +533,7 @@ def test_sweep_pool_has_one_worker_per_group_at_most(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # imported at use
     payload = run_sweep(tmp_path, "pooled", MIXED, "--grid", "2000", "--mesh", "500",
                         "--workers", "64")
     assert sizes == [2]  # two groups, one per branch

@@ -25,6 +25,7 @@ from henon_morse.halfline import (
     transformed_residual,
     weighted_eigen_min,
 )
+from henon_morse.io import load_profile, save_profile
 from henon_morse.nonlinearity import pure_power, quartic_coupled
 from henon_morse.radial_bvp import (
     LANE_EMDEN_TOL,
@@ -54,6 +55,25 @@ def test_transform_alpha_zero_is_plain_substitution(solve):
     # at alpha = 0 the (M, 0) problem is the problem itself: the shot's own evaluator
     src = _scaling_amplitude(prof.params, 0, 1e-10, ivp_tol=LANE_EMDEN_TOL)[1](rs)
     assert np.allclose(tp.u, src[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("case", [dict(N=2, alpha=2.0, nodes=2),
+                                  dict(N=3, alpha=1.0, mu=1.0, nodes=1)])
+def test_transform_is_scipys_cubic_hermite_spline(tmp_path, solve, case):
+    # a solved profile and the same profile stored and reloaded, against
+    # CubicHermiteSpline on the stored grid and slopes, bit for bit
+    from scipy.interpolate import CubicHermiteSpline
+
+    save_profile(solve(**case), tmp_path / "p")
+    for prof in (solve(**case), load_profile(tmp_path / "p")):
+        tp = transform_profile(prof)
+        r = np.exp(-tp.beta * tp.tgrid)
+        spline = CubicHermiteSpline(prof.grid, np.array([prof.u, prof.v]),
+                                    np.array([prof.du, prof.dv]), axis=1)
+        u, v = tp.kappa * spline(r)
+        du, dv = -tp.kappa * tp.beta * r * spline.derivative()(r)
+        for ours, theirs in ((tp.u, u), (tp.v, v), (tp.du, du), (tp.dv, dv)):
+            assert np.array_equal(ours, theirs)
 
 
 def test_transform_dirichlet_image(solve):

@@ -18,7 +18,6 @@ from henon_morse.radial_bvp import (
     _scaling_amplitude,
     _taylor_start,
     action_energy,
-    dop853_evaluator,
     integrate_radial_ivp,
     lane_emden_shot,
     nehari_defect,
@@ -253,55 +252,84 @@ def test_shoot_evaluates_dense_output_once(monkeypatch):
     assert interior_zeros(prof) == 2
 
 
-def captured_solutions(monkeypatch, module):
-    """The OdeSolution of every solve_ivp call the module makes from now on."""
+def captured_calls(monkeypatch, module):
+    """(args, kwargs, result) of every solve_ivp call the module makes from now on."""
     real = module.solve_ivp
-    sols = []
+    calls = []
 
     def captured(*args, **kwargs):
         result = real(*args, **kwargs)
-        sols.append(result.sol)
+        calls.append((args, kwargs, result))
         return result
 
     monkeypatch.setattr(module, "solve_ivp", captured)
-    return sols
+    return calls
 
 
-def assert_evaluator_is_scipys(sol, grid):
-    # grid points, every step boundary, points outside [t_min, t_max] and
-    # the same points unsorted, then 0-d inputs: bit for bit OdeSolution.__call__
-    evaluate = dop853_evaluator(sol)
+def assert_kernel_is_scipys(call, grid=None):
+    # the call replayed through scipy: the same step points, RHS evaluations,
+    # event roots and states, and dense output bit for bit, on grid points,
+    # every step boundary, points outside [t_min, t_max], the same points
+    # unsorted, and 0-d inputs
+    (fun, t_span, y0, rtol, atol), kwargs, ours = call
+    ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True, **kwargs)
+    assert (ours.status, ours.nfev) == (ref.status, ref.nfev)
+    assert np.array_equal(ours.t, ref.t)
+    assert len(ours.t_events) == len(ref.t_events) == len(ours.y_events)
+    for pair in (*zip(ours.t_events, ref.t_events), *zip(ours.y_events, ref.y_events)):
+        assert np.array_equal(*pair)
+    sol = ref.sol
+    if grid is None:
+        grid = np.linspace(sol.t_min, sol.t_max, 5001)
     span = sol.t_max - sol.t_min
     outside = [sol.t_min - span, sol.t_min - 1e-9, sol.t_max + 1e-9, sol.t_max + span]
     points = np.concatenate([grid, sol.ts, outside])
     for t in (points, np.random.default_rng(7).permutation(points)):
-        assert np.array_equal(evaluate(t), sol(t))
+        assert np.array_equal(ours.sol(t), sol(t))
     for t in (sol.ts[0], sol.ts[len(sol.ts) // 2], grid[len(grid) // 3], *outside):
-        assert evaluate(np.asarray(t)).shape == evaluate(float(t)).shape == (4,)
-        assert np.array_equal(evaluate(np.asarray(t)), sol(t))
+        assert ours.sol(np.asarray(t)).shape == ours.sol(float(t)).shape == y0.shape
+        assert np.array_equal(ours.sol(np.asarray(t)), sol(t))
 
 
-def test_dop853_evaluator_on_a_lane_emden_shot(monkeypatch):
-    sols = captured_solutions(monkeypatch, radial_bvp)
+def test_dop853_kernel_is_scipys_on_a_lane_emden_shot(monkeypatch):
+    calls = captured_calls(monkeypatch, radial_bvp)
     lane_emden_shot(params_for(2, 4.0), 1)
-    (sol,) = sols
-    assert len(sol.ts) > 20
-    assert_evaluator_is_scipys(sol, np.linspace(sol.t_min, sol.t_max, 4001))
+    (call,) = calls
+    assert len(call[2].t) > 20 and call[2].status == 1
+    assert_kernel_is_scipys(call)
 
 
-def test_dop853_evaluator_on_a_liouville_period(monkeypatch):
-    sols = captured_solutions(monkeypatch, liouville)
+def test_dop853_kernel_is_scipys_on_mu_positive_sensitivity_shots(monkeypatch):
+    # (u, w, u', w') with an infinite atol on w, ended at the second zero
+    calls = captured_calls(monkeypatch, radial_bvp)
+    shoot_nodal(params_for(3, 1.0, mu=1.0), 1)
+    assert len(calls) >= 3
+    for call in calls:
+        assert np.isinf(call[0][4][1])
+        assert_kernel_is_scipys(call)
+
+
+def test_dop853_kernel_is_scipys_on_a_liouville_period(monkeypatch):
+    calls = captured_calls(monkeypatch, liouville)
     traj = liouville.integrate_limit_system(pure_power(4), 1.0, liouville.HALF_LINE,
                                             (0.0, 0.0, math.sqrt(2.0), 0.0), T=125.0, steps=2500)
-    (sol,) = sols
-    assert traj.period == pytest.approx(sol.t_max)
-    assert_evaluator_is_scipys(sol, np.mod(traj.tgrid, traj.period))
+    (call,) = calls
+    assert traj.period == call[2].t[-1] == call[2].t_events[1][1]
+    assert_kernel_is_scipys(call, np.mod(traj.tgrid, traj.period))
 
 
-def test_dop853_evaluator_refuses_other_interpolants():
-    sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="RK45", dense_output=True)
-    with pytest.raises(TypeError):
-        dop853_evaluator(sol.sol)
+@pytest.mark.parametrize("n", [1001, 2001, 2501, 4001, 8001, 1002, 4002])
+def test_simpson_is_scipys(solve, n):
+    # the r- and t-grid lengths of the pipeline (grid + 1, Liouville windows
+    # and horizons), odd and even, on a profile's energy integrand
+    from scipy.integrate import simpson as scipy_simpson
+
+    prof = solve(2, 4.0)
+    for x in (np.linspace(0.0, 1.0, n), np.linspace(0.3, 17.0, n), np.sort(np.append(
+            np.random.default_rng(n).uniform(0.0, 1.0, n - 2), [0.0, 1.0]))):
+        y = np.interp(x, prof.grid, prof.du) ** 2 * x + np.sin(7.0 * x)
+        assert radial_bvp.simpson(y, x) == scipy_simpson(y, x=x)
 
 
 def test_positive_shoot_certificates(solve):

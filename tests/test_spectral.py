@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henon_morse import spectral
 from henon_morse.errors import DegenerateInput
@@ -128,6 +130,23 @@ def test_count_monotone_in_ell():
         spec = scalar_spec(3, ell, V)
         counts.append(count_negative_eigenvalues(spec, 800))
     assert all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
+
+
+# certified profiles as ``solve`` arguments: positive, nodal, mu > 0, coupled
+CERTIFIED = [dict(N=2, alpha=4.0), dict(N=2, alpha=2.0, nodes=2),
+             dict(N=3, alpha=1.0, mu=1.0, nodes=1),
+             dict(N=2, alpha=4.0, family="quartic_coupled", b=0.5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CERTIFIED), ell=st.integers(0, 30), gap=st.integers(1, 8),
+       mesh=st.sampled_from([400, 1000]))
+def test_sector_counts_never_increase_with_ell(solve, case, ell, gap, mesh):
+    # the centrifugal term lambda_l / r^2 only grows with l
+    profile = solve(**case)
+    low, high = (count_negative_eigenvalues(build_sector(profile, k), mesh)
+                 for k in (ell, ell + gap))
+    assert low >= high
 
 
 def test_count_monotone_in_potential_shift():
