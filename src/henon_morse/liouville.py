@@ -146,7 +146,7 @@ def lower_mass_window(traj, eps, refine=2000):
     evaluator and each mass is integrated on its own window subgrid, so
     masses of congruent windows agree to quadrature precision.
     """
-    # deferred: scipy.signal and scipy.optimize roughly double the package import time
+    # deferred: scipy.signal and scipy.optimize cost several times the whole package import
     from scipy.optimize import minimize_scalar
     from scipy.signal import find_peaks
 

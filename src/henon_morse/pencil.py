@@ -25,16 +25,21 @@ pencils of a d12 = 0 pencil (every scalar sector, window and weighted form),
 by the block LDL^T pivot recursion on a coupled one.
 The lowest eigenvalue is certified by an isolating Sturm bracket from the
 pencil's own ``gershgorin_floor`` and the Kato-Temple bound.
+LAPACK is scipy's compiled wrapper ``linalg/_flapack``, loaded by file path:
+importing ``scipy.linalg`` (numpy.f2py, numpy.testing) for two routines would
+double the start-up of every CLI run.  ``solve_banded`` is scipy's ``dgbsv`` path.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dstebz
+import scipy
 
 from .errors import SingularPivot
 
@@ -42,6 +47,37 @@ PIVOT_TINY = 1e-300
 ZERO_PIVOT = 1e-14  # a 2x2 pivot with |det| <= ZERO_PIVOT scale^2 is singular
 SHIFT_NUDGES = (0.0, 1e2, -1e2, 1e4)  # in units of the shift's _zero_pivot_band
 SEED = 4242  # random start of the inverse iteration in lowest_eigenpair
+
+
+def load_scipy_file(name, *paths):
+    """Module ``name`` run from the first file of ``paths`` in scipy's package; ImportError if none."""
+    tried = [Path(scipy.__file__).parent / p for p in paths]
+    found = [p for p in tried if p.is_file()]
+    if not found:
+        raise ImportError(f"{name}: no file {' or '.join(map(str, tried))}", name=name)
+    spec = importlib.util.spec_from_file_location(name, found[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = load_scipy_file(
+    "_flapack", *(f"linalg/_flapack{ext}" for ext in importlib.machinery.EXTENSION_SUFFIXES))
+dstebz = _FLAPACK.dstebz
+
+
+def solve_banded(l_and_u, ab, b):
+    """x with A x = b, ab[u + i - j, j] = A[i, j]: scipy's ``solve_banded`` on its ``dgbsv`` path.
+
+    ValueError on a non-finite ``ab`` or ``b``, ``np.linalg.LinAlgError`` on an exactly singular A.
+    """
+    nl, nu = l_and_u
+    ab, b = np.asarray_chkfinite(ab, dtype=float), np.asarray_chkfinite(b, dtype=float)
+    lu = np.concatenate([np.zeros((nl, ab.shape[1])), ab])  # nl rows on top for dgbsv's fill-in
+    *_, x, info = _FLAPACK.dgbsv(nl, nu, lu, b, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def top_eigenvalue(a, b, c):

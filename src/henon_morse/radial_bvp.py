@@ -45,19 +45,17 @@ identity), which is reported before any shot.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy
 
 from .errors import DegenerateInput, NoBracket, NoConverge, OverflowBlowUp
 from .gates import RESIDUAL_GATE
 from .nonlinearity import NonlinearityF
+from .pencil import load_scipy_file
 
 EPS_ORIGIN = 1e-6
 BLOWUP_GUARD = 1e12
@@ -203,12 +201,8 @@ def blowup_event():
     return event
 
 
-# scipy's DOP853 tableau, loaded by file path: the file imports numpy alone,
-# and importing it as a module would run scipy.integrate's heavy __init__
-_spec = importlib.util.spec_from_file_location(
-    "_dop853", Path(scipy.__file__).parent / "integrate/_ivp/dop853_coefficients.py")
-_DOP = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_DOP)
+# scipy's DOP853 tableau by file path: it imports numpy alone, scipy.integrate far more
+_DOP = load_scipy_file("_dop853", "integrate/_ivp/dop853_coefficients.py")
 _S = _DOP.N_STAGES  # 12
 # (row of A, node) of stages 1..15: 1..11 within a step, 13..15 for its dense output
 _STAGES = [(a[:s], c) for s, (a, c) in enumerate(zip(_DOP.A[1:], _DOP.C[1:]), start=1)]

@@ -22,6 +22,7 @@ from henon_morse.io import (
 )
 from henon_morse.halfline import transform_profile
 from henon_morse.nonlinearity import pure_power
+from henon_morse.pencil import load_scipy_file
 from henon_morse.radial_bvp import (
     ProblemParams,
     RadialProfile,
@@ -501,18 +502,36 @@ def test_sweep_onset_comes_from_the_positive_branch(tmp_path):
 
 # the same one-liner runs in the CI "Console script" step
 HEAVY_IMPORT_CHECK = (
-    "import sys, henon_morse.cli; heavy = sorted(m for m in sys.modules if m.split('.')[:2] in "
-    "[['scipy', s] for s in ('integrate', 'interpolate', 'optimize', 'special', 'signal')]); "
+    "import sys, scipy; bare = set(sys.modules); import henon_morse.cli; "
+    "heavy = sorted(m for m in set(sys.modules) - bare if m.split('.')[0] == 'scipy'); "
     "assert not heavy, heavy"
 )
 
 
-def test_cli_import_loads_numpy_and_scipy_linalg_only():
-    # scipy.integrate and .interpolate pull in .special, .optimize and .sparse,
-    # about half the start-up of every CLI run
+def test_cli_import_loads_numpy_and_bare_scipy_only():
+    # any scipy subpackage costs start-up on every CLI run: scipy.linalg alone
+    # (numpy.f2py, numpy.testing) more than doubles it, and .integrate,
+    # .interpolate and .optimize cost more again
     src = str(Path(henon_morse.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
                     + HEAVY_IMPORT_CHECK], check=True, capture_output=True, timeout=120)
+
+
+def test_missing_scipy_file_is_a_named_import_error(tmp_path):
+    # a scipy with no linalg/ (a stub package first on the path): the import
+    # fails with the wrapper's name and the paths it looked for
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    src = str(Path(henon_morse.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path[:0] = [{str(tmp_path)!r}, "
+                          f"{src!r}]; import henon_morse.cli"], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1 and "\nImportError: _flapack: no file " in out.stderr, out.stderr
+
+
+def test_missing_tableau_is_a_named_import_error():
+    # radial_bvp loads the DOP853 tableau through the same helper
+    with pytest.raises(ImportError, match=r"_dop853: no file \S+integrate/_ivp/dop853_moved\.py"):
+        load_scipy_file("_dop853", "integrate/_ivp/dop853_moved.py")
 
 
 def test_sweep_pool_has_one_worker_per_group_at_most(tmp_path, monkeypatch):

@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh
+from scipy.linalg import solve_banded as scipy_solve_banded
+from scipy.linalg.lapack import dstebz as scipy_dstebz
 
+from henon_morse import pencil as pencil_module
 from henon_morse.errors import SingularPivot
 from henon_morse.pencil import (
     _negative_pivots,
     count_below,
+    dstebz,
     flux_pencil,
     gershgorin_floor,
     lowest_eigenpair,
+    solve_banded,
 )
+from henon_morse.spectral import morse_index
 
 from oracles import dense_flux_form, dense_pencil, dense_pencil_eigvals
 
@@ -142,6 +149,16 @@ def test_lowest_eigenpair_matches_dense_oracle(pencil):
     assert np.linalg.norm(A @ y - mu * (B @ y)) <= 1e-6 * scale
 
 
+def two_wells(link, coupling, m=40):
+    """Flux-form pencil of two mirror-image wells joined by one link, coupled when coupling != 0."""
+    h = 1.0 / m
+    well = 30.0 * np.exp(-40.0 * (h * np.arange(1, m + 1) - 0.5) ** 2)
+    V = np.concatenate([well, well[::-1]])
+    k = np.full(2 * m + 1, 1.0 / h)
+    k[m] = link
+    return flux_pencil(k, h, -V, coupling * V, -0.5 * V, np.full(2 * m, h))
+
+
 @pytest.mark.parametrize("link, isolated", [(1e-7, True), (0.0, False)])
 def test_lowest_eigenpair_of_two_weakly_coupled_wells(link, isolated, monkeypatch):
     # two mirror-image wells joined by one link: link 1e-7 puts lambda_2 about
@@ -150,13 +167,7 @@ def test_lowest_eigenpair_of_two_weakly_coupled_wells(link, isolated, monkeypatc
     # certifies the Rayleigh quotient against that hi in fewer counts than a
     # bisection to width 1e-13 takes.  Unjoined wells (link 0) share lambda_1,
     # no bracket isolates it, and the bisection goes on to width 1e-13.
-    m = 40
-    h = 1.0 / m
-    well = 30.0 * np.exp(-40.0 * (h * np.arange(1, m + 1) - 0.5) ** 2)
-    V = np.concatenate([well, well[::-1]])
-    k = np.full(2 * m + 1, 1.0 / h)
-    k[m] = link
-    pen = flux_pencil(k, h, -V, 0.3 * V, -0.5 * V, np.full(2 * m, h))
+    pen = two_wells(link, 0.3)
     eig = dense_pencil_eigvals(*pen)
     assert (eig[1] - eig[0] > 1e-9 * abs(eig[0])) == isolated
 
@@ -255,3 +266,74 @@ def test_bisection_stops_in_a_zero_pivot_band():
     mu, x = lowest_eigenpair(pencil)
     assert abs(mu) <= 1e-10
     assert abs(x[0] + x[1]) <= 1e-8 * abs(x[0])
+
+
+def recorded(monkeypatch, name):
+    """The argument tuples of every call the pencil module makes to ``name`` from now on."""
+    calls, real = [], getattr(pencil_module, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pencil_module, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+@pytest.mark.parametrize("link", [1e-7, 0.0])
+def test_solve_banded_is_scipys_on_lowest_eigenpair_bands(link, coupling, monkeypatch):
+    # the shifted (2, 2) bands of the inverse and Rayleigh-quotient steps, on a
+    # scalar and a coupled pencil, isolated (link 1e-7) or not (link 0)
+    calls = recorded(monkeypatch, "solve_banded")
+    lowest_eigenpair(two_wells(link, coupling, m=400))
+    assert len(calls) >= 5  # four inverse steps, then Rayleigh steps or six more
+    for l_and_u, ab, b in calls:
+        assert l_and_u == (2, 2)
+        assert np.array_equal(solve_banded(l_and_u, ab, b), scipy_solve_banded(l_and_u, ab, b))
+
+
+@PROPERTY
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    arrays(float, (5, n), elements=st.floats(-4.0, 4.0)), arrays(float, n, elements=st.floats(-4.0, 4.0)))))
+def test_solve_banded_is_scipys_on_random_bands(band):
+    # n >= 2: scipy divides a 1 x 1 system by hand instead of calling dgbsv
+    ab, b = band
+    try:
+        want = scipy_solve_banded((2, 2), ab, b)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded((2, 2), ab, b)
+        return
+    # equal_nan: a band of subnormals overflows to nan in both, at the same entries
+    assert np.array_equal(solve_banded((2, 2), ab, b), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["ab", "b"])
+def test_solve_banded_refuses_non_finite_input(bad, where):
+    ab, b = np.ones((5, 4)), np.ones(4)
+    ab[2] = 5.0
+    (ab[1] if where == "ab" else b)[2] = bad
+    with pytest.raises(ValueError):
+        solve_banded((2, 2), ab, b)
+
+
+def test_solve_banded_raises_linalg_error_on_a_singular_band():
+    ab = np.zeros((5, 4))
+    ab[2] = [1.0, 2.0, 0.0, 3.0]  # diagonal with an exact zero
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy_solve_banded((2, 2), ab, np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((2, 2), ab, np.ones(4))
+
+
+def test_dstebz_is_scipys_on_sector_counts(solve, monkeypatch):
+    # every stacked scalar count of a Morse index: the same count tuple as
+    # scipy.linalg.lapack's dstebz, from the same wrapper loaded by file path
+    calls = recorded(monkeypatch, "dstebz")
+    morse_index(solve(2, 4.0), 400)
+    assert len(calls) >= 10
+    for args in calls:
+        ours, theirs = dstebz(*args), scipy_dstebz(*args)
+        assert len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))

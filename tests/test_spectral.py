@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from henon_morse import spectral
@@ -331,3 +331,20 @@ def test_mapped_counts_match_own_pencil(nodes):
                 assert max(a[0], b[0]) < min(a[1], b[1])
     with pytest.raises(ValueError):
         morse_index(shoot_positive(params_for(3, 2.0)), 1000, spectrum)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([2, 3, 4]), alpha=st.floats(0.0, 8.0), nodes=st.sampled_from([0, 1]))
+def test_mu_zero_map_keeps_the_index(N, alpha, nodes):
+    # the (M, 0) image counted against the ladder scaled by 1/beta^2 gives the
+    # r-grid counts sector by sector, for every N (not only N = 2, where one
+    # image serves every alpha); p = 3 is subcritical for every N <= 4.  An
+    # example is skipped only when either side warns of a near-degenerate
+    # sector or is not mesh-stable: there the two discretizations may differ
+    params = params_for(N, alpha, p=3.0)
+    shot = lane_emden_shot(params, nodes)
+    prof = shoot_nodal(params, nodes, shot=shot)
+    mapped = morse_index(prof, 400, SingularSpectrum(shot.profile, 400))
+    own = morse_index(prof, 400)
+    assume(not (mapped.warnings or own.warnings) and mapped.mesh_stable and own.mesh_stable)
+    assert mapped.per_ell == own.per_ell
