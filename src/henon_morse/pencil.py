@@ -21,8 +21,9 @@ set to 0 is a reflecting or natural end.
 Because B is diagonal positive, the number of eigenvalues below a shift s
 equals the number of negative eigenvalues of A - s B (Sylvester), counted
 without computing any eigenvalue: by LAPACK ``dstebz`` on the two tridiagonal
-pencils of a d12 = 0 pencil (every scalar sector, window and weighted form),
-by the block LDL^T pivot recursion on a coupled one.
+pencils a d12 = 0 pencil (every scalar sector, window and weighted form) or a
+d11 = d22 one (every coupled pencil of the CLI) splits into, by the block
+LDL^T pivot recursion on any other.
 The lowest eigenvalue is certified by an isolating Sturm bracket from the
 pencil's own ``gershgorin_floor`` and the Kato-Temple bound.
 LAPACK is scipy's compiled wrapper ``linalg/_flapack``, loaded by file path:
@@ -39,7 +40,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import SingularPivot
 
@@ -51,7 +51,10 @@ SEED = 4242  # random start of the inverse iteration in lowest_eigenpair
 
 def load_scipy_file(name, *paths):
     """Module ``name`` run from the first file of ``paths`` in scipy's package; ImportError if none."""
-    tried = [Path(scipy.__file__).parent / p for p in paths]
+    scipy = importlib.util.find_spec("scipy")  # located, not imported: that costs 18 ms
+    if scipy is None:
+        raise ImportError(f"{name}: scipy is not installed", name=name)
+    tried = [Path(scipy.submodule_search_locations[0]) / p for p in paths]
     found = [p for p in tried if p.is_file()]
     if not found:
         raise ImportError(f"{name}: no file {' or '.join(map(str, tried))}", name=name)
@@ -161,20 +164,22 @@ def count_below(pencil, s):
 
     With d12 = 0, one ``dstebz`` call counts both tridiagonal pencils, stacked
     with a zero link, in their scaled standard forms d / bw, off / sqrt(bw_i
-    bw_(i+1)), of the same inertia (Sylvester).  RANGE 'V' over (-inf, vu],
-    vu the float below s, with ABSTOL = inf takes just the Sturm counts, and
-    LAPACK's pivmin rule stands in for the nudges.  Coupled pencils, and those
-    with non-finite scaled entries, run ``_negative_pivots``: a machine-zero
-    pivot is retried at the shift nudged by SHIFT_NUDGES times its
-    ``_zero_pivot_band``.  A pivot just outside its band would leave the next
+    bw_(i+1)), of the same inertia (Sylvester).  With d11 = d22 (the diagonal
+    u = v of a symmetric system) the rotation (w1 +- w2)/sqrt(2) at each node
+    splits it into (d11 + d12, off, bw) and (d22 - d12, off, bw), which the
+    same call counts.  RANGE 'V' over (-inf, vu], vu the float below s, with
+    ABSTOL = inf takes just the Sturm counts, and LAPACK's pivmin rule stands
+    in for the nudges.  Other coupled pencils, and those with non-finite
+    scaled entries, run ``_negative_pivots``: a machine-zero pivot is retried
+    at the shift nudged by SHIFT_NUDGES times its ``_zero_pivot_band``.  A pivot just outside its band would leave the next
     one dominated by off^2 / pivot, near-singular in turn; a hundred bands
     keep that ratio clear of ZERO_PIVOT.  SingularPivot is raised only when
     every nudge hits a zero pivot.
     """
     d11, d12, d22, off, bw = pencil
-    if not np.any(d12):
+    if not np.any(d12) or np.array_equal(d11, d22):
         e = off / np.sqrt(bw[:-1] * bw[1:])
-        d, e = np.concatenate([d11 / bw, d22 / bw]), np.concatenate([e, [0.0], e])
+        d, e = np.concatenate([(d11 + d12) / bw, (d22 - d12) / bw]), np.concatenate([e, [0.0], e])
         if np.all(np.isfinite(d)) and np.all(np.isfinite(e * e)):
             m, *_, info = dstebz(d, e, 1, -np.inf, np.nextafter(s, -np.inf), 0, 0, np.inf, "E")
             if info == 0:

@@ -22,8 +22,8 @@ maps solutions with mu to solutions with lam^2 mu, so every shot starts at
 unit amplitude (on the diagonal ansatz for symmetric systems) and stops at
 its (k+1)-th zero r_k; lam = r_k turns it into the k-node profile for
 mu = mu' r_k^2 with amplitude r_k^sigma, with no second integration.  With
-mu > 0, Newton steps in log mu' solve mu' r_k^2 = mu; each shot carries the
-sensitivity w = du/dmu', which gives dr_k/dmu' = -w(r_k)/u'(r_k).
+mu > 0, inexact Newton steps in log mu' (loose shots first) solve mu' r_k^2 = mu;
+each shot carries the sensitivity w = du/dmu': dr_k/dmu' = -w(r_k)/u'(r_k).
 
 With mu = 0 a second change of variables removes alpha: t = r^beta,
 beta = (2 + alpha)/2, turns the problem in dimension N into the Lane-Emden
@@ -63,6 +63,11 @@ AMPLITUDE_CAP = 1e8
 # (rtol, atol) of an (M, 0) shot: the map multiplies u by beta^(2/(p-2)) and
 # u' by a further beta r^(beta-1), so it runs ten times tighter than an r-shot
 LANE_EMDEN_TOL = (1e-13, 1e-15)
+# mu > 0: shots run at LOOSE_TOL while |g| >= LOOSE_G, far above their error
+# in g, up to LOOSE_SHOTS of them (``_scaling_amplitude``)
+LOOSE_TOL = (1e-8, 1e-10)
+LOOSE_G = 1e-2
+LOOSE_SHOTS = 12
 
 
 def sphere_area(N):
@@ -204,8 +209,9 @@ def blowup_event():
 # scipy's DOP853 tableau by file path: it imports numpy alone, scipy.integrate far more
 _DOP = load_scipy_file("_dop853", "integrate/_ivp/dop853_coefficients.py")
 _S = _DOP.N_STAGES  # 12
-# (row of A, node) of stages 1..15: 1..11 within a step, 13..15 for its dense output
-_STAGES = [(a[:s], c) for s, (a, c) in enumerate(zip(_DOP.A[1:], _DOP.C[1:]), start=1)]
+# (stage, row of A, node) of stages 1..11 within a step and 13..15 for its dense output
+_STAGES = [(s, a[:s], float(c)) for s, (a, c) in enumerate(zip(_DOP.A[1:], _DOP.C[1:]), start=1)]
+_STAGES_MAIN, _STAGES_DENSE = _STAGES[:_S - 1], _STAGES[_S:]
 
 
 def _interpolate(terms, t_old, h, y_old, t):
@@ -260,37 +266,33 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
     """
     t, t_bound = map(float, t_span)
     y, atol = np.asarray(y0, dtype=float), np.asarray(atol)
-    rtol, nfev = max(rtol, 100 * np.finfo(float).eps), 0
-
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    fy, scale = f(t, y), atol + np.abs(y) * rtol  # select_initial_step
+    rtol, nfev = max(rtol, 100 * np.finfo(float).eps), 2  # select_initial_step's two calls
+    fy, scale = np.asarray(fun(t, y), dtype=float), atol + np.abs(y) * rtol
     d0, d1 = (np.linalg.norm(v / scale) / y.size ** 0.5 for v in (y, fy))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    d2 = np.linalg.norm((f(t + h0, y + h0 * fy) - fy) / scale) / y.size ** 0.5 / h0
+    d2 = np.linalg.norm((np.asarray(fun(t + h0, y + h0 * fy)) - fy) / scale) / y.size ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs, K = min(100 * h0, h1, t_bound - t), np.empty((_DOP.N_STAGES_EXTENDED, y.size))
+    KT = [K[:s].T for s in range(len(K) + 1)]  # stage s reads K[:s].T: views made once
     ends = [getattr(e, "terminal", 0) or math.inf for e in events]
     signs = [getattr(e, "direction", 0) for e in events]
     counts, g = [0] * len(events), [e(t, y) for e in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     ts, steps, status, message = [t], [], None, None
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while h_abs >= min_step:
-            t_new = min(t + h_abs, t_bound)
+            t_new = float(min(t + h_abs, t_bound))  # Python floats: the RHS runs on them
             h = t_new - t
-            h_abs, K[0] = np.abs(h), fy
-            for s, (a, c) in enumerate(_STAGES[:_S - 1], start=1):
-                K[s] = f(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:_S].T, _DOP.B)
-            K[_S] = f_new = f(t + h, y_new)
+            h_abs, K[0] = abs(h), fy
+            for s, a, c in _STAGES_MAIN:  # each RHS tuple goes straight into its row of K
+                K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
+            y_new = y + h * np.dot(KT[_S], _DOP.B)
+            K[_S] = fun(t + h, y_new)
+            nfev += _S
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = (np.linalg.norm(np.dot(K[:_S + 1].T, E) / scale) ** 2
+            e5, e3 = (np.linalg.norm(np.dot(KT[_S + 1], E) / scale) ** 2
                       for E in (_DOP.E5, _DOP.E3))
             error = h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
             if error < 1:
@@ -301,14 +303,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
         else:
             status, message = -1, "Required step size is less than spacing between numbers."
             break
-        for s, (a, c) in enumerate(_STAGES[_S:], start=_S + 1):
-            K[s] = f(t + c * h, y + np.dot(K[:s].T, a) * h)
+        for s, a, c in _STAGES_DENSE:
+            K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
+        nfev += len(_STAGES_DENSE)
         F = np.empty((_DOP.INTERPOLATOR_POWER, y.size))
         F[0] = dy = y_new - y
-        F[1], F[2], F[3:] = h * K[0] - dy, 2 * dy - h * (f_new + K[0]), h * np.dot(_DOP.D, K)
+        F[1], F[2], F[3:] = h * K[0] - dy, 2 * dy - h * (K[_S] + K[0]), h * np.dot(_DOP.D, K)
         steps.append((F, t, h, y))
         step = partial(_interpolate, F[::-1], t, h, y)
-        t_old, t, y, fy = t, t_new, y_new, f_new
+        t_old, t, y, fy = t, t_new, y_new, K[_S].copy()
         status, g_new = 0 if t >= t_bound else None, [e(t, y) for e in events]
         active = [i for i, (a, b) in enumerate(zip(g, g_new))
                   if (a <= 0 <= b and signs[i] >= 0) or (a >= 0 >= b and signs[i] <= 0)]
@@ -479,12 +482,18 @@ def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
     last bit: the sensitivity to mu' grows like e^sqrt(mu)), the best shot
     is kept if its mu mismatch |g| is within RESIDUAL_GATE.
 
+    Inexact Newton (Dembo, Eisenstat, Steihaug 1982): shots run at LOOSE_TOL
+    while |g| >= LOOSE_G, at most LOOSE_SHOTS of them, then at ``ivp_tol``.
+    A loose g is off by up to 2e-3 (N = 3, alpha = 1, mu = 100), so a loose
+    shot narrows the bracket only at |g| >= LOOSE_G, is never the profile,
+    and without the zero at mu' = 0 is shot again tight.
+
     Shots stop at r_cap = AMPLITUDE_CAP^(1/sigma), and those with mu' > 0
     also at 2 sqrt(mu/mu'), since a later zero puts mu' r_k^2 above 4 mu.  A
     shot without the zero counts as one at its end: above the root, or, at
     r_cap, below the mu' = mu/r_cap^2 where any root with an amplitude up to
     the cap lies.  Converging on such a shot means no amplitude up to the cap.
-    ``ivp_tol`` is the shots' (rtol, atol).
+    ``ivp_tol`` is the (rtol, atol) of the tight shots, and of every mu = 0 shot.
     """
     sigma = (2.0 + params.alpha) / (params.f.p - 2.0)
     r_cap = AMPLITUDE_CAP ** (1.0 / sigma)
@@ -495,13 +504,14 @@ def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
 
     zero.terminal = k + 1
 
-    def shot(mu_p, r_end):
+    def shot(mu_p, r_end, tight=True):
         """(r_k, evaluator, r_k') of the unit shot with mu'; (r_end, None, 0) without the zero."""
-        # atol = rtol / 100, that of a shot at amplitude 100: this shot is
+        # atol = rtol / 100, that of a shot at amplitude 100: a tight shot is
         # scaled up to the profile, and a looser one adds noise to residual
         try:
             dense = _integrate_dense(replace(params, mu1=mu_p, mu2=mu_p),
-                                     (1.0, 1.0 if diagonal else 0.0), *ivp_tol,
+                                     (1.0, 1.0 if diagonal else 0.0),
+                                     *(ivp_tol if tight else LOOSE_TOL),
                                      r_end=r_end, events=[zero], sensitivity=mu > 0.0)
         except OverflowBlowUp:
             return r_end, None, 0.0
@@ -516,8 +526,12 @@ def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
     def settled(g, r_k):
         return sigma * g * r_k ** sigma <= 2.0 * tol * (1.0 + r_k ** sigma)
 
-    r_k, dense, dr = shot(0.0, r_cap)
-    best = (0.0 if mu == 0.0 else math.inf, r_k, dense)  # (|g|, r_k, evaluator)
+    loose = LOOSE_SHOTS if mu > 0.0 else 0  # loose shots left
+    r_k, dense, dr = shot(0.0, r_cap, loose < 1)
+    if dense is None and loose:  # only a tight shot rules out the zero
+        loose, (r_k, dense, dr) = 0, shot(0.0, r_cap)
+    # (|g|, r_k, evaluator); at mu > 0 the mu' = 0 shot only tells NoConverge from NoBracket
+    best = (0.0 if mu == 0.0 else math.inf, r_k, dense)
     if mu > 0.0 and dense is not None:
         t = math.log(mu / r_k ** 2)  # the root if r_k did not move
         x = dr * math.exp(t)
@@ -525,18 +539,23 @@ def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
             t += 2.0 * math.log((r_k + 2.0 * x) / (r_k + 3.0 * x))
         lo, hi = -math.inf, math.inf  # t below and above the root
         for _ in range(100):
-            mu_p = math.exp(t)
-            r_k, dense, dr = shot(mu_p, min(r_cap, 2.0 * math.sqrt(mu / mu_p)))
+            mu_p, loose = math.exp(t), loose - 1  # the previous shot took one
+            tight = loose < 1
+            r_k, dense, dr = shot(mu_p, min(r_cap, 2.0 * math.sqrt(mu / mu_p)), tight)
             g = math.log(mu_p * r_k * r_k / mu)
-            best = min(best, (abs(g), r_k, dense), key=lambda b: b[0])
-            if settled(*best[:2]):
-                break
-            lo, hi = (lo, t) if g > 0.0 else (t, hi)
+            if tight:  # only a tight shot may be the profile
+                best = min(best, (abs(g), r_k, dense), key=lambda b: b[0])
+                if settled(*best[:2]):
+                    break
+            if tight or abs(g) >= LOOSE_G:  # a loose g near 0 may have either sign
+                lo, hi = (lo, t) if g > 0.0 else (t, hi)
             step = t - g / max(0.5, 1.0 + 2.0 * mu_p * dr / r_k)
             if not lo < step < hi or (dense is None and math.isfinite(lo + hi)):
                 step = 0.5 * (lo + hi)
-                if step in (lo, hi):
+                if step in (lo, hi) and tight:
                     break
+            if abs(g) < LOOSE_G:
+                loose = 0
             t, dense = step, None  # only the best shot's evaluator stays alive
     g, r_k, dense = best
     if dense is None:

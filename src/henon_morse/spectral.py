@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class SturmLiouvilleSpec:
     v11: np.ndarray
     v12: np.ndarray
     v22: np.ndarray
+    # cache of count_negative_eigenvalues: node data by (mesh, N, ids of the arrays),
+    # shared with the specs ``replace`` derives; an entry holds its arrays, so no id is reused
+    _nodes: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -116,18 +119,24 @@ def count_negative_eigenvalues(spec, mesh=1000, shift=0.0):
     i = 1..mesh-1 (Dirichlet at r = 1 drops node mesh), with link weights
     r_(i+1/2)^(N-1) / h.  The link through r = 0 is dropped for l = 0
     (reflection, consistent with w'(0) = 0) and kept for l >= 1, where it
-    couples to w = 0 (centrifugal decay).
+    couples to w = 0 (centrifugal decay).  The nodes, link weights, masses and
+    interpolated potentials of a mesh are made once per spec and kept on it,
+    for every ladder spec ``replace`` derives from it.
     """
     if mesh < MIN_MESH:
         raise ValueError(f"mesh must be at least {MIN_MESH}")
-    h = 1.0 / mesh
-    r = h * np.arange(1, mesh)
-    k = (h * (np.arange(mesh) + 0.5)) ** (spec.N - 1) / h
+    arrays = (spec.rgrid, spec.v11, spec.v12, spec.v22)
+    key = (mesh, spec.N, *map(id, arrays))
+    if key not in spec._nodes:
+        h = 1.0 / mesh
+        r = h * np.arange(1, mesh)
+        k = (h * (np.arange(mesh) + 0.5)) ** (spec.N - 1) / h
+        spec._nodes[key] = arrays, (r * r, k, h * r ** (spec.N - 1),
+                                    *(np.interp(r, spec.rgrid, v) for v in arrays[1:]))
+    r2, k, mass, v11, v12, v22 = spec._nodes[key][1]
     if spec.ell == 0:
-        k[0] = 0.0
-    v11, v12, v22 = (np.interp(r, spec.rgrid, v) for v in (spec.v11, spec.v12, spec.v22))
-    cent = spec.lambda_ell / (r * r)
-    mass = h * r ** (spec.N - 1)
+        k = np.concatenate([[0.0], k[1:]])
+    cent = spec.lambda_ell / r2
     return count_below(flux_pencil(k, mass, cent - v11, -v12, cent - v22, mass), shift)
 
 

@@ -219,6 +219,12 @@ def test_large_rank_one_pivot_is_nudged_past_its_band():
     with pytest.raises(SingularPivot):
         _negative_pivots(*pencil[:4])
     assert count_below(pencil, 0.0) == int(np.sum(dense_pencil_eigvals(*pencil) < 0.0)) == 1
+    # d11 = d22 above, which LAPACK counts on the split pencil; with d22 != d11
+    # the count runs the pivot recursion and its nudge
+    pencil[2][1] = 2.0
+    with pytest.raises(SingularPivot):
+        _negative_pivots(*pencil[:4])
+    assert count_below(pencil, 0.0) == int(np.sum(dense_pencil_eigvals(*pencil) < 0.0)) == 1
 
 
 @PROPERTY
@@ -252,6 +258,38 @@ def test_count_below_of_uncoupled_pencils(pencil, shifts):
         count = count_below(pencil, s)
         if np.min(np.abs(eig - s)) > 1e-8 * span:
             assert count == int(np.sum(eig < s))
+        try:
+            assert count == _negative_pivots(d11 - s * bw, d12, d22 - s * bw, off)
+        except SingularPivot:
+            pass
+
+
+@st.composite
+def symmetric_pencils(draw, max_nodes=8):
+    """(d11, d12, d11, off, bw): the diagonal u = v of a symmetric coupled system."""
+    d11, d12, _, off, bw = draw(pencils(max_nodes))
+    return d11, d12, d11.copy(), off, bw
+
+
+@PROPERTY
+@given(symmetric_pencils(), st.lists(st.floats(-12.0, 12.0, allow_nan=False),
+                                     min_size=1, max_size=6))
+@example(pencil=(np.array([1.0, -2.0, 0.5]), np.array([2.0, 0.5, -1.5]), np.array([1.0, -2.0, 0.5]),
+                 np.array([1.0, -0.75]), np.array([0.5, 1.0, 2.0])), shifts=[-3.0, 0.0, 2.5])
+def test_count_below_of_symmetric_coupled_pencils(pencil, shifts):
+    # d11 = d22 pencils split into two tridiagonal ones counted by LAPACK:
+    # against eigvalsh of B^-1/2 A B^-1/2 at shifts clear of the spectrum,
+    # and against the pivot recursion wherever it reads no zero pivot
+    d11, d12, d22, off, bw = pencil
+    A, B = dense_pencil(*pencil)
+    root = 1.0 / np.sqrt(np.diag(B))
+    eig = np.linalg.eigvalsh(root[:, None] * A * root[None, :])
+    span = 1.0 + float(np.max(np.abs(eig)))
+    for s in [-2.0 * span, 2.0 * span] + shifts:
+        if np.min(np.abs(eig - s)) <= 1e-8 * span:
+            continue
+        count = count_below(pencil, s)
+        assert count == int(np.sum(eig < s))
         try:
             assert count == _negative_pivots(d11 - s * bw, d12, d22 - s * bw, off)
         except SingularPivot:

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from henon_morse import liouville, radial_bvp
-from henon_morse.errors import DegenerateInput, NoBracket, OverflowBlowUp
+from henon_morse.errors import DegenerateInput, NoBracket, NoConverge, OverflowBlowUp
 from henon_morse.nonlinearity import pure_power, quartic_coupled
 from henon_morse.radial_bvp import (
     EPS_ORIGIN,
@@ -152,6 +154,70 @@ def test_mu_positive_shot_budget(monkeypatch):
         calls.clear()
         shoot()
         assert len(calls) <= 4, calls
+
+
+def test_mu_positive_rhs_budget(monkeypatch):
+    # the first shots run loose (inexact Newton): the branch_mix rows N=3,
+    # alpha=1, mu=1 took 7,982 and 10,196 RHS evaluations with every shot tight
+    real, nfev = radial_bvp.solve_ivp, []
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(radial_bvp, "solve_ivp", counted)
+    params = params_for(3, 1.0, mu=1.0)
+    for nodes, tight in ((0, 7982), (1, 10196)):
+        nfev.clear()
+        shoot_nodal(params, nodes)
+        assert sum(nfev) <= 0.8 * tight, nfev
+
+
+@pytest.mark.parametrize("nodes", [0, 1])
+def test_mu_positive_profile_is_a_tight_shot(monkeypatch, nodes):
+    # loose shots steer Newton, but the evaluator scaled into the profile is
+    # always that of a shot at the tight (rtol, atol)
+    real, made, read = radial_bvp._integrate_dense, [], []
+
+    def tagged(params, d, rtol, atol, **kwargs):
+        dense = real(params, d, rtol, atol, **kwargs)
+
+        def evaluate(r):
+            read.append(rtol)
+            return dense(r)
+
+        evaluate.t_events, evaluate.y_events = dense.t_events, dense.y_events
+        made.append(rtol)
+        return evaluate
+
+    monkeypatch.setattr(radial_bvp, "_integrate_dense", tagged)
+    _, profile = _scaling_amplitude(params_for(3, 1.0, mu=1.0), nodes, 1e-10)
+    assert radial_bvp.LOOSE_TOL[0] in made and 1e-12 in made, made
+    profile(np.linspace(0.0, 1.0, 11))
+    assert read == [1e-12]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 4]), st.floats(0.0, 6.0), st.floats(0.1, 20.0),
+       st.integers(0, 2), st.sampled_from([3.0, 4.0]))
+def test_loose_shots_keep_status_and_amplitude(N, alpha, mu, nodes, p):
+    # the same row with the loose tolerance set to the tight one
+    params = params_for(N, alpha, p=p, mu=mu)
+
+    def outcome():
+        try:
+            return "ok", shoot_nodal(params, nodes).amplitude[0]
+        except (NoBracket, NoConverge) as exc:
+            return type(exc).__name__, None
+
+    status, amplitude = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial_bvp, "LOOSE_TOL", (1e-12, 1e-14))
+        tight_status, tight_amplitude = outcome()
+    assert status == tight_status
+    if status == "ok":
+        assert abs(amplitude - tight_amplitude) <= 1e-10 * (1.0 + tight_amplitude)
 
 
 @pytest.mark.parametrize("mu, amplitude, shots", [(40.0, 34.68209391826684, 25),

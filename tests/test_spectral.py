@@ -1,5 +1,7 @@
 """Sector counting, multiplicities and Morse index assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -98,6 +100,30 @@ def random_potentials(count):
         out.append(lambda r, a=a, b=b, k=k, phase=phase, c=c:
                    a + b * np.sin(k * np.pi * r + phase) + c * r)
     return out
+
+
+def test_sector_nodes_are_made_once_per_mesh(monkeypatch):
+    # the ladder specs ``replace`` derives share their parent's interpolated
+    # potentials; new potential arrays get their own, never a stale copy
+    spec = scalar_spec(3, 0, lambda r: 40.0 * np.cos(3.0 * r))
+    fresh = [count_negative_eigenvalues(scalar_spec(3, ell, lambda r: 40.0 * np.cos(3.0 * r)),
+                                        mesh, shift)
+             for ell in (0, 1) for mesh in (400, 800) for shift in (-5.0, 0.0, 5.0)]
+    real, calls = np.interp, []
+
+    def interp(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(np, "interp", interp)
+    counts = [count_negative_eigenvalues(replace(spec, ell=ell, lambda_ell=lambda_ell(ell, 3)),
+                                         mesh, shift)
+              for ell in (0, 1) for mesh in (400, 800) for shift in (-5.0, 0.0, 5.0)]
+    assert counts == fresh
+    assert calls == [399] * 3 + [799] * 3
+    deeper = replace(spec, v11=10.0 * spec.v11)
+    assert count_negative_eigenvalues(deeper, 400) == count_negative_eigenvalues(
+        scalar_spec(3, 0, lambda r: 400.0 * np.cos(3.0 * r)), 400) > counts[1]
 
 
 def test_inertia_counts_match_oscillation_oracle():
