@@ -17,34 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from .errors import HenonMorseError, HypothesisViolated, NoBracket, NoConverge, OverflowBlowUp
-from .halfline import (
-    pohozaev_check,
-    pohozaev_identity_residual,
-    pohozaev_lower_bound,
-    pohozaev_record,
-    smooth_bump,
-    eval_Qk,
-    transform_profile,
-    transformed_residual,
-)
-from .liouville import (
-    HALF_LINE,
-    energy_of,
-    instability_witness,
-    integrate_limit_system,
-    witness_quadrature,
-)
-from .gates import (IDENTITY_GATE, POHOZAEV_GATE, QK_GATE, RESIDUAL_GATE,
-                    TRANSFORMED_GATE, WITNESS_GATE)
+from .errors import HenonMorseError, NoBracket, NoConverge, OverflowBlowUp
+from .halfline import certify, eval_Qk, smooth_bump
+from .liouville import (HALF_LINE, energy_of, instability_witness, integrate_limit_system,
+                        witness_quadrature)
+from .gates import QK_GATE, WITNESS_GATE
 from .nonlinearity import pure_power
-from .radial_bvp import (
-    action_energy,
-    lane_emden_params,
-    lane_emden_shot,
-    relative_residual,
-    shoot_nodal,
-)
+from .radial_bvp import action_energy, lane_emden_params, lane_emden_shot, shoot_nodal
 from .spectral import MIN_MESH, SingularSpectrum, lambda_ell, morse_index, onset_alphas
 
 
@@ -71,6 +50,11 @@ def _load_params_file(path, need_alpha=True):
     return raw, params
 
 
+def _record(name, check):
+    """One check as ``verify`` prints it: its name and its record without "pass"."""
+    return f"{name}: {json.dumps({k: v for k, v in check.items() if k != 'pass'}, default=float)}"
+
+
 def cmd_solve(args):
     raw, base_params = _load_params_file(args.params)
     out = Path(args.out)
@@ -87,21 +71,24 @@ def cmd_solve(args):
     extra = {"branch": raw.get("branch", "positive"),
              "tool": {"grid": args.grid, "tol": args.tol}}
     hio.save_profile(profile, out / "profile", extra=extra)
-    rel = relative_residual(profile)
-    print(f"wrote {out / 'profile'}.csv/.json  "
-          f"(amplitude {profile.amplitude[0]:.6g}, relative residual {rel:.3e})")
-    if rel > RESIDUAL_GATE:
-        print(f"profile not certified: relative residual {rel:.3e} > {RESIDUAL_GATE:g}",
-              file=sys.stderr)
-        return 1
-    return 0
+    checks, _ = certify(profile)
+    print(f"wrote {out / 'profile'}.csv/.json  (amplitude {profile.amplitude[0]:.6g}, "
+          f"relative residual {checks['radial_residual']['value']:.3e})")
+    failed = [(name, c) for name, c in checks.items() if not c["pass"]]
+    for name, c in failed:
+        why = (f"relative residual {c['value']:.3e} > {c['limit']:g}"
+               if name == "radial_residual" else _record(name, c))
+        print(f"profile not certified: {why}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared=None):
-    """One fully certified sweep row as a plain dict.
+    """One fully certified sweep row as a plain dict: ``certify`` gates it, then it is counted.
 
-    With ``shared``, a dict, a mu = 0 row maps from the (M, 0) shot and
-    counts on the SingularSpectrum kept there, made by the first row that
+    A row that fails a check is ``uncertified``, names each failed check in
+    its reason, and has no counts: those of an uncertified profile certify
+    nothing.  With ``shared``, a dict, a mu = 0 row maps from the (M, 0) shot
+    and counts on the SingularSpectrum kept there, made by the first row that
     needs them; without it the row is shot and counted on its own.
     """
     row = {"alpha": alpha, "branch": branch_spec, "status": "ok", "reason": ""}
@@ -115,7 +102,14 @@ def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared=None):
                               shot=shared["shot"] if share else None)
         row["amplitude"] = list(profile.amplitude)
         row["energy"] = action_energy(profile)
-        row["relative_residual"] = relative_residual(profile)
+        checks, _ = certify(profile, T=horizon)
+        row["relative_residual"] = checks["radial_residual"]["value"]
+        row["transformed_residual"] = checks["transformed_residual"]["value"]
+        row["pohozaev"] = {k: v for k, v in checks["pohozaev_slack"].items() if k != "pass"}
+        failed = [_record(name, c) for name, c in checks.items() if not c["pass"]]
+        if failed:
+            row["status"], row["reason"] = "uncertified", "; ".join(failed)
+            return row
         if share and "spectrum" not in shared:
             shared["spectrum"] = SingularSpectrum(shared["shot"].profile, mesh)
         report = morse_index(profile, mesh=mesh, spectrum=shared["spectrum"] if share else None)
@@ -125,9 +119,6 @@ def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared=None):
         if not report.mesh_stable:
             row["status"] = "unstable"
             row["reason"] = "sector counts changed under mesh doubling"
-        tp = transform_profile(profile, T=horizon)
-        row["transformed_residual"] = transformed_residual(tp)
-        row["pohozaev"] = pohozaev_record(tp)
     except (HenonMorseError, ValueError) as exc:
         # a parameter error fails this row only, like a solver error
         row["status"] = "failed"
@@ -211,18 +202,17 @@ def cmd_sweep(args):
                  "total_morse_index,mesh_stable,transformed_residual,pohozaev_slack\n")
         for row in rows:
             amp = row.get("amplitude", [float("nan")] * 2)
-            po = row.get("pohozaev", {})
             fh.write(",".join(str(x) for x in (
                 row["alpha"], row["branch"], row["status"],
                 amp[0], amp[1], row.get("energy", float("nan")),
                 row.get("total_morse_index", ""),
                 row.get("mesh_stable", ""),
                 row.get("transformed_residual", float("nan")),
-                po.get("slack", float("nan")) if isinstance(po, dict) else float("nan"),
+                row.get("pohozaev", {}).get("slack", float("nan")),
             )) + "\n")
-    n_failed = sum(1 for r in rows if r["status"] == "failed")
-    print(f"wrote {out / 'sweep.json'} ({len(rows)} rows, {n_failed} failed, "
-          f"symmetry-breaking onset alpha = {onset})")
+    status = [r["status"] for r in rows]
+    print(f"wrote {out / 'sweep.json'} ({len(rows)} rows, {status.count('failed')} failed, "
+          f"{status.count('uncertified')} uncertified, symmetry-breaking onset alpha = {onset})")
     return 0
 
 
@@ -232,43 +222,15 @@ def cmd_verify(args):
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"profile load error: {exc}", file=sys.stderr)
         return 2
-    checks = {}
-    report = {"kind": "verification", "profile": str(args.profile), "checks": checks}
-
+    report = {"kind": "verification", "profile": str(args.profile), "checks": {},
+              "trivial": profile.is_trivial}
     if profile.is_trivial:
-        report["trivial"] = True
         if args.out:
             hio.write_json(args.out, report)
         print("trivial profile: vacuous pass")
         return 0
-    report["trivial"] = False
-
-    rel = relative_residual(profile)
-    checks["radial_residual"] = {"value": rel, "limit": RESIDUAL_GATE,
-                                 "pass": rel <= RESIDUAL_GATE}
-
-    tp = transform_profile(profile, T=args.T)
-    tres = transformed_residual(tp)
-    checks["transformed_residual"] = {"value": tres, "limit": TRANSFORMED_GATE,
-                                      "pass": tres <= TRANSFORMED_GATE}
-
-    try:
-        pc = pohozaev_check(tp)
-        ok = pc.slack >= -(POHOZAEV_GATE * (1.0 + pc.lhs) + pc.tail_band)
-        checks["pohozaev_slack"] = {"lhs": pc.lhs, "rhs": pc.rhs,
-                                    "slack": pc.slack, "band": pc.tail_band,
-                                    "pass": bool(ok)}
-        ident = pohozaev_identity_residual(tp)
-        checks["pohozaev_identity"] = {"value": ident, "limit": IDENTITY_GATE,
-                                       "pass": ident <= IDENTITY_GATE}
-        p = profile.params
-        if tp.gamma <= p.N / (3.0 * p.f.p):
-            C = pohozaev_lower_bound(p.f, p.N)
-            ok = pc.lhs >= C * (1.0 - 1e-9) - pc.tail_band
-            checks["pohozaev_lower_bound"] = {"lhs": pc.lhs, "constant": C,
-                                              "pass": bool(ok)}
-    except HypothesisViolated as exc:
-        checks["pohozaev_slack"] = {"skipped": str(exc), "pass": True}
+    checks, tp = certify(profile, T=args.T)
+    report["checks"] = checks
 
     # random-probe minimum of the stability form on the first stable sector
     try:
@@ -297,8 +259,7 @@ def cmd_verify(args):
     if args.out:
         hio.write_json(args.out, report)
     for name, c in checks.items():
-        print(f"[{'PASS' if c.get('pass') else 'FAIL'}] {name}: "
-              f"{json.dumps({k: v for k, v in c.items() if k != 'pass'}, default=float)}")
+        print(f"[{'PASS' if c.get('pass') else 'FAIL'}] {_record(name, c)}")
     return 0 if ok else 1
 
 
@@ -395,7 +356,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="compute one certified radial profile")
+    ps = sub.add_parser("solve", help="compute one radial profile; exit 1 if a certificate fails")
     ps.add_argument("--params", required=True, help="JSON parameter file")
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--grid", type=_grid, default=4000)

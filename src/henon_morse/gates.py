@@ -1,6 +1,9 @@
 """Limits of the certificates that solve, sweep, verify, liouville and morse_index check.
 
-Each gate is defined here and only here.
+Each gate is defined here and only here.  ``halfline.certify`` alone compares
+against RESIDUAL_GATE, TRANSFORMED_GATE, POHOZAEV_GATE and IDENTITY_GATE, for
+solve, sweep and verify; RESIDUAL_GATE is also read by ``require_certified``
+before every Morse count and by the mu > 0 shooting fallback, in ``radial_bvp``.
 """
 
 RESIDUAL_GATE = 1e-5          # relative ODE defect of a certified radial profile

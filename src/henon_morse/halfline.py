@@ -33,9 +33,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisViolated, MeshTooCoarse
+from .gates import IDENTITY_GATE, POHOZAEV_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
 from .nonlinearity import NonlinearityF
 from .pencil import flux_pencil, lowest_eigenpair
-from .radial_bvp import ProblemParams, simpson
+from .radial_bvp import ProblemParams, relative_residual, simpson
 
 DEFAULT_HORIZON_SCALE = 30.0
 
@@ -334,6 +335,34 @@ def pohozaev_lower_bound(f: NonlinearityF, N):
     Cnp = c_np_constant(N, p)
     inner = N / (3.0 * p * CF * Cnp ** (p / 2.0))
     return (2.0 * N / p) * inner ** (2.0 / (p - 2.0))
+
+
+def certify(profile, T=None):
+    """The gated certificates of a nontrivial profile, and its transform at horizon T.
+
+    Returns (checks, tp): checks maps radial_residual, transformed_residual,
+    pohozaev_slack ({"skipped": reason, "pass": True} off its hypothesis, and
+    then last), pohozaev_identity and, for gamma <= N/(3p),
+    pohozaev_lower_bound to JSON records with a bool "pass", in that order.
+    """
+    def gated(value, limit):
+        return {"value": value, "limit": limit, "pass": bool(value <= limit)}
+
+    checks = {"radial_residual": gated(relative_residual(profile), RESIDUAL_GATE)}
+    tp = transform_profile(profile, T=T)
+    checks["transformed_residual"] = gated(transformed_residual(tp), TRANSFORMED_GATE)
+    rec = checks["pohozaev_slack"] = {**pohozaev_record(tp), "pass": True}
+    if "skipped" in rec:
+        return checks, tp
+    lhs, band = rec["lhs"], rec["band"]
+    rec["pass"] = bool(rec["slack"] >= -(POHOZAEV_GATE * (1.0 + lhs) + band))
+    checks["pohozaev_identity"] = gated(pohozaev_identity_residual(tp), IDENTITY_GATE)
+    p = profile.params
+    if tp.gamma <= p.N / (3.0 * p.f.p):
+        C = pohozaev_lower_bound(p.f, p.N)
+        checks["pohozaev_lower_bound"] = {"lhs": lhs, "constant": C,
+                                          "pass": bool(lhs >= C * (1.0 - 1e-9) - band)}
+    return checks, tp
 
 
 def _weighted_blocks(U, gamma, delta, lam, mesh):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +71,13 @@ def _write_csv(path, header, columns):
 
 
 def _read_csv(path, ncols):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    return [data[:, j] for j in range(ncols)]
+    """The ``ncols`` columns of a CSV written by ``_write_csv``; ValueError for any other shape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a header-only file: rejected below, not warned of
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != ncols:
+        raise ValueError(f"{path}: expected {ncols} columns, read {len(data)} rows of {data.shape[1]}")
+    return list(data.T)
 
 
 def write_json(path, payload):
@@ -113,11 +117,14 @@ def load_profile(basepath):
 
     ``save_profile`` writes every value with ``repr``, so the rebuilt arrays
     equal the saved ones bit for bit, and so does anything computed from them.
+    ValueError unless r is the uniform grid on [0, 1] of at least 101 points.
     """
     base = Path(basepath)
     header = read_json(base.with_suffix(".json"))
     params = params_from_dict(header["params"])
     r, u, v, du, dv = _read_csv(base.with_suffix(".csv"), 5)
+    if not (len(r) > 100 and np.max(np.abs(r - np.linspace(0.0, 1.0, len(r)))) <= 1e-12):
+        raise ValueError(f"{base}.csv: r is not a uniform grid of at least 101 points on [0, 1]")
     amp = header.get("amplitude", [float(u[0]), float(v[0])])
     return RadialProfile(params, r, u, v, du, dv, (float(amp[0]), float(amp[1])))
 

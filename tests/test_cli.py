@@ -267,6 +267,26 @@ def test_verify_rejects_malformed_stored_params(tmp_path, capsys, solve, field, 
     assert "profile load error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["four columns", "header only", "nonuniform grid"])
+def test_verify_rejects_malformed_stored_csv(tmp_path, capsys, solve, damage):
+    # a file error, not an IndexError: residual differences on h = r[1] - r[0]
+    # and reads five columns
+    save_profile(solve(2, 4.0), tmp_path / "profile")
+    path = tmp_path / "profile.csv"
+    lines = path.read_text().splitlines()
+    if damage == "four columns":
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    elif damage == "header only":
+        lines = lines[:1]
+    else:
+        r1, rest = lines[2].split(",", 1)
+        lines[2] = f"{float(r1) + 1e-6!r},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--profile", str(tmp_path / "profile")]) == 2
+    err = capsys.readouterr().err
+    assert "profile load error: " in err and "Traceback" not in err
+
+
 def test_verify_trivial_profile(tmp_path):
     params = ProblemParams(N=3, alpha=0.0, mu1=0.0, mu2=0.0, f=pure_power(4))
     zero = integrate_radial_ivp(params, (0.0, 0.0), 500)
@@ -510,6 +530,38 @@ def test_sweep_workers_write_identical_rows(tmp_path):
 
 
 MIXED = {**PLANAR, "alphas": [0.0, 2.0], "branches": ["positive", "nodal:1"]}
+
+
+@pytest.mark.parametrize("N, alpha, p, branch, certified", [
+    # half-line defects 25.9, 1.15, 1.51, 3.2e-2 and 4.2e-3 at the default
+    # grid, above the 1e-3 gate, while their relative residuals pass
+    (8, 2.0, 2.5, "nodal:1", False), (2, 2.0, 2.5, "nodal:1", False),
+    (3, 2.0, 2.2, "positive", False), (2, 2.0, 2.2, "positive", False),
+    (2, 6.0, 4, "nodal:2", False),
+    (2, 2.0, 4, "positive", True), (2, 20.0, 4, "positive", True),
+])
+def test_solve_sweep_and_verify_agree(tmp_path, capsys, N, alpha, p, branch, certified):
+    params = {**PLANAR, "N": N, "p": p}
+    row = run_sweep(tmp_path, "sweep", {**params, "alphas": [alpha],
+                                        "branches": [branch]})["rows"][0]
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({**params, "alpha": alpha, "branch": branch}))
+    capsys.readouterr()
+    solved = main(["solve", "--params", str(pfile), "--out", str(tmp_path / "run")])
+    solve_err = capsys.readouterr().err
+    verified = main(["verify", "--profile", str(tmp_path / "run" / "profile"),
+                     "--out", str(tmp_path / "report.json")])
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    if certified:
+        assert (row["status"], solved, verified) == ("ok", 0, 0)
+        assert all(c["pass"] for c in checks.values())
+        return
+    assert (row["status"], solved, verified) == ("uncertified", 1, 1)
+    assert "transformed_residual" in row["reason"] and "transformed_residual" in solve_err
+    assert "total_morse_index" not in row  # the counts of an uncertified profile
+    # sweep names the checks of certify that verify fails: all but its Q_k probe
+    failed = [name for name, c in checks.items() if not c["pass"] and name != "qk_probe_min"]
+    assert [name for name in checks if f"{name}: " in row["reason"]] == failed
 
 
 def test_sweep_onset_comes_from_the_positive_branch(tmp_path):
