@@ -95,7 +95,7 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
     grad = f.pointwise()[0]
 
     def rhs(t, y):
-        u, v, du, dv = y.tolist()
+        u, v, du, dv = y
         fu, fv = grad(u, v)
         return (du, dv, -scale * fu, -scale * fv)
 

@@ -11,11 +11,14 @@ expansion at eps = 1e-6 (the (N-1)/r term is removably singular for regular
 radial data) and uses the adaptive Dormand-Prince 8(5,3) pair (DOP853) of
 ``solve_ivp``, the one integrator of every radial shot and of the limit
 system: scipy's DOP853 step for step, on the tableau of scipy's own
-coefficient file, without importing ``scipy.integrate``.  Each shot's dense
-output is evaluated once per profile, on the uniform certification grid with
-three points interleaved in each cell: the profile keeps the grid nodes, and
-the interior-zero check reads every point of the 4x grid, in one vectorized
-pass, bit for bit scipy's ``OdeSolution``.
+coefficient file, without importing ``scipy.integrate``.  Its right-hand
+sides take the state as a sequence of floats: it makes scipy's BLAS
+products, runs the elementwise stage arithmetic on Python floats
+(IEEE-identical) and forms the dense coefficients once per run.  Each shot's
+dense output is evaluated once per profile, on the uniform certification
+grid with three points interleaved in each cell: the profile keeps the grid
+nodes, and the interior-zero check reads every point of the 4x grid, in one
+vectorized pass, bit for bit scipy's ``OdeSolution``.
 
 The paper's scaling u -> lam^sigma u(lam r), sigma = (2 + alpha)/(p - 2),
 maps solutions with mu to solutions with lam^2 mu, so every shot starts at
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import wraps
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,8 +108,10 @@ class ProblemParams:
 class RadialProfile:
     """A sampled radial pair (u, v) with derivatives on a uniform grid over [0, 1].
 
-    Treated as immutable after construction.  These arrays are the whole
-    profile: a saved and reloaded copy is the same data.
+    Treated as immutable after construction, so ``residual`` and
+    ``relative_residual`` are computed once per profile object (``scaled``,
+    ``dataclasses.replace`` and ``io.load_profile`` make new ones).  These
+    arrays are the whole profile: a saved and reloaded copy is the same data.
     """
 
     params: ProblemParams
@@ -153,7 +158,7 @@ def _taylor_start(params, d, r):
 
 
 def _ivp_rhs(params, sensitivity=None):
-    """Right-hand side of the first-order system in (u, v, u', v') on Python floats.
+    """Right-hand side of the first-order system in (u, v, u', v'), any sequence of floats.
 
     With a ``sensitivity`` layout it also carries w = du/dmu1, which solves
     w'' + (N-1) w'/r - mu1 w + r^alpha (F_uu + F_uv)(u, v) w = u: "scalar"
@@ -165,7 +170,7 @@ def _ivp_rhs(params, sensitivity=None):
     mu1, mu2 = params.mu1, params.mu2
 
     def rhs(r, y):
-        u, v, du, dv = y.tolist()
+        u, v, du, dv = y
         fu, fv = grad(u, v)
         w = r ** a
         return (
@@ -176,7 +181,7 @@ def _ivp_rhs(params, sensitivity=None):
         )
 
     def scalar(r, y):
-        u, w, du, dw = y.tolist()
+        u, w, du, dw = y
         fu = grad(u, 0.0)[0]
         fuu = hess(u, 0.0)[0]
         x = r ** a
@@ -188,7 +193,7 @@ def _ivp_rhs(params, sensitivity=None):
         )
 
     def diagonal(r, y):
-        u, v, _, _, w, dw = y.tolist()
+        u, v, _, _, w, dw = y
         fuu, fuv, _ = hess(u, v)
         return (*rhs(r, y[:4]), dw,
                 -(N - 1.0) * dw / r + mu1 * w + u - r ** a * (fuu + fuv) * w)
@@ -214,14 +219,31 @@ _STAGES = [(s, a[:s], float(c)) for s, (a, c) in enumerate(zip(_DOP.A[1:], _DOP.
 _STAGES_MAIN, _STAGES_DENSE = _STAGES[:_S - 1], _STAGES[_S:]
 
 
-def _interpolate(terms, t_old, h, y_old, t):
-    """scipy's ``Dop853DenseOutput`` at t, from the rows of F highest power first."""
-    x = np.asarray((t - t_old) / h)[..., None]
-    y = np.zeros(x.shape[:-1] + y_old.shape[-1:])
-    for i, f in enumerate(terms):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
+def _dense_output(ts, steps):
+    """scipy's ``OdeSolution`` over the DOP853 steps (K, t_old, h, y_old, y_new), bit for bit.
+
+    Every step's coefficients F are formed in one stacked pass and kept as
+    (power, component, step), highest power first, so an evaluation gathers
+    each power with one ``take``.  A step point belongs to the earlier step.
+    """
+    K, t_old, h, y_old, y_new = map(np.array, zip(*steps))
+    dy, hs = y_new - y_old, h[:, None]
+    F = np.concatenate([(hs[..., None] * np.matmul(_DOP.D, K))[:, ::-1],
+                        (2 * dy - hs * (K[:, _S] + K[:, 0]))[:, None],
+                        (hs * K[:, 0] - dy)[:, None], dy[:, None]], axis=1)
+    F, y_old = F.transpose(1, 2, 0).copy(), y_old.T.copy()
+
+    def sol(t):
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(ts, t) - 1, 0, h.size - 1)
+        x = (t - t_old[seg]) / h[seg]
+        y = np.zeros(F.shape[1:2] + t.shape)
+        for f, z in zip(F, (x, 1 - x) * 4):
+            y += f.take(seg, axis=1)
+            y *= z
+        return y + y_old.take(seg, axis=1)
+
+    return sol
 
 
 def _brentq(g, xpre, xcur, tol=4 * np.finfo(float).eps):
@@ -260,20 +282,26 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
 
     Its initial step, stages, error norm, step control, dense coefficients
     and events (``direction``, integer ``terminal``, brentq roots), forward
-    in t, so ``t``, ``nfev``, the events and ``sol`` are scipy's bit for bit;
-    ``sol`` evaluates any points in one vectorized pass.  ``message`` says
-    why a run failed (status -1), and is None otherwise.
+    in t, so ``t``, ``nfev``, the events and ``sol`` are scipy's bit for bit.
+    ``fun`` and the events get the state as a list of floats: the BLAS
+    products are scipy's, and the elementwise stage arithmetic on Python
+    floats is IEEE-identical.  Dense coefficients are formed once per run,
+    and on a step where an event fires; ``sol`` evaluates any points in one
+    vectorized pass, and is None after a failed first step.  ``message``
+    says why a run failed (status -1), and is None otherwise.
     """
     t, t_bound = map(float, t_span)
     y, atol = np.asarray(y0, dtype=float), np.asarray(atol)
     rtol, nfev = max(rtol, 100 * np.finfo(float).eps), 2  # select_initial_step's two calls
-    fy, scale = np.asarray(fun(t, y), dtype=float), atol + np.abs(y) * rtol
+    fy, scale = np.asarray(fun(t, y.tolist()), dtype=float), atol + np.abs(y) * rtol
     d0, d1 = (np.linalg.norm(v / scale) / y.size ** 0.5 for v in (y, fy))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    d2 = np.linalg.norm((np.asarray(fun(t + h0, y + h0 * fy)) - fy) / scale) / y.size ** 0.5 / h0
+    f1 = np.asarray(fun(t + h0, (y + h0 * fy).tolist()))
+    d2 = np.linalg.norm((f1 - fy) / scale) / y.size ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h_abs, K = min(100 * h0, h1, t_bound - t), np.empty((_DOP.N_STAGES_EXTENDED, y.size))
+    h_abs, K = float(min(100 * h0, h1, t_bound - t)), np.empty((_DOP.N_STAGES_EXTENDED, y.size))
     KT = [K[:s].T for s in range(len(K) + 1)]  # stage s reads K[:s].T: views made once
+    K[0], atol, y = fy, np.broadcast_to(atol, y.shape).tolist(), y.tolist()
     ends = [getattr(e, "terminal", 0) or math.inf for e in events]
     signs = [getattr(e, "direction", 0) for e in events]
     counts, g = [0] * len(events), [e(t, y) for e in events]
@@ -283,18 +311,18 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while h_abs >= min_step:
-            t_new = float(min(t + h_abs, t_bound))  # Python floats: the RHS runs on them
+            t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs, K[0] = abs(h), fy
-            for s, a, c in _STAGES_MAIN:  # each RHS tuple goes straight into its row of K
-                K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-            y_new = y + h * np.dot(KT[_S], _DOP.B)
+            h_abs = abs(h)
+            for s, a, c in _STAGES_MAIN:  # one BLAS product a stage; the RHS tuple fills K[s]
+                K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, KT[s].dot(a).tolist())])
+            y_new = [v + d * h for v, d in zip(y, KT[_S].dot(_DOP.B).tolist())]
             K[_S] = fun(t + h, y_new)
             nfev += _S
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = (np.linalg.norm(np.dot(KT[_S + 1], E) / scale) ** 2
-                      for E in (_DOP.E5, _DOP.E3))
-            error = h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            scale = np.array([a + max(abs(v), abs(w)) * rtol for a, v, w in zip(atol, y, y_new)])
+            e5, e3 = (math.sqrt(x.dot(x)) ** 2  # numpy.linalg.norm's path, squared
+                      for x in (KT[_S + 1].dot(E) / scale for E in (_DOP.E5, _DOP.E3)))
+            error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 or e3 else 0.0
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
@@ -304,24 +332,20 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
             status, message = -1, "Required step size is less than spacing between numbers."
             break
         for s, a, c in _STAGES_DENSE:
-            K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
+            K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, KT[s].dot(a).tolist())])
         nfev += len(_STAGES_DENSE)
-        F = np.empty((_DOP.INTERPOLATOR_POWER, y.size))
-        F[0] = dy = y_new - y
-        F[1], F[2], F[3:] = h * K[0] - dy, 2 * dy - h * (K[_S] + K[0]), h * np.dot(_DOP.D, K)
-        steps.append((F, t, h, y))
-        step = partial(_interpolate, F[::-1], t, h, y)
-        t_old, t, y, fy = t, t_new, y_new, K[_S].copy()
+        steps.append((K.copy(), t, h, y, y_new))
+        t_old, t, y, K[0] = t, t_new, y_new, K[_S]
         status, g_new = 0 if t >= t_bound else None, [e(t, y) for e in events]
         active = [i for i, (a, b) in enumerate(zip(g, g_new))
                   if (a <= 0 <= b and signs[i] >= 0) or (a >= 0 >= b and signs[i] <= 0)]
+        step = _dense_output([t_old, t], steps[-1:]) if active else None  # for brentq
         g, roots = g_new, sorted((_brentq(lambda s: float(events[i](s, step(s))), t_old, t), i)
                                  for i in active)
         counts = [c + (i in active) for i, c in enumerate(counts)]
         if any(counts[i] >= ends[i] for i in active):
             roots = roots[:1 + next(j for j, (_, i) in enumerate(roots) if counts[i] >= ends[i])]
             status, t = 1, roots[-1][0]
-            y = step(t)
         for root, i in roots:
             t_events[i].append(root)
             y_events[i].append(step(root))
@@ -329,19 +353,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=()):
             steps.pop()
         else:
             ts.append(t)
-    # a run that failed at its first step has no dense output
-    F, t_old, h, y_old = map(np.array, zip(*steps or [(None,) * 4]))
     ts = np.array(ts)
-
-    def sol(t):  # OdeSolution's segment choice: a step point belongs to the earlier step
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(ts, t) - 1, 0, len(F) - 1)
-        terms = (F[seg, k] for k in reversed(range(F.shape[1])))
-        return np.moveaxis(_interpolate(terms, t_old[seg], h[seg], y_old[seg], t), -1, 0)
-
     return SimpleNamespace(t=ts, t_events=list(map(np.asarray, t_events)), status=status,
                            y_events=list(map(np.asarray, y_events)), message=message,
-                           nfev=nfev, sol=sol)
+                           nfev=nfev, sol=_dense_output(ts, steps) if steps else None)
 
 
 def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
@@ -408,17 +423,13 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
 
     def evaluate(r):
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty((4, r.size))
+        out = dense(np.maximum(r, eps))[:4]
+        if layout == "scalar":
+            out[1::2] = 0.0
         small = r < eps
-        if np.any(small):
-            out[:, small] = _taylor_start(params, d, r[small])
-        if np.any(~small):
-            out[:, ~small] = dense(r[~small])[:4]
-            if layout == "scalar":
-                out[1::2, ~small] = 0.0
-        return out[:, 0] if scalar else out
+        if small.any():
+            out[..., small] = _taylor_start(params, d, r[small])
+        return out
 
     evaluate.t_events = sol.t_events[1:]
     evaluate.y_events = sol.y_events[1:]
@@ -773,6 +784,19 @@ def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):
     raise NoConverge(f"Newton did not reach tolerance {tol} in {max_iter} iterations")
 
 
+def _once_per_profile(fn):
+    """fn(profile), computed once and kept on the profile (see ``RadialProfile``)."""
+    @wraps(fn)
+    def once(profile):
+        memo = profile.__dict__.setdefault("_memo", {})
+        if fn.__name__ not in memo:
+            memo[fn.__name__] = fn(profile)
+        return memo[fn.__name__]
+
+    return once
+
+
+@_once_per_profile
 def residual(profile):
     """Max absolute ODE defect over interior grid points, both components.
 
@@ -808,6 +832,7 @@ def residual(profile):
     return out
 
 
+@_once_per_profile
 def relative_residual(profile):
     """Defect scaled by the size of the equation's terms (certification metric)."""
     p = profile.params

@@ -1,6 +1,7 @@
 """Shooting, certification and Nehari machinery for the radial problem."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from henon_morse.radial_bvp import (
     _scaling_amplitude,
     _taylor_start,
     action_energy,
+    blowup_event,
     integrate_radial_ivp,
     lane_emden_shot,
     nehari_defect,
@@ -385,6 +387,83 @@ def test_dop853_kernel_is_scipys_on_a_liouville_period(monkeypatch):
     assert_kernel_is_scipys(call, np.mod(traj.tgrid, traj.period))
 
 
+@st.composite
+def random_shots(draw):
+    """A solve_ivp call in an r-shot layout: (fun, t_span, y0, rtol, atol) and its events."""
+    layout = draw(st.sampled_from([None, "scalar", "diagonal"]))
+    f = (quartic_coupled(b=draw(st.floats(0.0, 2.0))) if layout == "diagonal"
+         else draw(st.sampled_from([pure_power(3.0), pure_power(4.0), pure_power(2.5),
+                                    quartic_coupled(b=0.5)])))  # F' is cubic at p = 4
+    mu = draw(st.floats(0.0, 2.0))
+    params = ProblemParams(N=draw(st.sampled_from([2, 3, 4])), alpha=draw(st.floats(0.0, 4.0)),
+                           mu1=mu, mu2=mu, f=f)
+    amp = draw(st.floats(1.0, 6.0))
+    both = layout == "diagonal" or (layout is None and draw(st.booleans()))
+    d = (amp, amp if both else 0.0)
+    y0 = _taylor_start(params, d, EPS_ORIGIN)
+    if layout:  # w = du/dmu1 from the series, in the v slot or appended
+        w0 = [amp * EPS_ORIGIN ** 2 / (2.0 * params.N), amp * EPS_ORIGIN / params.N]
+        y0 = np.append(y0, w0) if layout == "diagonal" else np.array([y0[0], w0[0], y0[2], w0[1]])
+    rtol = 10.0 ** draw(st.floats(-13.0, -6.0))
+    atol = rtol * 10.0 ** draw(st.floats(-3.0, 0.0))
+    if draw(st.booleans()):
+        atol = np.array([math.inf if draw(st.booleans()) else atol for _ in y0])
+    kind = draw(st.sampled_from(["none", "directional", "terminal"]))
+    kwargs = {"events": []}
+    if kind != "none":
+        level, sign = amp * draw(st.floats(0.3, 0.97)), draw(st.sampled_from([-1, 1]))
+
+        def crossing(r, y):  # u falls through the level first: a directional event fires
+            return sign * (y[0] - level)
+
+        crossing.direction = -sign if kind == "directional" else 0
+        if kind == "terminal":
+            crossing.terminal = draw(st.integers(1, 3))
+        kwargs["events"] = [blowup_event(), crossing]
+    return (radial_bvp._ivp_rhs(params, layout), (EPS_ORIGIN, draw(st.floats(1.0, 4.0))),
+            y0, rtol, atol), kwargs
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(random_shots())
+def test_dop853_kernel_is_scipys_on_random_shots(shot):
+    # 4- and 6-component states, scalar and array atol with infinite entries,
+    # rtol over seven decades, with no event, a directional or a terminal one
+    args, kwargs = shot
+    assert_kernel_is_scipys((args, kwargs, radial_bvp.solve_ivp(*args, **kwargs)))
+
+
+@pytest.mark.parametrize("params, d, sensitivity", [
+    (ProblemParams(N=3, alpha=1.0, mu1=0.5, mu2=0.5, f=pure_power(4)), (2.0, 0.0), False),
+    (ProblemParams(N=3, alpha=1.0, mu1=0.5, mu2=0.5, f=pure_power(4)), (2.0, 0.0), True),
+    (ProblemParams(N=2, alpha=0.5, mu1=1.0, mu2=1.0, f=quartic_coupled(b=0.5)), (1.5, 1.5), True),
+])
+def test_dense_evaluator_is_the_series_then_the_shot(monkeypatch, params, d, sensitivity):
+    # below eps the Taylor start, from eps on the shot's own dense output,
+    # with the w rows of the "scalar" layout zeroed, on points below, at and
+    # just above eps, the same points unsorted, and 0-d inputs
+    calls = captured_calls(monkeypatch, radial_bvp)
+    dense = _integrate_dense(params, d, sensitivity=sensitivity)
+    (call,) = calls
+    eps, sol = call[0][1][0], call[2].sol
+    above = np.nextafter(eps, 1.0)
+    r = np.concatenate([np.geomspace(eps / 100, eps, 50, endpoint=False), [0.0, eps, above],
+                        np.geomspace(above, 1.0, 200)])
+    small = r < eps
+    ref = np.empty((4, r.size))
+    ref[:, small] = _taylor_start(params, d, r[small])
+    ref[:, ~small] = sol(r[~small])[:4]
+    if sensitivity and d[1] == 0.0:
+        ref[1::2, ~small] = 0.0
+    assert small.sum() == 51 and np.array_equal(dense(r), ref)
+    order = np.random.default_rng(3).permutation(r.size)
+    assert np.array_equal(dense(r[order]), ref[:, order])
+    for i in (0, 49, 50, 51, 52, 53, r.size - 1):
+        column = ref[:, i] if r[i] >= eps else _taylor_start(params, d, r[i:i + 1])[:, 0]
+        for x in (r[i], np.asarray(r[i])):
+            assert dense(x).shape == (4,) and np.array_equal(dense(x), column)
+
+
 @pytest.mark.parametrize("n", [1001, 2001, 2501, 4001, 8001, 1002, 4002])
 def test_simpson_is_scipys(solve, n):
     # the r- and t-grid lengths of the pipeline (grid + 1, Liouville windows
@@ -515,6 +594,20 @@ def test_residual_detects_corruption(solve):
     bad = RadialProfile(prof.params, prof.grid, u, prof.v, prof.du, prof.dv,
                         prof.amplitude)
     assert residual(bad) >= 1e-2
+
+
+def test_residuals_are_kept_and_a_replaced_profile_is_certified_afresh(solve):
+    # computed once per profile object; dataclasses.replace builds a new one,
+    # whose perturbed u is measured afresh and fails the gate
+    prof = solve(3, 0.0)
+    require_certified(prof)
+    assert relative_residual(prof) is relative_residual(prof)
+    assert residual(prof) is residual(prof)
+    u = prof.u.copy()
+    u[len(u) // 2] += 1e-3
+    with pytest.raises(DegenerateInput, match=r"^profile failed certification: "
+                                              r"relative residual 9\.725e\+01 > 1\.0e-05$"):
+        require_certified(replace(prof, u=u))
 
 
 def test_residual_second_order_convergence(solve):
