@@ -30,7 +30,7 @@ from .spectral import MIN_MESH, SingularSpectrum, lambda_ell, morse_index, onset
 def _parse_branch(spec):
     if spec == "positive":
         return 0
-    if spec.startswith("nodal:"):
+    if isinstance(spec, str) and spec.startswith("nodal:"):
         nodes = int(spec.split(":", 1)[1])
         if nodes < 1:
             raise ValueError("nodal branch needs at least one node")
@@ -219,7 +219,7 @@ def cmd_sweep(args):
 def cmd_verify(args):
     try:
         profile = hio.load_profile(args.profile)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
         print(f"profile load error: {exc}", file=sys.stderr)
         return 2
     report = {"kind": "verification", "profile": str(args.profile), "checks": {},

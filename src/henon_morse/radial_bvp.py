@@ -22,11 +22,14 @@ vectorized pass, bit for bit scipy's ``OdeSolution``.
 
 The paper's scaling u -> lam^sigma u(lam r), sigma = (2 + alpha)/(p - 2),
 maps solutions with mu to solutions with lam^2 mu, so every shot starts at
-unit amplitude (on the diagonal ansatz for symmetric systems) and stops at
-its (k+1)-th zero r_k; lam = r_k turns it into the k-node profile for
-mu = mu' r_k^2 with amplitude r_k^sigma, with no second integration.  With
-mu > 0, inexact Newton steps in log mu' (loose shots first) solve mu' r_k^2 = mu;
-each shot carries the sensitivity w = du/dmu': dr_k/dmu' = -w(r_k)/u'(r_k).
+unit amplitude and stops at its (k+1)-th zero r_k; lam = r_k turns it into
+the k-node profile for mu = mu' r_k^2 with amplitude r_k^sigma, with no
+second integration.  With mu > 0, inexact Newton steps in log mu' (loose
+shots first) solve mu' r_k^2 = mu; each shot carries the sensitivity
+w = du/dmu': dr_k/dmu' = -w(r_k)/u'(r_k).  The positive branch of a
+symmetric coupled system (a1 = a2, mu1 = mu2) is u = v, which solves the
+scalar problem with dF/du(u, u) = (a1 + b) u^3 (Sirakov, Comm. Math. Phys.
+2007): it is shot as that problem, and v is copied from u.
 
 With mu = 0 a second change of variables removes alpha: t = r^beta,
 beta = (2 + alpha)/2, turns the problem in dimension N into the Lane-Emden
@@ -57,7 +60,7 @@ import numpy as np
 
 from .errors import DegenerateInput, NoBracket, NoConverge, OverflowBlowUp
 from .gates import RESIDUAL_GATE
-from .nonlinearity import NonlinearityF
+from .nonlinearity import NonlinearityF, pure_power
 from .pencil import load_scipy_file
 
 EPS_ORIGIN = 1e-6
@@ -157,13 +160,12 @@ def _taylor_start(params, d, r):
     ])
 
 
-def _ivp_rhs(params, sensitivity=None):
+def _ivp_rhs(params, sensitivity=False):
     """Right-hand side of the first-order system in (u, v, u', v'), any sequence of floats.
 
-    With a ``sensitivity`` layout it also carries w = du/dmu1, which solves
-    w'' + (N-1) w'/r - mu1 w + r^alpha (F_uu + F_uv)(u, v) w = u: "scalar"
-    puts w in the idle v slot, (u, w, u', w'), and "diagonal" appends it to
-    the diagonal u = v, where w is dv/dmu2 as well: (u, v, u', v', w, w').
+    With ``sensitivity`` the problem is scalar (v = 0), and w = du/dmu1
+    rides in the idle v slot, (u, w, u', w'): it solves
+    w'' + (N-1) w'/r - mu1 w + r^alpha F_uu(u, 0) w = u.
     """
     grad, hess = params.f.pointwise()
     N, a = params.N, params.alpha
@@ -192,13 +194,7 @@ def _ivp_rhs(params, sensitivity=None):
             -(N - 1.0) * dw / r + mu1 * w + u - x * fuu * w,
         )
 
-    def diagonal(r, y):
-        u, v, _, _, w, dw = y
-        fuu, fuv, _ = hess(u, v)
-        return (*rhs(r, y[:4]), dw,
-                -(N - 1.0) * dw / r + mu1 * w + u - r ** a * (fuu + fuv) * w)
-
-    return {None: rhs, "scalar": scalar, "diagonal": diagonal}[sensitivity]
+    return scalar if sensitivity else rhs
 
 
 def blowup_event():
@@ -365,12 +361,12 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
 
     ``events`` are extra solve_ivp events; the radii where they fired, and the
     states there, are kept on the evaluator as ``t_events`` and ``y_events``,
-    and a terminal one ends the integration there.  With ``sensitivity`` the
-    state carries w = du/dmu1 from w(0) = w'(0) = 0 (``_ivp_rhs`` layouts:
-    "scalar" when d2 = 0, else "diagonal") at an infinite atol, so its error
-    terms are 0 and never steer the step size: u is integrated bit for bit
-    as without it.  The evaluator returns (u, v, u', v') alone.  Raises
-    OverflowBlowUp when the guard triggers first.
+    and a terminal one ends the integration there.  With ``sensitivity``
+    (d2 = 0) the state carries w = du/dmu1 from w(0) = w'(0) = 0 in the v
+    slot (``_ivp_rhs``) at an infinite atol, so its error terms are 0 and
+    never steer the step size: u is integrated bit for bit as without it.
+    The evaluator returns (u, 0, u', 0).  Raises OverflowBlowUp when the
+    guard triggers first.
     """
     d = (float(d[0]), float(d[1]))
     if d == (0.0, 0.0):
@@ -395,22 +391,16 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
         raise OverflowBlowUp(
             f"could not find a valid series start for amplitude {d}"
         )
-    layout = sensitivity and ("scalar" if d[1] == 0.0 else "diagonal")
     guard = blowup_event()
-    if layout:
-        w0 = (d[0] * eps * eps / (2.0 * params.N), d[0] * eps / params.N)
-        if layout == "scalar":
-            y0[1::2] = w0
-            atol = np.array([atol, math.inf, atol, math.inf])
+    if sensitivity:
+        y0[1::2] = d[0] * eps * eps / (2.0 * params.N), d[0] * eps / params.N
+        atol = np.array([atol, math.inf, atol, math.inf])
 
-            def guard(r, y):  # w rides in the v slot: the guard watches u alone
-                return abs(y[0]) - BLOWUP_GUARD
+        def guard(r, y):  # w rides in the v slot: the guard watches u alone
+            return abs(y[0]) - BLOWUP_GUARD
 
-            guard.terminal, guard.direction = True, 1
-        else:
-            y0 = np.append(y0, w0)
-            atol = np.array([atol] * 4 + [math.inf] * 2)
-    sol = solve_ivp(_ivp_rhs(params, layout or None), (eps, r_end), y0, rtol, atol,
+        guard.terminal, guard.direction = True, 1
+    sol = solve_ivp(_ivp_rhs(params, sensitivity), (eps, r_end), y0, rtol, atol,
                     events=[guard, *events])
     if sol.t_events[0].size:
         raise OverflowBlowUp(
@@ -423,8 +413,8 @@ def _integrate_dense(params, d, rtol=1e-10, atol=1e-10, eps=EPS_ORIGIN,
 
     def evaluate(r):
         r = np.asarray(r, dtype=float)
-        out = dense(np.maximum(r, eps))[:4]
-        if layout == "scalar":
+        out = dense(np.maximum(r, eps))
+        if sensitivity:
             out[1::2] = 0.0
         small = r < eps
         if small.any():
@@ -476,8 +466,8 @@ def _sign_changes(rs, u):
     return int(np.count_nonzero(np.diff(sign)))
 
 
-def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
-    """k-node amplitude and profile evaluator, scaled from unit-amplitude shots.
+def _scaling_amplitude(params, k, tol, ivp_tol=(1e-12, 1e-14)):
+    """k-node amplitude and (u, 0, u', 0) evaluator of a scalar problem, scaled from (1, 0) shots.
 
     For mu > 0, g(t) = log(mu' r_k^2 / mu) = 0 is solved in t = log mu' by
     Newton steps, with dg/dt = 1 + 2 mu' r_k'/r_k from the mu'-sensitivity
@@ -520,8 +510,7 @@ def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
         # atol = rtol / 100, that of a shot at amplitude 100: a tight shot is
         # scaled up to the profile, and a looser one adds noise to residual
         try:
-            dense = _integrate_dense(replace(params, mu1=mu_p, mu2=mu_p),
-                                     (1.0, 1.0 if diagonal else 0.0),
+            dense = _integrate_dense(replace(params, mu1=mu_p, mu2=mu_p), (1.0, 0.0),
                                      *(ivp_tol if tight else LOOSE_TOL),
                                      r_end=r_end, events=[zero], sensitivity=mu > 0.0)
         except OverflowBlowUp:
@@ -531,8 +520,8 @@ def _scaling_amplitude(params, k, tol, diagonal=False, ivp_tol=(1e-12, 1e-14)):
             return r_end, None, 0.0
         if mu == 0.0:
             return float(zeros[k]), dense, 0.0
-        y = dense.y_events[0][k]  # (u, w, u', w'), or (u, v, u', v', w, w') on the diagonal
-        return float(zeros[k]), dense, -float(y[4 if diagonal else 1] / y[2])
+        y = dense.y_events[0][k]  # (u, w, u', w')
+        return float(zeros[k]), dense, -float(y[1] / y[2])
 
     def settled(g, r_k):
         return sigma * g * r_k ** sigma <= 2.0 * tol * (1.0 + r_k ** sigma)
@@ -630,17 +619,32 @@ class LaneEmdenShot:
     dense: object
 
 
-def _diagonal(params, nodes):
-    """Whether the shot runs on the diagonal u = v: the positive branch of a coupled system."""
+def _scaled_shot(params, nodes, tol):
+    """Centre values and evaluator of the k-node solution: of ``params``, or its image at mu = 0.
+
+    The image is the (M, 0) problem of ``lane_emden_params``.  The positive
+    branch of a symmetric coupled system is u = v: it is shot as the scalar
+    problem with dF/du(u, u) = (a1 + b) u^3, from (1, 0), and its evaluator
+    copies u, u' into v, v'.  Every other problem is shot as it is.
+    """
     if nodes < 0:
         raise ValueError("nodes must be nonnegative")
     f = params.f
-    if nodes or not (f.family == "quartic_coupled" and f.b > 0):
-        return False
-    if not (f.a1 == f.a2 and params.mu1 == params.mu2):
+    synchronized = not nodes and f.family == "quartic_coupled" and f.b > 0
+    if synchronized and not (f.a1 == f.a2 and params.mu1 == params.mu2):
         raise ValueError("the positive branch of a coupled system is shot on the diagonal "
                          "u = v, which needs a1 = a2 and mu1 = mu2")
-    return True
+    _require_subcritical(params)
+    if params.mu1 or params.mu2:
+        problem, ivp_tol = params, (1e-12, 1e-14)
+    else:
+        problem, ivp_tol = lane_emden_params(params), LANE_EMDEN_TOL
+    if not synchronized:
+        amplitude, dense = _scaling_amplitude(problem, nodes, tol, ivp_tol)
+        return (amplitude, 0.0), dense
+    amplitude, dense = _scaling_amplitude(replace(problem, f=pure_power(4, f.a1 + f.b)), 0,
+                                          tol, ivp_tol)
+    return (amplitude, amplitude), lambda r: dense(r)[[0, 0, 2, 2]]
 
 
 def lane_emden_shot(params, nodes, tol=1e-10, grid_size=4000):
@@ -648,17 +652,14 @@ def lane_emden_shot(params, nodes, tol=1e-10, grid_size=4000):
 
     One unit-amplitude shot, evaluated once on the 4x t-grid of ``grid_size``.
     """
-    diagonal = _diagonal(params, nodes)
-    _require_subcritical(params)
     image = lane_emden_params(params)
-    amplitude, dense = _scaling_amplitude(image, nodes, tol, diagonal, LANE_EMDEN_TOL)
-    profile, zeros = _sample(image, (amplitude, amplitude if diagonal else 0.0), dense,
-                             grid_size, refine=4)
+    amplitude, dense = _scaled_shot(params, nodes, tol)
+    profile, zeros = _sample(image, amplitude, dense, grid_size, refine=4)
     return LaneEmdenShot(profile, nodes, zeros, dense)
 
 
 def _mapped(params, amplitude, dense):
-    """Amplitude and evaluator of the mu = 0 profile mapped from its (M, 0) image.
+    """Centre values and evaluator of the mu = 0 profile mapped from its (M, 0) image.
 
     u(r) = c v(r^beta) and u'(r) = c beta r^(beta-1) v'(r^beta), with
     beta = (2 + alpha)/2 and c = beta^(2/(p-2)); both factors are exactly 1
@@ -674,7 +675,7 @@ def _mapped(params, amplitude, dense):
         vals[2:] *= c * beta * r ** (beta - 1.0)
         return vals
 
-    return c * amplitude, profile
+    return (c * amplitude[0], c * amplitude[1]), profile
 
 
 def _shoot_branch(params, k, tol, grid_size, shot=None):
@@ -686,25 +687,20 @@ def _shoot_branch(params, k, tol, grid_size, shot=None):
     rescaled profile's u(1) is its amplitude times the unit shot's event
     location error, so the boundary bound is tol (1 + amplitude).
     """
-    diagonal = _diagonal(params, k)
-    _require_subcritical(params)
     zeros = None
-    if params.mu1 or params.mu2:
-        amplitude, dense = _scaling_amplitude(params, k, tol, diagonal)
+    if shot is None or params.mu1 or params.mu2:
+        d, dense = _scaled_shot(params, k, tol)
+    elif (shot.profile.params, shot.nodes) == (lane_emden_params(params), k):
+        d, dense, zeros = shot.profile.amplitude, shot.dense, shot.zeros
     else:
-        image = lane_emden_params(params)
-        if shot is None:
-            amplitude, dense = _scaling_amplitude(image, k, tol, diagonal, LANE_EMDEN_TOL)
-        elif (shot.profile.params, shot.nodes) == (image, k):
-            amplitude, dense, zeros = shot.profile.amplitude[0], shot.dense, shot.zeros
-        else:
-            raise ValueError("the shot maps to another dimension, coupling or branch")
-        amplitude, dense = _mapped(params, amplitude, dense)
-        if amplitude > AMPLITUDE_CAP:
-            raise NoBracket(f"the {k}-node solution has amplitude {amplitude:.6g}, "
+        raise ValueError("the shot maps to another dimension, coupling or branch")
+    if not (params.mu1 or params.mu2):
+        d, dense = _mapped(params, d, dense)
+        if d[0] > AMPLITUDE_CAP:
+            raise NoBracket(f"the {k}-node solution has amplitude {d[0]:.6g}, "
                             f"above {AMPLITUDE_CAP:.0e}")
-    profile, counted = _sample(params, (amplitude, amplitude if diagonal else 0.0), dense,
-                               grid_size, refine=4 if zeros is None else 1)
+    amplitude = d[0]
+    profile, counted = _sample(params, d, dense, grid_size, refine=4 if zeros is None else 1)
     zeros = counted if zeros is None else zeros
     boundary = abs(float(profile.u[-1]))
     if boundary > tol * (1.0 + amplitude):
@@ -723,8 +719,8 @@ def shoot_positive(params, tol=1e-10, grid_size=4000, shot=None):
     """Positive radial solution with u > 0 on [0,1) and |u(1)| <= tol (1 + u(0)).
 
     Scalar problems (second component identically zero) shoot on the first
-    component; symmetric systems (a1 = a2, mu1 = mu2) use the diagonal ansatz
-    u = v, which reduces to a scalar shoot.  ``shot``, from
+    component; a symmetric coupled system (a1 = a2, mu1 = mu2) gives u = v,
+    shot as its scalar reduction (``_scaled_shot``).  ``shot``, from
     ``lane_emden_shot``, is the (M, 0) shot a mu = 0 problem maps from.
     """
     return _shoot_branch(params, 0, tol, grid_size, shot)

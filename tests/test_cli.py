@@ -158,7 +158,8 @@ def test_solve_malformed_params(tmp_path):
     for i, overrides in enumerate(({"branch": "nodal:x"}, {"branch": "nodal:0"},
                                    {"family": "quartic_coupled", "a2": 2.0, "b": 0.5},
                                    {"N": 2.6}, {"alpha": float("nan")},
-                                   {"alpha": float("inf")}, {"mu1": float("nan")})):
+                                   {"alpha": float("inf")}, {"mu1": float("nan")},
+                                   {"branch": 3}, {"branch": None})):
         pfile = tmp_path / f"params{i}.json"
         write_params(pfile, **overrides)
         assert main(["solve", "--params", str(pfile), "--out", str(tmp_path / f"z{i}")]) == 2
@@ -257,11 +258,13 @@ def test_verify_detects_corruption(tmp_path, solve):
         assert not report["checks"]["transformed_residual"]["pass"]
 
 
-@pytest.mark.parametrize("field, value", [("N", 2.6), ("alpha", float("nan"))])
+@pytest.mark.parametrize("field, value", [("N", 2.6), ("alpha", float("nan")), ("mu1", None),
+                                          ("amplitude", None), ("amplitude", [])])
 def test_verify_rejects_malformed_stored_params(tmp_path, capsys, solve, field, value):
+    # a parameter or the amplitude of the header
     save_profile(solve(2, 4.0), tmp_path / "profile")
     header = json.loads((tmp_path / "profile.json").read_text())
-    header["params"][field] = value
+    (header["params"] if field in header["params"] else header)[field] = value
     (tmp_path / "profile.json").write_text(json.dumps(header))
     assert main(["verify", "--profile", str(tmp_path / "profile")]) == 2
     assert "profile load error: " in capsys.readouterr().err

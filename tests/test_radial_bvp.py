@@ -235,12 +235,28 @@ def test_large_mu_converges_within_the_old_shot_count(monkeypatch, mu, amplitude
 
 
 def test_mu_positive_diagonal_amplitude():
-    # the diagonal carries w in two extra components; amplitude of the
-    # secant and Illinois steps, at 1e-10
+    # u = v, shot as its scalar reduction; amplitude of the secant and
+    # Illinois steps, at 1e-10
     f = quartic_coupled(b=0.5)
     prof = shoot_positive(ProblemParams(N=3, alpha=1.0, mu1=1.0, mu2=1.0, f=f))
     assert prof.amplitude[0] == pytest.approx(7.0518948040189695, rel=1e-10)
     assert prof.amplitude[1] == prof.amplitude[0]
+
+
+@pytest.mark.parametrize("N, alpha, mu", [(2, 4.0, 0.0), (3, 1.0, 1.0)])
+def test_symmetric_positive_branch_is_its_scalar_reduction(monkeypatch, N, alpha, mu):
+    # u = v solves the scalar problem with dF/du(u, u) = (a1 + b) u^3: both
+    # components are the pure_power(4, 1.5) profile bit for bit, and every
+    # shot integrates the four-component state (u, w, u', w') or (u, 0, u', 0)
+    calls = captured_calls(monkeypatch, radial_bvp)
+    coupled = shoot_positive(ProblemParams(N=N, alpha=alpha, mu1=mu, mu2=mu,
+                                           f=quartic_coupled(b=0.5)))
+    sizes = [len(args[2]) for args, _, _ in calls]
+    scalar = shoot_positive(ProblemParams(N=N, alpha=alpha, mu1=mu, mu2=mu, f=pure_power(4, 1.5)))
+    assert np.array_equal(coupled.u, coupled.v) and np.array_equal(coupled.du, coupled.dv)
+    assert np.array_equal(coupled.u, scalar.u) and np.array_equal(coupled.du, scalar.du)
+    assert coupled.amplitude == (scalar.amplitude[0], scalar.amplitude[0])
+    assert len(sizes) >= (3 if mu else 1) and set(sizes) == {4}, sizes
 
 
 def unit_shot(f, mu_p, d, sensitivity):
@@ -267,7 +283,7 @@ def test_sensitivity_leaves_the_scalar_shot_bit_for_bit(f):
 
 @pytest.mark.parametrize("f, d, slot", [(pure_power(4), (1.0, 0.0), 1),
                                         (pure_power(3), (1.0, 0.0), 1),
-                                        (quartic_coupled(b=0.5), (1.0, 1.0), 4)])
+                                        (pure_power(4, 1.5), (1.0, 0.0), 1)])
 def test_sensitivity_gives_the_zero_drift(f, d, slot):
     # dr_k/dmu' = -w(r_k)/u'(r_k) against a centred difference of two shots
     mu_p, h = 0.2, 1e-5
@@ -390,20 +406,19 @@ def test_dop853_kernel_is_scipys_on_a_liouville_period(monkeypatch):
 @st.composite
 def random_shots(draw):
     """A solve_ivp call in an r-shot layout: (fun, t_span, y0, rtol, atol) and its events."""
-    layout = draw(st.sampled_from([None, "scalar", "diagonal"]))
-    f = (quartic_coupled(b=draw(st.floats(0.0, 2.0))) if layout == "diagonal"
-         else draw(st.sampled_from([pure_power(3.0), pure_power(4.0), pure_power(2.5),
-                                    quartic_coupled(b=0.5)])))  # F' is cubic at p = 4
+    sensitivity = draw(st.booleans())
+    f = draw(st.sampled_from([pure_power(3.0), pure_power(4.0), pure_power(2.5),
+                              quartic_coupled(b=0.5)]))  # F' is cubic at p = 4
     mu = draw(st.floats(0.0, 2.0))
     params = ProblemParams(N=draw(st.sampled_from([2, 3, 4])), alpha=draw(st.floats(0.0, 4.0)),
                            mu1=mu, mu2=mu, f=f)
     amp = draw(st.floats(1.0, 6.0))
-    both = layout == "diagonal" or (layout is None and draw(st.booleans()))
+    both = not sensitivity and draw(st.booleans())
     d = (amp, amp if both else 0.0)
     y0 = _taylor_start(params, d, EPS_ORIGIN)
-    if layout:  # w = du/dmu1 from the series, in the v slot or appended
+    if sensitivity:  # w = du/dmu1 from the series, in the v slot
         w0 = [amp * EPS_ORIGIN ** 2 / (2.0 * params.N), amp * EPS_ORIGIN / params.N]
-        y0 = np.append(y0, w0) if layout == "diagonal" else np.array([y0[0], w0[0], y0[2], w0[1]])
+        y0 = np.array([y0[0], w0[0], y0[2], w0[1]])
     rtol = 10.0 ** draw(st.floats(-13.0, -6.0))
     atol = rtol * 10.0 ** draw(st.floats(-3.0, 0.0))
     if draw(st.booleans()):
@@ -420,14 +435,14 @@ def random_shots(draw):
         if kind == "terminal":
             crossing.terminal = draw(st.integers(1, 3))
         kwargs["events"] = [blowup_event(), crossing]
-    return (radial_bvp._ivp_rhs(params, layout), (EPS_ORIGIN, draw(st.floats(1.0, 4.0))),
+    return (radial_bvp._ivp_rhs(params, sensitivity), (EPS_ORIGIN, draw(st.floats(1.0, 4.0))),
             y0, rtol, atol), kwargs
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(random_shots())
 def test_dop853_kernel_is_scipys_on_random_shots(shot):
-    # 4- and 6-component states, scalar and array atol with infinite entries,
+    # with and without w in the v slot, scalar and array atol with infinite entries,
     # rtol over seven decades, with no event, a directional or a terminal one
     args, kwargs = shot
     assert_kernel_is_scipys((args, kwargs, radial_bvp.solve_ivp(*args, **kwargs)))
@@ -436,11 +451,10 @@ def test_dop853_kernel_is_scipys_on_random_shots(shot):
 @pytest.mark.parametrize("params, d, sensitivity", [
     (ProblemParams(N=3, alpha=1.0, mu1=0.5, mu2=0.5, f=pure_power(4)), (2.0, 0.0), False),
     (ProblemParams(N=3, alpha=1.0, mu1=0.5, mu2=0.5, f=pure_power(4)), (2.0, 0.0), True),
-    (ProblemParams(N=2, alpha=0.5, mu1=1.0, mu2=1.0, f=quartic_coupled(b=0.5)), (1.5, 1.5), True),
 ])
 def test_dense_evaluator_is_the_series_then_the_shot(monkeypatch, params, d, sensitivity):
     # below eps the Taylor start, from eps on the shot's own dense output,
-    # with the w rows of the "scalar" layout zeroed, on points below, at and
+    # with the w rows of a sensitivity shot zeroed, on points below, at and
     # just above eps, the same points unsorted, and 0-d inputs
     calls = captured_calls(monkeypatch, radial_bvp)
     dense = _integrate_dense(params, d, sensitivity=sensitivity)
@@ -452,8 +466,8 @@ def test_dense_evaluator_is_the_series_then_the_shot(monkeypatch, params, d, sen
     small = r < eps
     ref = np.empty((4, r.size))
     ref[:, small] = _taylor_start(params, d, r[small])
-    ref[:, ~small] = sol(r[~small])[:4]
-    if sensitivity and d[1] == 0.0:
+    ref[:, ~small] = sol(r[~small])
+    if sensitivity:
         ref[1::2, ~small] = 0.0
     assert small.sum() == 51 and np.array_equal(dense(r), ref)
     order = np.random.default_rng(3).permutation(r.size)
@@ -525,10 +539,11 @@ def rk4_brackets(params, amplitude, nodes, diagonal=False, rel=1e-9):
 def test_scaling_solve_matches_bisection(N, alpha, nodes, f):
     # an independent fixed-step integration brackets the one-shot mu = 0
     # amplitude as a bisection on the sign of u(1) would, to rel 1e-9
+    # (a coupled positive branch is u = v, shot as its scalar reduction)
     params = ProblemParams(N=N, alpha=alpha, mu1=0.0, mu2=0.0, f=f)
-    diagonal = f.b > 0
-    amplitude = _scaling_amplitude(params, nodes, tol=1e-10, diagonal=diagonal)[0]
-    assert rk4_brackets(params, amplitude, nodes, diagonal)
+    shot = replace(params, f=pure_power(4, f.a1 + f.b)) if f.b > 0 else params
+    amplitude = _scaling_amplitude(shot, nodes, tol=1e-10)[0]
+    assert rk4_brackets(params, amplitude, nodes, diagonal=f.b > 0)
 
 
 @pytest.mark.parametrize("N, alpha, nodes, f", [
