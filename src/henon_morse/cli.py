@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as hio
 from .errors import HenonMorseError, NoBracket, NoConverge, OverflowBlowUp
-from .halfline import certify, eval_Qk, smooth_bump
+from .halfline import certify, qk_probe
 from .liouville import (HALF_LINE, energy_of, instability_witness, integrate_limit_system,
                         witness_quadrature)
 from .gates import QK_GATE, WITNESS_GATE
@@ -238,17 +238,8 @@ def cmd_verify(args):
         stable_ell = next((ell for ell, _, neg in rep.per_ell if neg == 0), None)
         if stable_ell is not None:
             lam = lambda_ell(stable_ell, profile.params.N)
-            rng = np.random.default_rng(20260809)
-            qmin = np.inf
-            for _ in range(100):
-                a = rng.uniform(0.0, 0.6 * tp.T)
-                # lengths in [0.5, 0.2 T]; all 0.2 T on a horizon below 2.5
-                b = a + rng.uniform(min(0.5, 0.2 * tp.T), 0.2 * tp.T)
-                phi, dphi = smooth_bump(tp.tgrid, a, min(b, tp.T))
-                c1, c2 = rng.uniform(-1.0, 1.0, 2)
-                qmin = min(qmin, eval_Qk(tp, lam, (c1 * phi, c2 * phi),
-                                         (c1 * dphi, c2 * dphi)))
-            checks["qk_probe_min"] = {"ell": stable_ell, "value": float(qmin),
+            qmin = float(np.min(qk_probe(tp, lam, np.random.default_rng(20260809))))
+            checks["qk_probe_min"] = {"ell": stable_ell, "value": qmin,
                                       "pass": bool(qmin >= -QK_GATE)}
         report["morse"] = hio.morse_report_to_dict(rep)
     except HenonMorseError as exc:

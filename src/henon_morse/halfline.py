@@ -19,9 +19,11 @@ Also implemented here: the boundary-derivative estimate
 
 which is an identity when mu1 = mu2 = 0 (a sharp pipeline check), the
 associated amplitude lower bound with its explicit constant chain, the
-stability quadratic form Q_k of the transformed linearization, and the
-weighted half-line eigenproblem that converts a negative Q_k value into a
-negative eigenvalue with eigenfunction.
+stability quadratic form Q_k of the transformed linearization (``eval_Qk``
+on any sampled pair, ``qk_probe`` on random smooth bumps, each integral
+taken over the bump's support only), and the weighted half-line
+eigenproblem that converts a negative Q_k value into a negative eigenvalue
+with eigenfunction.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import HypothesisViolated, MeshTooCoarse
 from .gates import IDENTITY_GATE, POHOZAEV_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
 from .nonlinearity import NonlinearityF
 from .pencil import flux_pencil, lowest_eigenpair
-from .radial_bvp import ProblemParams, relative_residual, simpson
+from .radial_bvp import ProblemParams, relative_residual, simpson, simpson_weights
 
 DEFAULT_HORIZON_SCALE = 30.0
 
@@ -237,6 +239,39 @@ def smooth_bump(tgrid, a, b):
     phi[inside] = core
     dphi[inside] = core * (1.0 - 2.0 * xi) / (xi * (1.0 - xi)) ** 2 / (b - a)
     return phi, dphi
+
+
+def qk_probe(tp, lam, rng):
+    """Q_k at 100 random pairs (c1 phi, c2 phi), phi a ``smooth_bump``: ``eval_Qk``'s values.
+
+    Each probe draws from ``rng`` its support (a, b), a uniform in [0, 0.6 T]
+    and b - a uniform in [min(0.5, 0.2 T), 0.2 T], cut at T, then c1 and c2
+    uniform in [-1, 1].  With the Simpson integrals a = int e^(-gamma t)
+    phi'^2, b = int e^(-gamma t) phi^2 and s_ij = int U_ij phi^2,
+
+        Q_k(c1 phi, c2 phi) = (c1^2 + c2^2)(a + lam beta^2 b)
+                              - c1^2 s11 - 2 c1 c2 s12 - c2^2 s22.
+
+    Each integral is one dot product over the bump's support, with weight
+    vectors (``simpson_weights`` times e^(-gamma t) or U_ij) made once.
+    """
+    t, T, U = tp.tgrid, tp.T, tp.potential
+    c = simpson_weights(t)
+    ce, c11, c12, c22 = c * np.exp(-tp.gamma * t), c * U.m11, c * U.m12, c * U.m22
+    shift = lam * tp.beta ** 2
+    out = np.empty(100)
+    for i in range(100):
+        a = rng.uniform(0.0, 0.6 * T)
+        # lengths in [0.5, 0.2 T]; all 0.2 T on a horizon below 2.5
+        b = min(a + rng.uniform(min(0.5, 0.2 * T), 0.2 * T), T)
+        c1, c2 = rng.uniform(-1.0, 1.0, 2)
+        support = slice(np.searchsorted(t, a, side="right"), np.searchsorted(t, b))
+        phi, dphi = smooth_bump(t[support], a, b)
+        phi2 = phi * phi
+        out[i] = ((c1 * c1 + c2 * c2) * (ce[support] @ (dphi * dphi) + shift * (ce[support] @ phi2))
+                  - c1 * c1 * (c11[support] @ phi2) - 2.0 * c1 * c2 * (c12[support] @ phi2)
+                  - c2 * c2 * (c22[support] @ phi2))
+    return out
 
 
 def pohozaev_check(tp):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NonTermination, OverflowBlowUp
 from .nonlinearity import NonlinearityF
 from .pencil import flux_pencil, lowest_eigenpair
-from .radial_bvp import BLOWUP_GUARD, blowup_event, simpson, solve_ivp
+from .radial_bvp import BLOWUP_GUARD, blowup_event, solve_ivp
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -135,56 +135,15 @@ def energy_of(traj):
     return 0.5 * (traj.du ** 2 + traj.dv ** 2) + traj.scale * traj.f.value(traj.u, traj.v)
 
 
-def lower_mass_window(traj, eps, refine=2000):
-    """Window centers and masses of |u|^p + |v|^p around its local maxima.
-
-    Centers are local maxima of the density spaced at least 1 apart; each
-    mass is the integral over (center - eps, center + eps).  For a nontrivial
-    bounded trajectory the masses stay above a common positive bound.
-
-    Peak centers are polished by Brent's bounded minimizer on the dense
-    evaluator and each mass is integrated on its own window subgrid, so
-    masses of congruent windows agree to quadrature precision.
-    """
-    # deferred: scipy.signal and scipy.optimize cost several times the whole package import
-    from scipy.optimize import minimize_scalar
-    from scipy.signal import find_peaks
-
-    t = traj.tgrid
-    dt = t[1] - t[0]
-    p = traj.f.p
-
-    def density_arrays(u, v):
-        return np.abs(u) ** p + np.abs(v) ** p
-
-    g = density_arrays(traj.u, traj.v)
-    if float(np.max(g)) == 0.0:
-        return []
-    peaks, _ = find_peaks(g, distance=max(int(round(1.0 / dt)), 1))
-
-    def neg_density(x):
-        vals = traj.dense(x)
-        return -(abs(float(vals[0])) ** p + abs(float(vals[1])) ** p)
-
-    out = []
-    for idx in peaks:
-        c = minimize_scalar(neg_density, bounds=(float(t[idx]) - dt, float(t[idx]) + dt),
-                            method="bounded", options={"xatol": 1e-13}).x
-        if c - eps < t[0] or c + eps > t[-1]:
-            continue
-        ts = np.linspace(c - eps, c + eps, refine + 1)
-        vals = traj.dense(ts)
-        out.append((c, float(simpson(density_arrays(vals[0], vals[1]), ts))))
-    return out
-
-
 def instability_witness(traj, window, mesh=800):
     """Smallest Dirichlet eigenvalue of the second variation on a window.
 
     Returns (q_min, (ts, phi1, phi2)) where q_min is the minimum of q over
     test pairs supported in (a, b) scaled to unit mass and phi is the
     minimizer (including the boundary zeros).  q_min < 0 certifies an
-    instability witness; re-verify by quadrature of q on phi.
+    instability witness; re-verify by quadrature of q on phi.  Where
+    D2F(u, v) has no off-diagonal entry (a scalar trajectory), the pencil
+    splits and phi2 is exactly 0, or phi1 is.
     """
     a, b = float(window[0]), float(window[1])
     if not (traj.tgrid[0] <= a < b <= traj.tgrid[-1]):

@@ -25,9 +25,13 @@ pencils a d12 = 0 pencil (every scalar sector, window and weighted form) or a
 d11 = d22 one (every coupled pencil of the CLI) splits into, by the block
 LDL^T pivot recursion on any other.
 The lowest eigenvalue is certified by an isolating Sturm bracket from the
-pencil's own ``gershgorin_floor`` and the Kato-Temple bound.
+pencil's own ``gershgorin_floor`` and the Kato-Temple bound.  A pencil that
+splits takes its eigenpair from the one tridiagonal block that holds it
+(``dstebz`` in the bracket, then ``dstein``), so the other block's half of
+the eigenvector is exactly 0; any other pencil, and a split solve that
+fails the bound, takes banded inverse iteration.
 LAPACK is scipy's compiled wrapper ``linalg/_flapack``, loaded by file path:
-importing ``scipy.linalg`` (numpy.f2py, numpy.testing) for two routines would
+importing ``scipy.linalg`` (numpy.f2py, numpy.testing) for three routines would
 double the start-up of every CLI run.  ``solve_banded`` is scipy's ``dgbsv`` path.
 """
 
@@ -47,6 +51,7 @@ PIVOT_TINY = 1e-300
 ZERO_PIVOT = 1e-14  # a 2x2 pivot with |det| <= ZERO_PIVOT scale^2 is singular
 SHIFT_NUDGES = (0.0, 1e2, -1e2, 1e4)  # in units of the shift's _zero_pivot_band
 SEED = 4242  # random start of the inverse iteration in lowest_eigenpair
+SPLIT_ABSTOL = 2.0 * np.finfo(float).tiny  # dstebz's most accurate ABSTOL: twice the underflow
 
 
 def load_scipy_file(name, *paths):
@@ -66,7 +71,7 @@ def load_scipy_file(name, *paths):
 
 _FLAPACK = load_scipy_file(
     "_flapack", *(f"linalg/_flapack{ext}" for ext in importlib.machinery.EXTENSION_SUFFIXES))
-dstebz = _FLAPACK.dstebz
+dstebz, dstein = _FLAPACK.dstebz, _FLAPACK.dstein
 
 
 def solve_banded(l_and_u, ab, b):
@@ -159,31 +164,48 @@ def _zero_pivot_band(pencil, s):
     return ZERO_PIVOT * float(np.max(rows / bw))
 
 
+def split_form(pencil):
+    """The scaled tridiagonal (d, e) a splittable pencil is congruent to, or None.
+
+    With d12 = 0 the pencil is the two tridiagonal pencils (d11, off, bw) and
+    (d22, off, bw).  With d11 = d22 (the diagonal u = v of a symmetric
+    system) the rotation (w1 +- w2)/sqrt(2) at each node splits it into
+    (d11 + d12, off, bw) and (d22 - d12, off, bw).  Each goes to its scaled
+    standard form d / bw, off / sqrt(bw_i bw_(i+1)) (y = B^(1/2) x, the same
+    eigenvalues), and the two are stacked with a zero link: the first n rows
+    hold w1 (or w1 + w2), the last n w2 (or w1 - w2).  None for any other
+    pencil, and for one whose scaled entries are not finite.
+    """
+    d11, d12, d22, off, bw = pencil
+    if np.any(d12) and not np.array_equal(d11, d22):
+        return None
+    e = off / np.sqrt(bw[:-1] * bw[1:])
+    d, e = np.concatenate([(d11 + d12) / bw, (d22 - d12) / bw]), np.concatenate([e, [0.0], e])
+    if np.all(np.isfinite(d)) and np.all(np.isfinite(e * e)):
+        return d, e
+    return None
+
+
 def count_below(pencil, s):
     """Number of pencil eigenvalues below s, from the inertia of A - s B.
 
-    With d12 = 0, one ``dstebz`` call counts both tridiagonal pencils, stacked
-    with a zero link, in their scaled standard forms d / bw, off / sqrt(bw_i
-    bw_(i+1)), of the same inertia (Sylvester).  With d11 = d22 (the diagonal
-    u = v of a symmetric system) the rotation (w1 +- w2)/sqrt(2) at each node
-    splits it into (d11 + d12, off, bw) and (d22 - d12, off, bw), which the
-    same call counts.  RANGE 'V' over (-inf, vu], vu the float below s, with
-    ABSTOL = inf takes just the Sturm counts, and LAPACK's pivmin rule stands
-    in for the nudges.  Other coupled pencils, and those with non-finite
-    scaled entries, run ``_negative_pivots``: a machine-zero pivot is retried
-    at the shift nudged by SHIFT_NUDGES times its ``_zero_pivot_band``.  A pivot just outside its band would leave the next
-    one dominated by off^2 / pivot, near-singular in turn; a hundred bands
-    keep that ratio clear of ZERO_PIVOT.  SingularPivot is raised only when
-    every nudge hits a zero pivot.
+    A pencil with a ``split_form`` is counted by one ``dstebz`` call on it
+    (the same inertia, by Sylvester): RANGE 'V' over (-inf, vu], vu the
+    float below s, with ABSTOL = inf takes just the Sturm counts, and
+    LAPACK's pivmin rule stands in for the nudges.  Other coupled pencils,
+    and those with non-finite scaled entries, run ``_negative_pivots``: a
+    machine-zero pivot is retried at the shift nudged by SHIFT_NUDGES times
+    its ``_zero_pivot_band``.  A pivot just outside its band would leave the
+    next one dominated by off^2 / pivot, near-singular in turn; a hundred
+    bands keep that ratio clear of ZERO_PIVOT.  SingularPivot is raised only
+    when every nudge hits a zero pivot.
     """
+    form = split_form(pencil)
+    if form is not None:
+        m, *_, info = dstebz(*form, 1, -np.inf, np.nextafter(s, -np.inf), 0, 0, np.inf, "E")
+        if info == 0:
+            return int(m)
     d11, d12, d22, off, bw = pencil
-    if not np.any(d12) or np.array_equal(d11, d22):
-        e = off / np.sqrt(bw[:-1] * bw[1:])
-        d, e = np.concatenate([(d11 + d12) / bw, (d22 - d12) / bw]), np.concatenate([e, [0.0], e])
-        if np.all(np.isfinite(d)) and np.all(np.isfinite(e * e)):
-            m, *_, info = dstebz(d, e, 1, -np.inf, np.nextafter(s, -np.inf), 0, 0, np.inf, "E")
-            if info == 0:
-                return int(m)
     band = 0.0
     for nudge in SHIFT_NUDGES:
         sh = s + nudge * band
@@ -216,20 +238,55 @@ def bisect_eigenvalue(count, j, lo, hi, settled=None, rtol=1e-13):
     return lo, hi, True
 
 
+def _split_eigenvector(pencil, form, lo, hi):
+    """x with x^T B x = 1 for the lowest eigenvalue in [lo, hi) of a pencil's ``split_form``.
+
+    ``dstebz`` (RANGE 'V' over the Sturm counts ``count_below`` takes, ABSTOL
+    SPLIT_ABSTOL) locates the eigenvalue and its block, ``dstein`` gives that
+    block's eigenvector y, and x = B^(-1/2) y, rotated back when d12 != 0:
+    the rows of the other block stay exactly 0 (w2 = 0, or w1 = +-w2).
+    None if either routine fails.
+    """
+    d, e = form
+    m, w, iblock, isplit, info = dstebz(d, e, 1, np.nextafter(lo, -np.inf),
+                                        np.nextafter(hi, -np.inf), 0, 0, SPLIT_ABSTOL, "B")
+    if info or m < 1:
+        return None
+    j = int(np.argmin(w[:m]))
+    iblock[0] = iblock[j]
+    z, info = dstein(d, e, w[j:j + 1], iblock, isplit)
+    if info:
+        return None
+    d11, d12, d22, off, bw = pencil
+    n = len(bw)
+    root = np.sqrt(bw)
+    x1, x2 = z[:n, 0] / root, z[n:, 0] / root
+    if np.any(d12):
+        half = math.sqrt(0.5)
+        x1, x2 = (x1 + x2) * half, (x1 - x2) * half
+    x = np.empty(2 * n)
+    x[0::2], x[1::2] = x1, x2
+    return x / math.sqrt(float(np.dot(np.repeat(bw, 2) * x, x)))
+
+
 def lowest_eigenpair(pencil):
     """Smallest pencil eigenvalue lambda_1 with its eigenvector, certified.
 
     Sturm bisection up from just below the pencil's ``gershgorin_floor``
     isolates lambda_1 in [lo, hi): count(lo) = 0, count(hi) = 1 (so hi <=
-    lambda_2) and hi - lo <= 1e-3 (1 + |hi|).  Four banded inverse-iteration
-    steps at lo from a random start (seed SEED), then at most three
-    Rayleigh-quotient steps, give interleaved x, x^T B x = 1.  rho = x^T A x is
-    returned once it lies in [lo, hi) and the Kato-Temple bound, with eps^2 =
-    r^T B^-1 r and r = A x - rho B x, gives rho - eps^2 / (hi - rho) <=
-    lambda_1 <= rho with eps^2 / (hi - rho) <= 1e-13 (1 + |rho|).  Otherwise
-    (a cluster no such bracket splits, or rows of tiny mass whose rounding
-    keeps eps^2 high) the bisection goes on to width 1e-13 (1 + |hi|), and six
-    inverse-iteration steps just below its midpoint give x.  Returns (mu, x).
+    lambda_2) and hi - lo <= 1e-3 (1 + |hi|).  An eigenvector x, x^T B x =
+    1, gives rho = x^T A x, returned once it lies in [lo, hi) and the
+    Kato-Temple bound, with eps^2 = r^T B^-1 r and r = A x - rho B x, gives
+    rho - eps^2 / (hi - rho) <= lambda_1 <= rho with eps^2 / (hi - rho) <=
+    1e-13 (1 + |rho|).  A pencil with a ``split_form`` takes x from
+    ``_split_eigenvector``.  Any other pencil, or a split x the bound
+    rejects, takes four banded inverse-iteration steps at lo from a random
+    start (seed SEED), then at most three Rayleigh-quotient steps.  When no
+    such bracket forms (a cluster), or no x passes (rows of tiny mass whose
+    rounding keeps eps^2 high), the bisection goes on to width 1e-13 (1 +
+    |hi|) and mu is its midpoint.  Then a cluster of a split pencil takes x
+    from ``_split_eigenvector`` on that bracket, and any other pencil from
+    six inverse-iteration steps just below mu.  Returns (mu, x).
     """
     d11, d12, d22, off, bw = pencil
     Bv = np.repeat(bw, 2)
@@ -246,6 +303,13 @@ def lowest_eigenpair(pencil):
         y = solve_banded((2, 2), shifted, Bv * x)
         return y / math.copysign(math.sqrt(float(np.dot(Bv * y, y))), float(np.dot(Bv * y, x)))
 
+    def quotient(x):
+        """rho = x^T A x, and whether it lies in [lo, hi) with the Kato-Temple bound met."""
+        ax = sum(np.roll(ab[k] * x, k - 2) for k in range(5))  # A x; the band pads with 0
+        rho = float(np.dot(x, ax))
+        r = ax - rho * Bv * x  # eps^2 = r^T B^-1 r below
+        return rho, lo <= rho < hi and np.dot(r / Bv, r) <= 1e-13 * (1 + abs(rho)) * (hi - rho)
+
     count = lru_cache(maxsize=None)(lambda s: count_below(pencil, s))  # settled re-reads hi
     g = gershgorin_floor(pencil)
     lo = g - 1e-6 * (1.0 + abs(g))  # strictly below: uncoupled pencils attain g
@@ -254,6 +318,13 @@ def lowest_eigenpair(pencil):
         hi = 2.0 * hi + 1.0
     lo, hi, isolated = bisect_eigenvalue(
         count, 1, lo, hi, lambda lo, hi: count(hi) == 1 and hi - lo <= 1e-3 * (1.0 + abs(hi)))
+    form = split_form(pencil)
+    if form is not None and isolated:
+        split = _split_eigenvector(pencil, form, lo, hi)
+        if split is not None:
+            rho, certified = quotient(split)
+            if certified:
+                return rho, split
     # a Rayleigh shift at lambda_1 to working precision makes the solve singular or overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(7 if isolated else 0):
@@ -261,13 +332,14 @@ def lowest_eigenpair(pencil):
                 x = inverse_step(x, lo if step < 4 else rho)
             except (np.linalg.LinAlgError, ValueError):
                 break
-            ax = sum(np.roll(ab[k] * x, k - 2) for k in range(5))  # A x; the band pads with 0
-            rho = float(np.dot(x, ax))
-            r = ax - rho * Bv * x  # eps^2 = r^T B^-1 r below
-            if step >= 4 and lo <= rho < hi and np.dot(r / Bv, r) <= 1e-13 * (1 + abs(rho)) * (hi - rho):
+            rho, certified = quotient(x)
+            if step >= 4 and certified:
                 return rho, x
     lo, hi, _ = bisect_eigenvalue(count, 1, lo, hi)
     mu = 0.5 * (lo + hi)
+    split = None if form is None or isolated else _split_eigenvector(pencil, form, lo, hi)
+    if split is not None:
+        return mu, split
     x = start
     for _ in range(6):
         x = inverse_step(x, mu - 1e-6 * (1.0 + abs(mu)))

@@ -854,19 +854,47 @@ def require_certified(profile):
         )
 
 
-def simpson(y, x):
-    """scipy.integrate.simpson(y, x=x) on 1-D samples, bit for bit (even counts included)."""
-    n = len(y) - 1 + len(y) % 2  # the odd count the pairs of intervals cover
+def _simpson_factors(x):
+    """Per-pair factors of ``simpson`` on the grid x: (n, k, f0, f1, f2, tail).
+
+    Pair j covers x[2j], x[2j+1], x[2j+2] of the first n points (n odd) and
+    contributes k_j (f0_j y[2j] + f1_j y[2j+1] + f2_j y[2j+2]); for an even
+    point count, tail = (t1, t2, t3) weighs y[-1], y[-2] and -y[-3] in
+    scipy's last-interval correction, and is None otherwise.
+    """
+    n = len(x) - 1 + len(x) % 2  # the odd count the pairs of intervals cover
     h = np.diff(x)
     h0, h1 = h[0:n - 2:2], h[1:n - 1:2]
     hsum, ratio = h0 + h1, h0 / h1
-    total = np.sum(hsum / 6.0 * (y[0:n - 2:2] * (2.0 - 1.0 / ratio) + y[1:n - 1:2]
-                                 * (hsum * (hsum / (h0 * h1))) + y[2:n:2] * (2.0 - ratio)))
-    if n < len(y):  # scipy's three-point correction for the last interval
+    tail = None
+    if n < len(x):
         a, b = h[-2], h[-1]
-        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
-                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2] - b ** 3 / (6 * a * (a + b)) * y[-3])
+        tail = ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)), (b ** 2 + 3.0 * a * b) / (6 * a),
+                b ** 3 / (6 * a * (a + b)))
+    return n, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio, tail
+
+
+def simpson(y, x):
+    """scipy.integrate.simpson(y, x=x) on 1-D samples, bit for bit (even counts included)."""
+    n, k, f0, f1, f2, tail = _simpson_factors(x)
+    total = np.sum(k * (y[0:n - 2:2] * f0 + y[1:n - 1:2] * f1 + y[2:n:2] * f2))
+    if tail is not None:  # scipy's three-point correction for the last interval
+        total += tail[0] * y[-1] + tail[1] * y[-2] - tail[2] * y[-3]
     return total
+
+
+def simpson_weights(x):
+    """Weights c with c . y = ``simpson(y, x)`` up to rounding, for any y on the grid x."""
+    n, k, f0, f1, f2, tail = _simpson_factors(x)
+    c = np.zeros(len(x))
+    c[0:n - 2:2] += k * f0
+    c[1:n - 1:2] += k * f1
+    c[2:n:2] += k * f2
+    if tail is not None:
+        c[-1] += tail[0]
+        c[-2] += tail[1]
+        c[-3] -= tail[2]
+    return c
 
 
 def quadratic_part(profile):

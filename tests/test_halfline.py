@@ -19,6 +19,7 @@ from henon_morse.halfline import (
     pohozaev_check,
     pohozaev_identity_residual,
     pohozaev_lower_bound,
+    qk_probe,
     smooth_bump,
     stability_potential,
     transform_profile,
@@ -32,6 +33,8 @@ from henon_morse.radial_bvp import (
     ProblemParams,
     _scaling_amplitude,
     integrate_radial_ivp,
+    simpson,
+    simpson_weights,
 )
 from henon_morse.spectral import lambda_ell, morse_index
 
@@ -212,6 +215,39 @@ def test_Qk_nonnegative_on_stable_sector(solve):
         worst = min(worst, eval_Qk(tp, lam, (c1 * phi, c2 * phi),
                                    (c1 * dphi, c2 * dphi)))
     assert worst >= -1e-8
+
+
+@pytest.mark.parametrize("grid_size", [2000, 1999])
+def test_qk_probe_is_eval_Qk_over_the_same_draws(solve, grid_size):
+    # a coupled profile (U12 != 0) on a 10-unit horizon, where the bumps meet
+    # the profile; grid_size 1999 gives an even point count, where Simpson's
+    # rule takes scipy's last-interval correction
+    tp = transform_profile(solve(3, 1.0, family="quartic_coupled", b=0.5), T=10.0,
+                           grid_size=grid_size)
+    lam = lambda_ell(1, 3)
+    got = qk_probe(tp, lam, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    want = []
+    for _ in range(100):
+        a = rng.uniform(0.0, 0.6 * tp.T)
+        b = a + rng.uniform(min(0.5, 0.2 * tp.T), 0.2 * tp.T)
+        phi, dphi = smooth_bump(tp.tgrid, a, min(b, tp.T))
+        c1, c2 = rng.uniform(-1.0, 1.0, 2)
+        want.append(eval_Qk(tp, lam, (c1 * phi, c2 * phi), (c1 * dphi, c2 * dphi)))
+    want = np.array(want)
+    # the bump's peak e^-4 keeps |Q_k| below about 3e-3: checked relative too
+    assert np.max(np.abs(want)) > 1e-3 and np.any(tp.potential.m12)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4, 1001, 1000])
+def test_simpson_weights_reproduce_simpson(n):
+    rng = np.random.default_rng(n)
+    for x in (np.linspace(0.0, 7.0, n), np.cumsum(rng.uniform(0.5, 1.5, n))):
+        y = rng.standard_normal(n)
+        c = simpson_weights(x)
+        assert abs(c @ y - simpson(y, x)) <= 1e-14 * float(np.abs(c) @ np.abs(y))
 
 
 def _weighted_instance(tp):

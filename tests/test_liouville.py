@@ -17,7 +17,6 @@ from henon_morse.liouville import (
     energy_of,
     instability_witness,
     integrate_limit_system,
-    lower_mass_window,
     mother_plateau,
     mother_plateau_dsup,
     witness_quadrature,
@@ -41,7 +40,6 @@ def test_zero_initial_data():
                                   (0, 0, 0, 0), T=10.0, steps=1000)
     assert traj.is_trivial
     assert np.all(energy_of(traj) == 0.0)
-    assert lower_mass_window(traj, 0.5) == []
     # the zero trajectory carries an evaluator like every other one
     assert np.array_equal(traj.dense(2.5), np.zeros(4))
     assert np.array_equal(traj.dense(traj.tgrid[:7]), np.zeros((4, 7)))
@@ -133,29 +131,6 @@ def test_turning_point_amplitude(quartic_orbit):
     t_turn = brentq(lambda s: float(traj.dense(s)[2]),
                     traj.tgrid[flips[0]], traj.tgrid[flips[0] + 1], xtol=1e-13)
     assert abs(float(traj.dense(t_turn)[0])) == pytest.approx(2 ** 0.25, abs=1e-8)
-
-
-def test_window_masses_periodic(quartic_orbit):
-    traj = quartic_orbit
-    du = traj.dense(traj.tgrid)[2]
-    flips = np.nonzero(np.sign(du[:-1]) != np.sign(du[1:]))[0]
-    t1 = brentq(lambda s: float(traj.dense(s)[2]),
-                traj.tgrid[flips[0]], traj.tgrid[flips[0] + 1], xtol=1e-13)
-    t2 = brentq(lambda s: float(traj.dense(s)[2]),
-                traj.tgrid[flips[1]], traj.tgrid[flips[1] + 1], xtol=1e-13)
-    quarter = 0.5 * (t2 - t1)
-    windows = lower_mass_window(traj, eps=quarter)
-    masses = np.array([m for _, m in windows[1:-1]])
-    assert len(masses) >= 10
-    rel_spread = (masses.max() - masses.min()) / masses.mean()
-    assert rel_spread <= 1e-8
-    assert masses.min() > 0
-
-
-def test_window_masses_strictly_positive(quartic_orbit):
-    windows = lower_mass_window(quartic_orbit, eps=0.8)
-    assert len(windows) > 5
-    assert min(m for _, m in windows) > 0.1
 
 
 def test_witness_zero_trajectory_positive():

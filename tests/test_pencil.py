@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh
 from scipy.linalg import solve_banded as scipy_solve_banded
 from scipy.linalg.lapack import dstebz as scipy_dstebz
+from scipy.linalg.lapack import dstein as scipy_dstein
 
 from henon_morse import pencil as pencil_module
 from henon_morse.errors import SingularPivot
@@ -15,6 +16,7 @@ from henon_morse.pencil import (
     _negative_pivots,
     count_below,
     dstebz,
+    dstein,
     flux_pencil,
     gershgorin_floor,
     lowest_eigenpair,
@@ -149,14 +151,19 @@ def test_lowest_eigenpair_matches_dense_oracle(pencil):
     assert np.linalg.norm(A @ y - mu * (B @ y)) <= 1e-6 * scale
 
 
-def two_wells(link, coupling, m=40):
-    """Flux-form pencil of two mirror-image wells joined by one link, coupled when coupling != 0."""
+def two_wells(link, coupling, m=40, grade=0.0):
+    """Flux-form pencil of two mirror-image wells joined by one link, coupled when coupling != 0.
+
+    With grade > 0 the potential and the masses carry the factor e^(-grade t)
+    over t in (0, 2], as the weighted half-line forms carry e^(-delta t).
+    """
     h = 1.0 / m
     well = 30.0 * np.exp(-40.0 * (h * np.arange(1, m + 1) - 0.5) ** 2)
-    V = np.concatenate([well, well[::-1]])
+    decay = np.exp(-grade * h * np.arange(1, 2 * m + 1))
+    V = np.concatenate([well, well[::-1]]) * decay
     k = np.full(2 * m + 1, 1.0 / h)
     k[m] = link
-    return flux_pencil(k, h, -V, coupling * V, -0.5 * V, np.full(2 * m, h))
+    return flux_pencil(k, h, -V, coupling * V, -0.5 * V, h * decay)
 
 
 @pytest.mark.parametrize("link, isolated", [(1e-7, True), (0.0, False)])
@@ -187,6 +194,57 @@ def test_lowest_eigenpair_of_two_weakly_coupled_wells(link, isolated, monkeypatc
     y = np.concatenate([x[0::2], x[1::2]])
     scale = np.linalg.norm(A, 2) + (1.0 + abs(mu)) * np.linalg.norm(B, 2)
     assert np.linalg.norm(A @ y - mu * (B @ y)) <= 1e-6 * scale
+
+
+@st.composite
+def split_pencils(draw, max_nodes=8):
+    """(d11, 0, d22, off, bw) or (d11, d12, d11, off, bw), masses scaled by 10^k, k in [-40, 2]."""
+    d11, d12, d22, off, bw = draw(pencils(max_nodes))
+    if draw(st.booleans()):
+        d12 = np.zeros_like(d11)
+    else:
+        d22 = d11.copy()
+    return d11, d12, d22, off, bw * 10.0 ** draw(st.floats(-40.0, 2.0))
+
+
+@PROPERTY
+@given(split_pencils())
+@example(pencil=(np.array([5.0, 5.0]), np.zeros(2), np.array([-1.0, 0.0]),  # lambda_1 in block 2
+                 np.array([1.0]), np.array([1.0, 2.0])))
+@example(pencil=(np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([1.0, 1.0]),  # in w1 - w2
+                 np.array([-0.5]), np.array([1e-40, 3e-40])))
+@example(pencil=two_wells(0.0, 0.0))  # two unjoined wells: a double lambda_1 in block 1
+def test_lowest_eigenpair_of_split_pencils(pencil):
+    # against the dense oracle and the banded route on the same bracket; the
+    # block that does not hold lambda_1 is exactly 0 (d12 = 0), or the
+    # eigenvector is exactly a rotated one, w1 = +-w2 (d11 = d22)
+    d11, d12, d22, off, bw = pencil
+    eig = dense_pencil_eigvals(*pencil)
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(eig))))
+    mu, x = answer_or_reject(lowest_eigenpair, pencil)
+    assert abs(mu - eig[0]) <= tol
+    A, B = dense_pencil(*pencil)
+    y = np.concatenate([x[0::2], x[1::2]])
+    assert float(y @ B @ y) == pytest.approx(1.0, rel=1e-12)
+    # the residual in the scaled form B^-1/2 A B^-1/2, whose norm is max |eig|
+    r = (A @ y - mu * (B @ y)) / np.sqrt(np.diag(B))
+    assert np.linalg.norm(r) <= 1e-8 * (1.0 + float(np.max(np.abs(eig))))
+    if np.any(d12):
+        assert np.array_equal(x[0::2], x[1::2]) or np.array_equal(x[0::2], -x[1::2])
+    else:
+        assert not np.any(x[0::2]) or not np.any(x[1::2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil_module, "_split_eigenvector", lambda *args: None)
+        try:
+            mu_banded, x_banded = answer_or_reject(lowest_eigenpair, pencil)
+        except np.linalg.LinAlgError:
+            # the banded route shifts 1e-6 (1 + |mu|) off mu, below rounding
+            # when tiny masses scale the spectrum up: an exactly singular band
+            assert np.max(np.abs(eig)) > 1e9
+            return
+    assert abs(mu - mu_banded) <= tol
+    if eig[1] - eig[0] > 1e-3 * (1.0 + float(np.max(np.abs(eig)))):  # a simple lambda_1
+        assert abs(float(np.dot(np.repeat(bw, 2) * x, x_banded))) == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -321,14 +379,25 @@ def recorded(monkeypatch, name):
 @pytest.mark.parametrize("coupling", [0.0, 0.3])
 @pytest.mark.parametrize("link", [1e-7, 0.0])
 def test_solve_banded_is_scipys_on_lowest_eigenpair_bands(link, coupling, monkeypatch):
-    # the shifted (2, 2) bands of the inverse and Rayleigh-quotient steps, on a
-    # scalar and a coupled pencil, isolated (link 1e-7) or not (link 0)
+    # the shifted (2, 2) bands of the inverse and Rayleigh-quotient steps,
+    # isolated (link 1e-7) or not (link 0), on pencils that take them: a
+    # coupled one, and a scalar one whose split solve fails the Kato-Temple
+    # test, here on masses graded down to e^-40 like a weighted form's, where
+    # rounding on the rows of tiny mass keeps eps^2 high on both routes
     calls = recorded(monkeypatch, "solve_banded")
-    lowest_eigenpair(two_wells(link, coupling, m=400))
+    lowest_eigenpair(two_wells(link, coupling, m=400, grade=0.0 if coupling else 20.0))
     assert len(calls) >= 5  # four inverse steps, then Rayleigh steps or six more
     for l_and_u, ab, b in calls:
         assert l_and_u == (2, 2)
         assert np.array_equal(solve_banded(l_and_u, ab, b), scipy_solve_banded(l_and_u, ab, b))
+
+
+def test_split_pencils_make_no_banded_solve(monkeypatch):
+    # the same wells on uniform masses: the split solve passes, with no dgbsv call
+    calls = recorded(monkeypatch, "solve_banded")
+    for link in (1e-7, 0.0):
+        lowest_eigenpair(two_wells(link, 0.0, m=400))
+    assert calls == []
 
 
 @PROPERTY
@@ -375,3 +444,15 @@ def test_dstebz_is_scipys_on_sector_counts(solve, monkeypatch):
     for args in calls:
         ours, theirs = dstebz(*args), scipy_dstebz(*args)
         assert len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+def test_dstein_is_scipys_on_split_eigenvectors(coupling, monkeypatch):
+    # a scalar pencil and a symmetric coupled one (d22 = d11), each solved on
+    # its split form: the same vector as scipy.linalg.lapack's dstein
+    calls = recorded(monkeypatch, "dstein")
+    d11, d12, _, off, bw = two_wells(1e-7, coupling, m=400)
+    lowest_eigenpair((d11, d12, d11, off, bw))
+    assert len(calls) == 1
+    ours, theirs = dstein(*calls[0]), scipy_dstein(*calls[0])
+    assert all(map(np.array_equal, ours, theirs))
