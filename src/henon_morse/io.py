@@ -117,7 +117,7 @@ def load_profile(basepath):
 
     ``save_profile`` writes every value with ``repr``, so the rebuilt arrays
     equal the saved ones bit for bit, and so does anything computed from them.
-    ValueError unless r is the uniform grid on [0, 1] of at least 101 points.
+    ValueError unless r is a uniform grid of >= 101 points on [0, 1] and all samples are finite.
     """
     base = Path(basepath)
     header = read_json(base.with_suffix(".json"))
@@ -125,6 +125,8 @@ def load_profile(basepath):
     r, u, v, du, dv = _read_csv(base.with_suffix(".csv"), 5)
     if not (len(r) > 100 and np.max(np.abs(r - np.linspace(0.0, 1.0, len(r)))) <= 1e-12):
         raise ValueError(f"{base}.csv: r is not a uniform grid of at least 101 points on [0, 1]")
+    if not np.isfinite([u, v, du, dv]).all():
+        raise ValueError(f"{base}.csv: a sample of u, v, du or dv is not finite")
     amp = header.get("amplitude", [float(u[0]), float(v[0])])
     return RadialProfile(params, r, u, v, du, dv, (float(amp[0]), float(amp[1])))
 

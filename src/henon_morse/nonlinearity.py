@@ -26,9 +26,14 @@ PURE_POWER = "pure_power"
 QUARTIC_COUPLED = "quartic_coupled"
 
 
+def _abs_pow(x, q):
+    """|x|^q for q > 0; an all-zero x (a NaN is data) costs no pow."""
+    return np.abs(x) ** q if np.any(x) else np.zeros_like(x, dtype=float)
+
+
 def _signed_pow(x, q):
     """|x|^(q-1) x, defined as 0 at x = 0 for q > 0."""
-    return np.sign(x) * np.abs(x) ** q
+    return np.sign(x) * _abs_pow(x, q)
 
 
 def _pow(x, q):
@@ -71,7 +76,7 @@ class NonlinearityF:
     def value(self, u, v):
         """F(u, v), elementwise on array input."""
         if self.family == PURE_POWER:
-            return (self.a1 * np.abs(u) ** self.p + self.a2 * np.abs(v) ** self.p) / self.p
+            return (self.a1 * _abs_pow(u, self.p) + self.a2 * _abs_pow(v, self.p)) / self.p
         u2, v2 = np.square(u), np.square(v)
         return (self.a1 * u2 * u2 + self.a2 * v2 * v2) / 4.0 + 0.5 * self.b * u2 * v2
 
@@ -94,8 +99,8 @@ class NonlinearityF:
         if self.family == PURE_POWER:
             q = self.p - 2
             c = self.p - 1
-            fuu = self.a1 * c * np.abs(u) ** q
-            fvv = self.a2 * c * np.abs(v) ** q
+            fuu = self.a1 * c * _abs_pow(u, q)
+            fvv = self.a2 * c * _abs_pow(v, q)
             return fuu, np.zeros_like(fuu), fvv
         fuu = 3.0 * self.a1 * np.square(u) + self.b * np.square(v)
         fuv = 2.0 * self.b * u * v

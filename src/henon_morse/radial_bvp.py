@@ -44,16 +44,19 @@ mu > 0 the map leaves a weight singular at t = 0, so those rows shoot in r.
 
 The final profile is checked for its boundary value, relative to its
 amplitude, and its node count before it is returned, and it should be
-certified through ``residual`` before spectral post-processing.  For N >= 3
-and p >= 2(N + alpha)/(N - 2) = 2M/(M - 2) no solution exists (Pohozaev
-identity), which is reported before any shot.
+certified through ``residual`` before spectral post-processing.  The checks
+skip a component whose samples and slopes are all 0 (v of a scalar shot,
+never computed by dense output) and each term times mu = 0: exact zeros, so
+no value changes.  A NaN defect fails; Simpson factors are made once per grid.
+For N >= 3 and p >= 2(N + alpha)/(N - 2) = 2M/(M - 2) no solution exists
+(Pohozaev identity), which is reported before any shot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import wraps
+from functools import cached_property, wraps
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,6 +131,11 @@ class RadialProfile:
     @property
     def is_trivial(self):
         return max(abs(self.amplitude[0]), abs(self.amplitude[1])) == 0.0
+
+    @cached_property
+    def simpson(self):
+        """``simpson_rule`` of this grid, made on first use."""
+        return simpson_rule(self.grid)
 
     def scaled(self, t):
         """Profile multiplied by a scalar."""
@@ -227,17 +235,19 @@ def _dense_output(ts, steps):
     F = np.concatenate([(hs[..., None] * np.matmul(_DOP.D, K))[:, ::-1],
                         (2 * dy - hs * (K[:, _S] + K[:, 0]))[:, None],
                         (hs * K[:, 0] - dy)[:, None], dy[:, None]], axis=1)
-    F, y_old = F.transpose(1, 2, 0).copy(), y_old.T.copy()
+    live = np.flatnonzero(F.any(axis=(0, 1)) | y_old.any(axis=0))
+    F, y_old = F[..., live].transpose(1, 2, 0).copy(), y_old[:, live].T.copy()
 
     def sol(t):
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(ts, t) - 1, 0, h.size - 1)
         x = (t - t_old[seg]) / h[seg]
-        y = np.zeros(F.shape[1:2] + t.shape)
+        y, out = np.zeros(live.shape + t.shape), np.zeros(dy.shape[1:] + t.shape)
         for f, z in zip(F, (x, 1 - x) * 4):
             y += f.take(seg, axis=1)
             y *= z
-        return y + y_old.take(seg, axis=1)
+        out[live] = y + y_old.take(seg, axis=1)
+        return out
 
     return sol
 
@@ -809,37 +819,41 @@ def residual(profile):
     r = profile.grid
     h = r[1] - r[0]
     a, N = p.alpha, p.N
-    out = 0.0
-    fu, fv = p.f.grad(profile.u, profile.v)
-    w = r ** a
-    for y, dy, mu, g, d, g0 in zip(
+    ri, out = r[1:-1], 0.0
+    w = ri ** a
+    for y, dy, mu, g, d, g0 in live_components(zip(
         (profile.u, profile.v), (profile.du, profile.dv), (p.mu1, p.mu2),
-        (fu, fv), profile.amplitude, p.f.grad(*profile.amplitude),
-    ):
-        s = -g0 * r ** (2.0 + a) / ((2.0 + a) * (a + N))
-        s2 = -g0 * (1.0 + a) * r[1:-1] ** a / (a + N)
-        near = (0.0 < a < 2.0) & (np.abs(s[1:-1]) <= math.sqrt(RESIDUAL_GATE) * abs(d))
-        z = y - s
-        d2 = np.where(near, (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (h * h) + s2,
-                      (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h))
-        ri = r[1:-1]
-        defect = -d2 - (N - 1.0) * dy[1:-1] / ri + mu * y[1:-1] - w[1:-1] * g[1:-1]
-        out = max(out, float(np.max(np.abs(defect))))
-    return out
+        p.f.grad(profile.u, profile.v), profile.amplitude, p.f.grad(*profile.amplitude),
+    )):
+        d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
+        if 0.0 < a < 2.0:
+            s, s2 = -g0 * r ** (2.0 + a) / ((2.0 + a) * (a + N)), -g0 * (1.0 + a) * w / (a + N)
+            z = y - s
+            d2 = np.where(np.abs(s[1:-1]) <= math.sqrt(RESIDUAL_GATE) * abs(d),
+                          (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (h * h) + s2, d2)
+        defect = -d2 - (N - 1.0) * dy[1:-1] / ri
+        if mu:
+            defect += mu * y[1:-1]
+        defect -= w * g[1:-1]
+        out = np.maximum(out, np.max(np.abs(defect)))
+    return float(out)
 
 
 @_once_per_profile
 def relative_residual(profile):
     """Defect scaled by the size of the equation's terms (certification metric)."""
     p = profile.params
-    fu, fv = p.f.grad(profile.u, profile.v)
     w = profile.grid ** p.alpha
-    scale = 1.0 + max(
-        float(np.max(np.abs(w * fu))), float(np.max(np.abs(w * fv))),
-        p.mu1 * float(np.max(np.abs(profile.u))),
-        p.mu2 * float(np.max(np.abs(profile.v))),
-    )
-    return residual(profile) / scale
+    scale = [0.0]
+    for y, _, g, mu in live_components(zip((profile.u, profile.v), (profile.du, profile.dv),
+                                           p.f.grad(profile.u, profile.v), (p.mu1, p.mu2))):
+        scale += [float(np.max(np.abs(w * g))), mu and mu * float(np.max(np.abs(y)))]
+    return residual(profile) / (1.0 + max(scale))
+
+
+def live_components(components):
+    """The tuples (y, dy, ...) whose samples y or slopes dy are not all 0 (a NaN is data)."""
+    return [c for c in components if c[0].any() or c[1].any()]
 
 
 def require_certified(profile):
@@ -874,13 +888,21 @@ def _simpson_factors(x):
     return n, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio, tail
 
 
+def simpson_rule(x):
+    """y -> ``simpson(y, x)``, with the factors of the grid x made once."""
+    n, k, f0, f1, f2, tail = _simpson_factors(x)
+
+    def integrate(y):
+        total = np.sum(k * (y[0:n - 2:2] * f0 + y[1:n - 1:2] * f1 + y[2:n:2] * f2))
+        if tail is not None:  # scipy's three-point correction for the last interval
+            total += tail[0] * y[-1] + tail[1] * y[-2] - tail[2] * y[-3]
+        return total
+    return integrate
+
+
 def simpson(y, x):
     """scipy.integrate.simpson(y, x=x) on 1-D samples, bit for bit (even counts included)."""
-    n, k, f0, f1, f2, tail = _simpson_factors(x)
-    total = np.sum(k * (y[0:n - 2:2] * f0 + y[1:n - 1:2] * f1 + y[2:n:2] * f2))
-    if tail is not None:  # scipy's three-point correction for the last interval
-        total += tail[0] * y[-1] + tail[1] * y[-2] - tail[2] * y[-3]
-    return total
+    return simpson_rule(x)(y)
 
 
 def simpson_weights(x):
@@ -901,12 +923,13 @@ def quadratic_part(profile):
     """Q = int (u'^2 + mu1 u^2 + v'^2 + mu2 v^2) over the ball (radial measure)."""
     p = profile.params
     r = profile.grid
-    weight = sphere_area(p.N) * r ** (p.N - 1)
-    integrand = (
-        profile.du ** 2 + p.mu1 * profile.u ** 2
-        + profile.dv ** 2 + p.mu2 * profile.v ** 2
-    ) * weight
-    return float(simpson(integrand, r))
+    integrand = np.zeros_like(r)
+    for y, dy, mu in live_components([(profile.u, profile.du, p.mu1),
+                                      (profile.v, profile.dv, p.mu2)]):
+        integrand += dy ** 2
+        if mu:
+            integrand += mu * y ** 2
+    return float(profile.simpson(integrand * (sphere_area(p.N) * r ** (p.N - 1))))
 
 
 def nonlinear_mass(profile):
@@ -915,7 +938,7 @@ def nonlinear_mass(profile):
     r = profile.grid
     weight = sphere_area(p.N) * r ** (p.N - 1)
     integrand = r ** p.alpha * p.f.p * p.f.value(profile.u, profile.v) * weight
-    return float(simpson(integrand, r))
+    return float(profile.simpson(integrand))
 
 
 def action_energy(profile):

@@ -340,3 +340,138 @@ def full_horizon_power_trajectory(p, scale, init, T, ts):
 
 def simpson_integral(y, x):
     return float(simpson(y, x=x))
+
+
+# ---------------------------------------------------------------------------
+# two-component certification formulas
+# ---------------------------------------------------------------------------
+# The checks as they were before they skipped all-zero components and mu = 0
+# terms: every component and every term is computed, with the same order of
+# operations, so each result must equal the package's bit for bit.
+
+def two_component_transform(profile, T=None):
+    """(t, u, v, du, dv) of ``halfline.transform_profile``, gathered from (2, n) arrays."""
+    p = profile.params
+    beta = p.N / (p.N + p.alpha)
+    kappa = beta ** (2.0 / (p.f.p - 2.0))
+    T = 30.0 / beta if T is None else T
+    t = np.linspace(0.0, T, len(profile.grid))
+    r = np.exp(-beta * t)
+    x, y, dy = profile.grid, np.array([profile.u, profile.v]), np.array([profile.du, profile.dv])
+    dx, i = np.diff(x), np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+    slope = np.diff(y) / dx
+    c = (dy[:, :-1] + dy[:, 1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = (a[:, i] for a in (y[:, :-1], dy[:, :-1],
+                                        (slope - dy[:, :-1]) / dx - c, c / dx))
+    s = r - x[i]
+    u, v = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+    dur, dvr = c1 + (c2 * 2.0) * s + (c3 * 3.0) * (s * s)
+    return t, kappa * u, kappa * v, -kappa * beta * r * dur, -kappa * beta * r * dvr
+
+
+def two_component_residual(profile, sqrt_gate):
+    """(``residual``, ``relative_residual``) of a profile, both components, every term."""
+    p = profile.params
+    r = profile.grid
+    h = r[1] - r[0]
+    a, N = p.alpha, p.N
+    out = 0.0
+    fu, fv = p.f.grad(profile.u, profile.v)
+    w = r ** a
+    for y, dy, mu, g, d, g0 in zip(
+        (profile.u, profile.v), (profile.du, profile.dv), (p.mu1, p.mu2),
+        (fu, fv), profile.amplitude, p.f.grad(*profile.amplitude),
+    ):
+        s = -g0 * r ** (2.0 + a) / ((2.0 + a) * (a + N))
+        s2 = -g0 * (1.0 + a) * r[1:-1] ** a / (a + N)
+        near = (0.0 < a < 2.0) & (np.abs(s[1:-1]) <= sqrt_gate * abs(d))
+        z = y - s
+        d2 = np.where(near, (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (h * h) + s2,
+                      (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h))
+        defect = (-d2 - (N - 1.0) * dy[1:-1] / r[1:-1] + mu * y[1:-1]
+                  - w[1:-1] * g[1:-1])
+        out = max(out, float(np.max(np.abs(defect))))
+    scale = 1.0 + max(
+        float(np.max(np.abs(w * fu))), float(np.max(np.abs(w * fv))),
+        p.mu1 * float(np.max(np.abs(profile.u))),
+        p.mu2 * float(np.max(np.abs(profile.v))),
+    )
+    return out, out / scale
+
+
+def two_component_transformed_residual(tp):
+    p = tp.params
+    t = tp.tgrid
+    h = t[1] - t[0]
+    fu, fv = p.f.grad(tp.u, tp.v)
+    eg = np.exp(-tp.gamma * t)
+    ebn = np.exp(-tp.beta * p.N * t)
+    en = np.exp(-p.N * t)
+    b2 = tp.beta ** 2
+    out = 0.0
+    for y, dy, mu, g in ((tp.u, tp.du, p.mu1, fu), (tp.v, tp.dv, p.mu2, fv)):
+        d2 = (2.0 * y[:-6] - 27.0 * y[1:-5] + 270.0 * y[2:-4] - 490.0 * y[3:-3]
+              + 270.0 * y[4:-2] - 27.0 * y[5:-1] + 2.0 * y[6:]) / (180.0 * h * h)
+        sl = slice(3, -3)
+        defect = eg[sl] * (-d2 + tp.gamma * dy[sl]) + b2 * mu * ebn[sl] * y[sl] - en[sl] * g[sl]
+        out = max(out, float(np.max(np.abs(defect))))
+    return out
+
+
+def two_component_pohozaev_check(tp):
+    """(lhs, rhs, band) of ``halfline.pohozaev_check``, its hypothesis aside."""
+    p = tp.params
+    t = tp.tgrid
+    eg = np.exp(-tp.gamma * t)
+    g = (eg * (tp.du - tp.gamma * tp.u)) ** 2 + (eg * (tp.dv - tp.gamma * tp.v)) ** 2
+    factor = 2.0 * (p.N + tp.gamma) / p.f.p
+    rhs = factor * float(simpson(g, x=t))
+    lhs = float(tp.du[0] ** 2 + tp.dv[0] ** 2)
+    tail = 0.0
+    g_end = float(g[-1])
+    if g_end > 1e-280:
+        m = max(len(t) // 10, 8)
+        gt = g[-m:]
+        tt = t[-m:]
+        pos = gt > 1e-280
+        if np.count_nonzero(pos) >= 4:
+            slope = np.polyfit(tt[pos], np.log(gt[pos]), 1)[0]
+            tail = g_end / (-slope) if slope < -1e-12 else g_end * float(t[-1])
+        else:
+            tail = g_end * float(t[-1])
+    return lhs, rhs, factor * tail
+
+
+def two_component_pohozaev_identity(tp):
+    p = tp.params
+    t = tp.tgrid
+    rho = tp.beta * p.N
+    nu1 = tp.beta ** 2 * p.mu1
+    nu2 = tp.beta ** 2 * p.mu2
+    F = p.f.value(tp.u, tp.v)
+    eg = np.exp(-tp.gamma * t)
+    lhs = float(tp.du[0] ** 2 + tp.dv[0] ** 2)
+    int_F = float(simpson(np.exp(-(p.N + tp.gamma) * t) * F, x=t))
+    int_nu = float(simpson(np.exp(-(rho + tp.gamma) * t) * (nu1 * tp.u ** 2 + nu2 * tp.v ** 2),
+                           x=t))
+    ida = 2.0 * (p.N + tp.gamma) * int_F - (rho + tp.gamma) * int_nu
+    res_a = abs(lhs - ida) / (1.0 + abs(lhs))
+    g = (eg * (tp.du - tp.gamma * tp.u)) ** 2 + (eg * (tp.dv - tp.gamma * tp.v)) ** 2
+    int_g = float(simpson(g, x=t))
+    idb = float(simpson(
+        eg * (p.f.p * np.exp(-p.N * t) * F
+              - np.exp(-rho * t) * (nu1 * tp.u ** 2 + nu2 * tp.v ** 2)), x=t))
+    res_b = abs(int_g - idb) / (1.0 + abs(int_g))
+    return max(res_a, res_b)
+
+
+def two_component_quadratic_part(profile):
+    p = profile.params
+    r = profile.grid
+    area = 2.0 * math.pi ** (p.N / 2.0) / math.gamma(p.N / 2.0)
+    weight = area * r ** (p.N - 1)
+    integrand = (
+        profile.du ** 2 + p.mu1 * profile.u ** 2
+        + profile.dv ** 2 + p.mu2 * profile.v ** 2
+    ) * weight
+    return float(simpson(integrand, x=r))
