@@ -18,10 +18,10 @@ import numpy as np
 
 from . import io as hio
 from .errors import HenonMorseError, NoBracket, NoConverge, OverflowBlowUp
-from .halfline import certify, qk_probe
+from .halfline import certify, qk_negative_count
 from .liouville import (HALF_LINE, energy_of, instability_witness, integrate_limit_system,
                         witness_quadrature)
-from .gates import QK_GATE, WITNESS_GATE
+from .gates import WITNESS_GATE
 from .nonlinearity import pure_power
 from .radial_bvp import action_energy, lane_emden_params, lane_emden_shot, shoot_nodal
 from .spectral import MIN_MESH, SingularSpectrum, lambda_ell, morse_index, onset_alphas
@@ -232,18 +232,20 @@ def cmd_verify(args):
     checks, tp = certify(profile, T=args.T)
     report["checks"] = checks
 
-    # random-probe minimum of the stability form on the first stable sector
+    # the first stable sector l* on the half line: Q_k's negative directions at l* - 1 and l*,
+    # each the inertia of its stiffness on the t-grid, must equal the r-pencils' counts
     try:
         rep = morse_index(profile, mesh=args.mesh)
-        stable_ell = next((ell for ell, _, neg in rep.per_ell if neg == 0), None)
-        if stable_ell is not None:
-            lam = lambda_ell(stable_ell, profile.params.N)
-            qmin = float(np.min(qk_probe(tp, lam, np.random.default_rng(20260809))))
-            checks["qk_probe_min"] = {"ell": stable_ell, "value": qmin,
-                                      "pass": bool(qmin >= -QK_GATE)}
         report["morse"] = hio.morse_report_to_dict(rep)
+        counts = rep.counts()
+        stable = next(ell for ell, neg in counts.items() if neg == 0)
+        ells = range(max(stable - 1, 0), stable + 1)
+        halfline = [qk_negative_count(tp, lambda_ell(ell, profile.params.N)) for ell in ells]
+        radial = [counts[ell] for ell in ells]
+        checks["stable_sector"] = {"ell": stable, "halfline": halfline, "radial": radial,
+                                   "pass": halfline == radial}
     except HenonMorseError as exc:
-        checks["qk_probe_min"] = {"error": str(exc), "pass": False}
+        checks["stable_sector"] = {"error": str(exc), "pass": False}
 
     ok = all(c.get("pass", False) for c in checks.values())
     report["pass"] = bool(ok)

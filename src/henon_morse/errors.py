@@ -30,7 +30,7 @@ class SingularPivot(HenonMorseError):
 
 
 class MeshTooCoarse(HenonMorseError):
-    """Weighted eigenproblem minimizer violates the pointwise growth bound at the horizon."""
+    """A discretization too coarse for its horizon; kept as a public name, raised nowhere."""
 
 
 class HypothesisViolated(HenonMorseError):

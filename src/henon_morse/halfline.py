@@ -12,7 +12,7 @@ which solves
 with gamma = (N-2) beta and u_k(0) = 0 (image of the Dirichlet condition).
 Profiles are truncated at a horizon T (default 30/beta, far below every
 quadrature tolerance).  Checks skip zero data as in ``radial_bvp``; where
-LAPACK cannot fit the tail's decay (T near 1e-200), the Pohozaev band is g(T) T.
+the tail's decay cannot be fitted (T below about 1e-154), the Pohozaev band is g(T) T.
 
 Also implemented here: the boundary-derivative estimate
 
@@ -20,11 +20,12 @@ Also implemented here: the boundary-derivative estimate
 
 which is an identity when mu1 = mu2 = 0 (a sharp pipeline check), the
 associated amplitude lower bound with its explicit constant chain, the
-stability quadratic form Q_k of the transformed linearization (``eval_Qk``
-on any sampled pair, ``qk_probe`` on random smooth bumps, each integral
-taken over the bump's support only), and the weighted half-line
-eigenproblem that converts a negative Q_k value into a negative eigenvalue
-with eigenfunction.
+stability quadratic form Q_k of the transformed linearization (its negative
+directions on a sector by ``qk_negative_count``, the inertia of its
+stiffness, for ``verify``; its value on one sampled pair by ``eval_Qk``, for
+tests and the bench tracer only), and the weighted half-line eigenproblem
+that converts a negative Q_k value into a negative eigenvalue with
+eigenfunction.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisViolated, MeshTooCoarse
+from .errors import HypothesisViolated
 from .gates import IDENTITY_GATE, POHOZAEV_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
 from .nonlinearity import NonlinearityF
-from .pencil import flux_pencil, lowest_eigenpair
-from .radial_bvp import (ProblemParams, live_components, relative_residual, simpson_rule,
-                         simpson_weights)
+from .pencil import count_below, flux_pencil, lowest_eigenpair
+from .radial_bvp import ProblemParams, live_components, relative_residual, simpson_rule
 
 DEFAULT_HORIZON_SCALE = 30.0
 
@@ -79,6 +79,17 @@ class TransformedProfile:
     def simpson(self):
         """``simpson_rule`` of this t-grid, made on first use."""
         return simpson_rule(self.tgrid)
+
+    @cached_property
+    def derivative_terms(self):
+        """(e^(-gamma t), g, lhs, int g) of both Pohozaev checks, made on first use: g = sum
+        ((e^(-gamma t) y)')^2 and lhs = sum y'(0)^2 over the components that carry data."""
+        eg = np.exp(-self.gamma * self.tgrid)
+        g, lhs = np.zeros_like(self.tgrid), 0.0
+        for y, dy in live_components(((self.u, self.du), (self.v, self.dv))):
+            g += (eg * (dy - self.gamma * y)) ** 2
+            lhs += dy[0] ** 2
+        return eg, g, float(lhs), float(self.simpson(g))
 
 
 @dataclass
@@ -184,8 +195,9 @@ def transformed_residual(tp):
     ebn = np.exp(-tp.beta * p.N * t[sl]) if p.mu1 or p.mu2 else None
     for y, dy, mu, g in live_components(zip((tp.u, tp.v), (tp.du, tp.dv), (p.mu1, p.mu2),
                                             p.f.grad(tp.u, tp.v))):
-        d2 = (2.0 * y[:-6] - 27.0 * y[1:-5] + 270.0 * y[2:-4] - 490.0 * y[3:-3]
-              + 270.0 * y[4:-2] - 27.0 * y[5:-1] + 2.0 * y[6:]) / (180.0 * h * h)
+        with np.errstate(divide="ignore", invalid="ignore"):  # h * h = 0: inf or nan, a FAIL
+            d2 = (2.0 * y[:-6] - 27.0 * y[1:-5] + 270.0 * y[2:-4] - 490.0 * y[3:-3]
+                  + 270.0 * y[4:-2] - 27.0 * y[5:-1] + 2.0 * y[6:]) / (180.0 * h * h)
         defect = eg * (-d2 + tp.gamma * dy[sl])
         if mu:
             defect += b2 * mu * ebn * y[sl]
@@ -236,62 +248,6 @@ def eval_Qk(tp, lam, phi, dphi=None):
     return float(tp.simpson(quad))
 
 
-def smooth_bump(tgrid, a, b):
-    """C-infinity bump supported on (a, b), with its analytic derivative."""
-    t = np.asarray(tgrid, dtype=float)
-    x = (t - a) / (b - a)
-    inside = (x > 0.0) & (x < 1.0)
-    phi = np.zeros_like(t)
-    dphi = np.zeros_like(t)
-    xi = x[inside]
-    core = np.exp(-1.0 / (xi * (1.0 - xi)))
-    phi[inside] = core
-    dphi[inside] = core * (1.0 - 2.0 * xi) / (xi * (1.0 - xi)) ** 2 / (b - a)
-    return phi, dphi
-
-
-def qk_probe(tp, lam, rng):
-    """Q_k at 100 random pairs (c1 phi, c2 phi), phi a ``smooth_bump``: ``eval_Qk``'s values.
-
-    Each probe draws from ``rng`` its support (a, b), a uniform in [0, 0.6 T]
-    and b - a uniform in [min(0.5, 0.2 T), 0.2 T], cut at T, then c1 and c2
-    uniform in [-1, 1].  With the Simpson integrals a = int e^(-gamma t)
-    phi'^2, b = int e^(-gamma t) phi^2 and s_ij = int U_ij phi^2,
-
-        Q_k(c1 phi, c2 phi) = (c1^2 + c2^2)(a + lam beta^2 b)
-                              - c1^2 s11 - 2 c1 c2 s12 - c2^2 s22.
-
-    Each integral is one dot product over the bump's support, with weight
-    vectors (``simpson_weights`` times e^(-gamma t) or U_ij) made once.
-    """
-    t, T, U = tp.tgrid, tp.T, tp.potential
-    c = simpson_weights(t)
-    ce, c11, c12, c22 = c * np.exp(-tp.gamma * t), c * U.m11, c * U.m12, c * U.m22
-    shift = lam * tp.beta ** 2
-    out = np.empty(100)
-    for i in range(100):
-        a = rng.uniform(0.0, 0.6 * T)
-        # lengths in [0.5, 0.2 T]; all 0.2 T on a horizon below 2.5
-        b = min(a + rng.uniform(min(0.5, 0.2 * T), 0.2 * T), T)
-        c1, c2 = rng.uniform(-1.0, 1.0, 2)
-        support = slice(np.searchsorted(t, a, side="right"), np.searchsorted(t, b))
-        phi, dphi = smooth_bump(t[support], a, b)
-        phi2 = phi * phi
-        out[i] = ((c1 * c1 + c2 * c2) * (ce[support] @ (dphi * dphi) + shift * (ce[support] @ phi2))
-                  - c1 * c1 * (c11[support] @ phi2) - 2.0 * c1 * c2 * (c12[support] @ phi2)
-                  - c2 * c2 * (c22[support] @ phi2))
-    return out
-
-
-def _derivative_terms(tp, eg):
-    """g = sum ((e^(-gamma t) y)')^2 and lhs = sum y'(0)^2 over the components that carry data."""
-    g, lhs = np.zeros_like(tp.tgrid), 0.0
-    for y, dy in live_components(((tp.u, tp.du), (tp.v, tp.dv))):
-        g += (eg * (dy - tp.gamma * y)) ** 2
-        lhs += dy[0] ** 2
-    return g, float(lhs)
-
-
 def pohozaev_check(tp):
     """Both sides of the boundary-derivative estimate, with truncation band.
 
@@ -308,20 +264,18 @@ def pohozaev_check(tp):
             f"N={p.N}, rho={rho:.4f}, gamma={tp.gamma:.4f}, p={p.f.p}"
         )
     t = tp.tgrid
-    g, lhs = _derivative_terms(tp, np.exp(-tp.gamma * t))
+    _, g, lhs, int_g = tp.derivative_terms
     factor = 2.0 * (p.N + tp.gamma) / p.f.p
-    rhs = factor * float(tp.simpson(g))
+    rhs = factor * int_g
 
     tail, g_end = 0.0, float(g[-1])
     if g_end > 1e-280:
         m = max(len(t) // 10, 8)
         gt, tt, slope = g[-m:], t[-m:], 0.0
-        pos = gt > 1e-280
-        if np.count_nonzero(pos) >= 4:
-            try:
-                slope = np.polyfit(tt[pos], np.log(gt[pos]), 1)[0]
-            except np.linalg.LinAlgError:  # a horizon too short to fit: the band g(T) T
-                pass
+        pos = (gt > 1e-280) & np.isfinite(gt)
+        # polyfit scales t by its norm: T below 1e-154 (T^2 subnormal) cannot be fitted
+        if np.count_nonzero(pos) >= 4 and tp.T * tp.T >= np.finfo(float).tiny:
+            slope = np.polyfit(tt[pos], np.log(gt[pos]), 1)[0]
         tail = g_end / (-slope) if slope < -1e-12 else g_end * tp.T
     return PohozaevCheck(lhs=lhs, rhs=rhs, tail_band=factor * tail)
 
@@ -348,8 +302,7 @@ def pohozaev_identity_residual(tp):
     t = tp.tgrid
     rho = tp.beta * p.N
     F = p.f.value(tp.u, tp.v)
-    eg = np.exp(-tp.gamma * t)
-    g, lhs = _derivative_terms(tp, eg)
+    eg, g, lhs, int_g = tp.derivative_terms
     nu = sum(tp.beta ** 2 * m * y ** 2 for y, m in ((tp.u, p.mu1), (tp.v, p.mu2)) if m and y.any())
     ida = 2.0 * (p.N + tp.gamma) * float(tp.simpson(np.exp(-(p.N + tp.gamma) * t) * F))
     idb = p.f.p * np.exp(-p.N * t) * F
@@ -357,7 +310,6 @@ def pohozaev_identity_residual(tp):
         ida -= (rho + tp.gamma) * float(tp.simpson(np.exp(-(rho + tp.gamma) * t) * nu))
         idb -= np.exp(-rho * t) * nu
     res_a = abs(lhs - ida) / (1.0 + abs(lhs))
-    int_g = float(tp.simpson(g))
     res_b = abs(int_g - float(tp.simpson(eg * idb))) / (1.0 + abs(int_g))
     return float(np.maximum(res_a, res_b))
 
@@ -410,7 +362,7 @@ def certify(profile, T=None):
 
 
 def _weighted_blocks(U, gamma, delta, lam, mesh):
-    """Pencil of the weighted forms over [0, T], with its nodes and the weights k_half.
+    """Pencil of the weighted forms over [0, T], with its nodes.
 
     Stiffness A encodes int e^(-gamma t)|h'|^2 + lam e^(-gamma t)|h|^2
     - e^(-delta t)<U h, h>; the diagonal mass B comes from the e^(-delta t)
@@ -426,9 +378,19 @@ def _weighted_blocks(U, gamma, delta, lam, mesh):
     w[-1] = 0.5 * ht
     m11, m12, m22 = (np.interp(ts[1:], U.tgrid, m) for m in (U.m11, U.m12, U.m22))
     eg, ed = np.exp(-gamma * ts[1:]), np.exp(-delta * ts[1:])
-    pencil = flux_pencil(np.append(k_half, 0.0), w, lam * eg - ed * m11, -ed * m12,
-                         lam * eg - ed * m22, w * ed)
-    return pencil, ts, k_half
+    return flux_pencil(np.append(k_half, 0.0), w, lam * eg - ed * m11, -ed * m12,
+                       lam * eg - ed * m22, w * ed), ts
+
+
+def qk_negative_count(tp, lam):
+    """Negative directions of Q_k on the sector of angular eigenvalue lam, on tp's t-grid.
+
+    By Sylvester's law: the negative eigenvalues of its stiffness (``_weighted_blocks``,
+    delta = 0).  The grid is the transform's own: at high l the sector lives within
+    about 1/(beta sqrt(lam)) of t = 0, which 1000 cells over [0, 30/beta] undersample.
+    """
+    return count_below(_weighted_blocks(tp.potential, tp.gamma, 0.0, lam * tp.beta ** 2,
+                                        len(tp.tgrid) - 1)[0], 0.0)
 
 
 def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
@@ -440,22 +402,12 @@ def weighted_eigen_min(U, gamma, delta, lam, mesh=1000):
     ``pencil.lowest_eigenpair`` (a Sturm bracket from the block inertia,
     robust against the huge dynamic range of the weights, isolates it and
     the Kato-Temple bound certifies its Rayleigh quotient).  mu_min < 0 iff
-    some admissible test function makes the form negative.
+    some admissible test function makes the form negative.  No growth check
+    is needed at T: with h(0) = 0, Cauchy-Schwarz gives |h(T)|^2 <= (e^(gamma T)
+    - 1)/gamma times the weighted Dirichlet sum, for every vector.
     """
     if not (delta > gamma > 0):
         raise ValueError("need delta > gamma > 0")
-    pencil, ts, k_half = _weighted_blocks(U, gamma, delta, lam, mesh)
+    pencil, ts = _weighted_blocks(U, gamma, delta, lam, mesh)
     mu_min, y = lowest_eigenpair(pencil)
-    h1 = np.concatenate([[0.0], y[0::2]])
-    h2 = np.concatenate([[0.0], y[1::2]])
-
-    # pointwise growth bound of the weighted space at the horizon
-    star = float(np.sum(k_half * (np.diff(h1) ** 2 + np.diff(h2) ** 2)))
-    bound = 2.0 / math.sqrt(gamma) * math.sqrt(star) * math.exp(0.5 * gamma * ts[-1])
-    end_val = math.hypot(h1[-1], h2[-1])
-    if end_val > 1.10 * bound:
-        raise MeshTooCoarse(
-            f"minimizer end value {end_val:.3e} violates the growth bound "
-            f"{bound:.3e} by more than 10%; enlarge the horizon"
-        )
-    return mu_min, (ts, h1, h2)
+    return mu_min, (ts, np.concatenate([[0.0], y[0::2]]), np.concatenate([[0.0], y[1::2]]))

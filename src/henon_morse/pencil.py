@@ -156,12 +156,14 @@ def _zero_pivot_band(pencil, s):
     of 0, and moving the shift by d moves it by at least d bw_i (the Schur
     complements fall at least as fast as B).  The pivot scale is bounded by
     its block row, |a| + |b| + |c| + |off_(i-1)| + |off_i|, so the band is
-    ZERO_PIVOT times the largest block-row scale per unit mass.
+    ZERO_PIVOT times the largest block-row scale per unit mass: inf where
+    that ratio overflows, and then every nudged shift is infinite.
     """
     d11, d12, d22, off, bw = pencil
     pad = np.abs(np.concatenate([[0.0], off, [0.0]]))
     rows = np.abs(d11 - s * bw) + np.abs(d12) + np.abs(d22 - s * bw) + pad[:-1] + pad[1:]
-    return ZERO_PIVOT * float(np.max(rows / bw))
+    with np.errstate(over="ignore"):
+        return ZERO_PIVOT * float(np.max(rows / bw))
 
 
 def split_form(pencil):
@@ -179,10 +181,11 @@ def split_form(pencil):
     d11, d12, d22, off, bw = pencil
     if np.any(d12) and not np.array_equal(d11, d22):
         return None
-    e = off / np.sqrt(bw[:-1] * bw[1:])
-    d, e = np.concatenate([(d11 + d12) / bw, (d22 - d12) / bw]), np.concatenate([e, [0.0], e])
-    if np.all(np.isfinite(d)) and np.all(np.isfinite(e * e)):
-        return d, e
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # tested finite below
+        e = off / np.sqrt(bw[:-1] * bw[1:])
+        d, e = np.concatenate([(d11 + d12) / bw, (d22 - d12) / bw]), np.concatenate([e, [0.0], e])
+        if np.all(np.isfinite(d)) and np.all(np.isfinite(e * e)):
+            return d, e
     return None
 
 

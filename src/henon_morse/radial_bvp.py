@@ -879,13 +879,14 @@ def _simpson_factors(x):
     n = len(x) - 1 + len(x) % 2  # the odd count the pairs of intervals cover
     h = np.diff(x)
     h0, h1 = h[0:n - 2:2], h[1:n - 1:2]
-    hsum, ratio = h0 + h1, h0 / h1
-    tail = None
-    if n < len(x):
-        a, b = h[-2], h[-1]
-        tail = ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)), (b ** 2 + 3.0 * a * b) / (6 * a),
-                b ** 3 / (6 * a * (a + b)))
-    return n, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio, tail
+    with np.errstate(divide="ignore", invalid="ignore"):  # spacing squared 0: inf or nan
+        hsum, ratio = h0 + h1, h0 / h1
+        tail = None
+        if n < len(x):
+            a, b = h[-2], h[-1]
+            tail = ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)), (b ** 2 + 3.0 * a * b) / (6 * a),
+                    b ** 3 / (6 * a * (a + b)))
+        return n, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio, tail
 
 
 def simpson_rule(x):
@@ -903,20 +904,6 @@ def simpson_rule(x):
 def simpson(y, x):
     """scipy.integrate.simpson(y, x=x) on 1-D samples, bit for bit (even counts included)."""
     return simpson_rule(x)(y)
-
-
-def simpson_weights(x):
-    """Weights c with c . y = ``simpson(y, x)`` up to rounding, for any y on the grid x."""
-    n, k, f0, f1, f2, tail = _simpson_factors(x)
-    c = np.zeros(len(x))
-    c[0:n - 2:2] += k * f0
-    c[1:n - 1:2] += k * f1
-    c[2:n:2] += k * f2
-    if tail is not None:
-        c[-1] += tail[0]
-        c[-2] += tail[1]
-        c[-3] -= tail[2]
-    return c
 
 
 def quadratic_part(profile):

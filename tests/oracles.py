@@ -335,11 +335,25 @@ def full_horizon_power_trajectory(p, scale, init, T, ts):
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# quadrature helpers and test functions
 # ---------------------------------------------------------------------------
 
 def simpson_integral(y, x):
     return float(simpson(y, x=x))
+
+
+def smooth_bump(tgrid, a, b):
+    """C-infinity bump supported on (a, b), with its analytic derivative."""
+    t = np.asarray(tgrid, dtype=float)
+    x = (t - a) / (b - a)
+    inside = (x > 0.0) & (x < 1.0)
+    phi = np.zeros_like(t)
+    dphi = np.zeros_like(t)
+    xi = x[inside]
+    core = np.exp(-1.0 / (xi * (1.0 - xi)))
+    phi[inside] = core
+    dphi[inside] = core * (1.0 - 2.0 * xi) / (xi * (1.0 - xi)) ** 2 / (b - a)
+    return phi, dphi
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ symmetric coupled system's index into two scalar indices.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,9 +143,9 @@ def test_verify_rejects_a_stored_nan_sample(solve, tmp_path, capsys):
     assert "profile load error" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # h * h underflows to 0 at such a horizon
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # h * h underflows to 0, silently
 def test_a_horizon_too_short_to_fit_fails_its_checks_without_a_crash(solve, tmp_path, capsys):
-    # at T = 1e-200 LAPACK cannot fit the tail's decay rate; the band falls back to g(T) T
+    # at T = 1e-200 the tail's decay rate cannot be fitted; the band falls back to g(T) T
     profile = solve(2, 4.0)
     check = pohozaev_check(transform_profile(profile, T=1e-200))
     assert check.tail_band > 0.0 and math.isfinite(check.tail_band)
@@ -156,6 +160,24 @@ def test_a_horizon_too_short_to_fit_fails_its_checks_without_a_crash(solve, tmp_
                      "--T", "1e-300"]) == 0
     (row,) = read_json(tmp_path / "o" / "sweep.json")["rows"]
     assert row["status"] == "uncertified" and "transformed_residual" in row["reason"]
+
+
+def test_a_tiny_horizon_fails_quietly(solve, tmp_path, capfd):
+    # verify --T 1e-200 in a fresh interpreter prints its FAIL lines and nothing
+    # else: no LAPACK "DLASCL parameter number 4" message from a tail fit, and no
+    # RuntimeWarning from a grid spacing that squares to 0 (warnings shown as by default)
+    save_profile(solve(2, 4.0), tmp_path / "p")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-W", "default", "-m", "henon_morse.cli", "verify",
+                          "--profile", str(tmp_path / "p"), "--T", "1e-200"],
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    out, err = capfd.readouterr()
+    assert run.returncode == 1
+    for name in ("transformed_residual", "pohozaev_slack", "pohozaev_identity", "stable_sector"):
+        assert f"[FAIL] {name}" in out, out
+    assert '"error": "persistent zero pivot near shift 0.0"' in out
+    for noise in ("DLASCL", "Warning", "Traceback"):
+        assert noise not in out + err, out + err
 
 
 @pytest.mark.parametrize("N, alpha, mu", [(2, 4.0, 0.0), (3, 1.0, 1.0)])

@@ -12,7 +12,7 @@ import pytest
 
 import henon_morse
 from henon_morse import io as hio
-from henon_morse import radial_bvp, spectral
+from henon_morse import cli, radial_bvp, spectral
 from henon_morse.cli import main
 from henon_morse.io import (
     load_profile,
@@ -195,22 +195,52 @@ def test_verify_certified_profile(tmp_path, solve):
         assert report["checks"]["transformed_residual"]["pass"]
         assert report["checks"]["pohozaev_slack"]["pass"]
         assert report["checks"]["pohozaev_lower_bound"]["pass"]
-        assert report["checks"]["qk_probe_min"]["pass"]
+        sector = report["checks"]["stable_sector"]
+        assert sector["pass"] and sector["halfline"] == sector["radial"]
+        assert sector["radial"][0] >= 1 and sector["radial"][1] == 0
+        assert sector["ell"] == next(e["ell"] for e in report["morse"]["per_ell"]
+                                     if e["negatives"] == 0)
 
 
 def test_verify_short_horizon(tmp_path, capsys, solve):
-    # below T = 2.5 the probe windows shrink with the horizon instead of
-    # drawing from an empty range; at T = 2 the truncated Pohozaev identity
-    # fails honestly, so the report is written and verify exits 1
+    # at T = 2 the half line still holds sector 2's negative direction, so the
+    # stable-sector counts agree, while the truncated Pohozaev identity fails
+    # honestly: the report is written and verify exits 1
     save_profile(solve(2, 4.0), tmp_path / "profile")
     rc = main(["verify", "--profile", str(tmp_path / "profile"), "--T", "2",
                "--out", str(tmp_path / "report.json"), "--mesh", "600"])
     assert rc == 1
     assert "Traceback" not in capsys.readouterr().err
     checks = json.loads((tmp_path / "report.json").read_text())["checks"]
-    assert checks["qk_probe_min"]["pass"]
+    assert checks["stable_sector"] == {"ell": 3, "halfline": [1, 0], "radial": [1, 0],
+                                       "pass": True}
     assert checks["transformed_residual"]["pass"]
     assert not checks["pohozaev_identity"]["pass"]
+
+
+def test_verify_fails_when_the_half_line_loses_a_sector(tmp_path, capsys, solve):
+    # at T = 1 the half line is too short to hold sector 2's negative direction:
+    # the counts at (l* - 1, l*) = (2, 3) read [0, 0] against the r-pencils' [1, 0]
+    save_profile(solve(2, 4.0), tmp_path / "profile")
+    argv = ["verify", "--profile", str(tmp_path / "profile"), "--mesh", "600"]
+    assert main(argv + ["--T", "1"]) == 1
+    assert ('[FAIL] stable_sector: {"ell": 3, "halfline": [0, 0], "radial": [1, 0]}'
+            in capsys.readouterr().out)
+
+
+def test_verify_fails_on_a_spurious_half_line_direction(tmp_path, capsys, solve, monkeypatch):
+    # the other side: a half line that counts one negative direction too many at
+    # both sectors fails the check on a profile that otherwise passes every check
+    save_profile(solve(2, 4.0), tmp_path / "profile")
+    argv = ["verify", "--profile", str(tmp_path / "profile"), "--mesh", "600"]
+    assert main(argv) == 0
+    real = cli.qk_negative_count
+    monkeypatch.setattr(cli, "qk_negative_count", lambda tp, lam: real(tp, lam) + 1)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert '[FAIL] stable_sector: {"ell": 3, "halfline": [2, 1], "radial": [1, 0]}' in out
+    assert out.count("[FAIL]") == 1
 
 
 @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf", "x"])
@@ -562,8 +592,8 @@ def test_solve_sweep_and_verify_agree(tmp_path, capsys, N, alpha, p, branch, cer
     assert (row["status"], solved, verified) == ("uncertified", 1, 1)
     assert "transformed_residual" in row["reason"] and "transformed_residual" in solve_err
     assert "total_morse_index" not in row  # the counts of an uncertified profile
-    # sweep names the checks of certify that verify fails: all but its Q_k probe
-    failed = [name for name, c in checks.items() if not c["pass"] and name != "qk_probe_min"]
+    # sweep names the checks of certify that verify fails: all but its stable-sector check
+    failed = [name for name, c in checks.items() if not c["pass"] and name != "stable_sector"]
     assert [name for name in checks if f"{name}: " in row["reason"]] == failed
 
 

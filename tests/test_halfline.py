@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from henon_morse import pencil
-from henon_morse.errors import HypothesisViolated, MeshTooCoarse
+from henon_morse.errors import HypothesisViolated
 from henon_morse.halfline import (
     MatrixPotential,
     TransformedProfile,
@@ -19,8 +19,7 @@ from henon_morse.halfline import (
     pohozaev_check,
     pohozaev_identity_residual,
     pohozaev_lower_bound,
-    qk_probe,
-    smooth_bump,
+    qk_negative_count,
     stability_potential,
     transform_profile,
     transformed_residual,
@@ -33,12 +32,10 @@ from henon_morse.radial_bvp import (
     ProblemParams,
     _scaling_amplitude,
     integrate_radial_ivp,
-    simpson,
-    simpson_weights,
 )
 from henon_morse.spectral import lambda_ell, morse_index
 
-from oracles import build_weighted_forms, simpson_integral
+from oracles import build_weighted_forms, simpson_integral, smooth_bump
 
 
 def test_transform_constants():
@@ -217,37 +214,28 @@ def test_Qk_nonnegative_on_stable_sector(solve):
     assert worst >= -1e-8
 
 
-@pytest.mark.parametrize("grid_size", [2000, 1999])
-def test_qk_probe_is_eval_Qk_over_the_same_draws(solve, grid_size):
-    # a coupled profile (U12 != 0) on a 10-unit horizon, where the bumps meet
-    # the profile; grid_size 1999 gives an even point count, where Simpson's
-    # rule takes scipy's last-interval correction
-    tp = transform_profile(solve(3, 1.0, family="quartic_coupled", b=0.5), T=10.0,
-                           grid_size=grid_size)
-    lam = lambda_ell(1, 3)
-    got = qk_probe(tp, lam, np.random.default_rng(5))
-    rng = np.random.default_rng(5)
-    want = []
-    for _ in range(100):
-        a = rng.uniform(0.0, 0.6 * tp.T)
-        b = a + rng.uniform(min(0.5, 0.2 * tp.T), 0.2 * tp.T)
-        phi, dphi = smooth_bump(tp.tgrid, a, min(b, tp.T))
-        c1, c2 = rng.uniform(-1.0, 1.0, 2)
-        want.append(eval_Qk(tp, lam, (c1 * phi, c2 * phi), (c1 * dphi, c2 * dphi)))
-    want = np.array(want)
-    # the bump's peak e^-4 keeps |Q_k| below about 3e-3: checked relative too
-    assert np.max(np.abs(want)) > 1e-3 and np.any(tp.potential.m12)
-    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-
-
-@pytest.mark.parametrize("n", [3, 4, 1001, 1000])
-def test_simpson_weights_reproduce_simpson(n):
-    rng = np.random.default_rng(n)
-    for x in (np.linspace(0.0, 7.0, n), np.cumsum(rng.uniform(0.5, 1.5, n))):
-        y = rng.standard_normal(n)
-        c = simpson_weights(x)
-        assert abs(c @ y - simpson(y, x)) <= 1e-14 * float(np.abs(c) @ np.abs(y))
+@pytest.mark.parametrize("N, alpha, p, mu, nodes, b", [
+    (2, 2.0, 4.0, 0.0, 0, None), (2, 2.0, 4.0, 0.0, 2, None), (2, 4.0, 4.0, 0.0, 0, 0.5),
+    (3, 2.0, 4.0, 0.5, 0, None), (3, 2.0, 4.0, 0.0, 2, None), (3, 1.0, 4.0, 1.0, 0, 0.5),
+    (4, 2.0, 4.0, 1.0, 1, None), (4, 10.0, 4.0, 0.0, 0, None), (8, 2.0, 2.5, 0.0, 1, None),
+])
+def test_qk_negative_count_is_the_sector_count(solve, N, alpha, p, mu, nodes, b):
+    # Q_k on [0, T] and sector l's r-pencil discretize one form in two variables:
+    # their negative counts agree at every degree up to the first stable one l*,
+    # the half-line side built with nothing from spectral (b: a coupled system).
+    # On 1000 cells over [0, T] instead of the t-grid's 4000, the half line finds a
+    # spurious negative direction at l* on N=3 alpha=2 nodal:2, N=4 alpha=2 mu=1
+    # nodal:1 and N=4 alpha=10 positive
+    family = "pure_power" if b is None else "quartic_coupled"
+    prof = solve(N, alpha, p=p, mu=mu, nodes=nodes, family=family, b=b or 0.0)
+    counts = morse_index(prof).counts()
+    stable = next(ell for ell, neg in counts.items() if neg == 0)
+    tp = transform_profile(prof)
+    half = [qk_negative_count(tp, lambda_ell(ell, N)) for ell in range(stable + 1)]
+    assert half == [counts[ell] for ell in range(stable + 1)]
+    assert stable >= 1 and half[-2] >= 1 and half[-1] == 0
+    if b is not None:
+        assert np.any(tp.potential.m12)
 
 
 def _weighted_instance(tp):
@@ -361,12 +349,20 @@ def test_weighted_eigen_negative_for_large_bump():
     rq = float(y @ (A @ y)) / float(y @ (B * y))
     assert abs(rq - mu) <= 1e-8 * (1.0 + abs(mu))
 
-    # H_* pointwise growth bound at the horizon
+    # the discrete growth bound at the horizon, which holds for every vector with
+    # h(0) = 0: Cauchy-Schwarz on h(T) = sum of its increments gives |h(T)|^2 <=
+    # star * S, S = sum ht e^(gamma t_(j+1/2)) <= (e^(gamma T) - 1)/gamma (midpoint
+    # rule of a convex integrand), a quarter of the continuous bound's square
     ht = ts[1] - ts[0]
-    k_half = np.exp(-gamma * (ts[:-1] + 0.5 * ht)) / ht
-    star = float(np.sum(k_half * (np.diff(h1) ** 2 + np.diff(h2) ** 2)))
-    bound = 2.0 / math.sqrt(gamma) * math.sqrt(star) * math.exp(0.5 * gamma * ts[-1])
-    assert math.hypot(h1[-1], h2[-1]) <= 1.1 * bound
+    mid = ts[:-1] + 0.5 * ht
+    star = float(np.sum(np.exp(-gamma * mid) / ht * (np.diff(h1) ** 2 + np.diff(h2) ** 2)))
+    S = float(np.sum(ht * np.exp(gamma * mid)))
+    assert S <= math.expm1(gamma * ts[-1]) / gamma
+    assert h1[-1] ** 2 + h2[-1] ** 2 <= star * S * (1.0 + 1e-12)
+    # and it is sharp: increments ht e^(gamma t_(j+1/2)) attain it
+    inc = ht * np.exp(gamma * mid)
+    assert np.sum(inc) ** 2 == pytest.approx(np.sum(np.exp(-gamma * mid) / ht * inc ** 2) * S,
+                                             rel=1e-12)
 
 
 def test_weighted_eigen_monotone_in_bump_height():
