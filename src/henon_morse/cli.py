@@ -233,7 +233,9 @@ def cmd_verify(args):
     report["checks"] = checks
 
     # the first stable sector l* on the half line: Q_k's negative directions at l* - 1 and l*,
-    # each the inertia of its stiffness on the t-grid, must equal the r-pencils' counts
+    # each the inertia of its stiffness on the t-grid, must equal the r-pencils' counts.  The
+    # form is cut at the horizon T, whose natural end frees the inner radius e^(-beta T)
+    horizon = {"T": tp.T, "inner_radius": math.exp(-tp.beta * tp.T)}
     try:
         rep = morse_index(profile, mesh=args.mesh)
         report["morse"] = hio.morse_report_to_dict(rep)
@@ -243,9 +245,9 @@ def cmd_verify(args):
         halfline = [qk_negative_count(tp, lambda_ell(ell, profile.params.N)) for ell in ells]
         radial = [counts[ell] for ell in ells]
         checks["stable_sector"] = {"ell": stable, "halfline": halfline, "radial": radial,
-                                   "pass": halfline == radial}
+                                   **horizon, "pass": halfline == radial}
     except HenonMorseError as exc:
-        checks["stable_sector"] = {"error": str(exc), "pass": False}
+        checks["stable_sector"] = {"error": str(exc), **horizon, "pass": False}
 
     ok = all(c.get("pass", False) for c in checks.values())
     report["pass"] = bool(ok)

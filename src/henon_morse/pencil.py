@@ -25,11 +25,10 @@ pencils a d12 = 0 pencil (every scalar sector, window and weighted form) or a
 d11 = d22 one (every coupled pencil of the CLI) splits into, by the block
 LDL^T pivot recursion on any other.
 The lowest eigenvalue is certified by an isolating Sturm bracket from the
-pencil's own ``gershgorin_floor`` and the Kato-Temple bound.  A pencil that
-splits takes its eigenpair from the one tridiagonal block that holds it
-(``dstebz`` in the bracket, then ``dstein``), so the other block's half of
-the eigenvector is exactly 0; any other pencil, and a split solve that
-fails the bound, takes banded inverse iteration.
+pencil's own ``gershgorin_floor`` and the Kato-Temple bound.  Its eigenvector
+comes from the split form of a pencil that splits (the other block's half
+exactly 0), and from banded inverse iteration for any other pencil or a
+split vector the bound rejects.
 LAPACK is scipy's compiled wrapper ``linalg/_flapack``, loaded by file path:
 importing ``scipy.linalg`` (numpy.f2py, numpy.testing) for three routines would
 double the start-up of every CLI run.  ``solve_banded`` is scipy's ``dgbsv`` path.
@@ -203,7 +202,11 @@ def count_below(pencil, s):
     bands keep that ratio clear of ZERO_PIVOT.  SingularPivot is raised only
     when every nudge hits a zero pivot.
     """
-    form = split_form(pencil)
+    return _count_below(pencil, split_form(pencil), s)
+
+
+def _count_below(pencil, form, s):
+    """``count_below(pencil, s)`` with the pencil's ``split_form`` already built."""
     if form is not None:
         m, *_, info = dstebz(*form, 1, -np.inf, np.nextafter(s, -np.inf), 0, 0, np.inf, "E")
         if info == 0:
@@ -244,7 +247,7 @@ def bisect_eigenvalue(count, j, lo, hi, settled=None, rtol=1e-13):
 def _split_eigenvector(pencil, form, lo, hi):
     """x with x^T B x = 1 for the lowest eigenvalue in [lo, hi) of a pencil's ``split_form``.
 
-    ``dstebz`` (RANGE 'V' over the Sturm counts ``count_below`` takes, ABSTOL
+    ``dstebz`` (RANGE 'V' over the Sturm counts ``_count_below`` takes, ABSTOL
     SPLIT_ABSTOL) locates the eigenvalue and its block, ``dstein`` gives that
     block's eigenvector y, and x = B^(-1/2) y, rotated back when d12 != 0:
     the rows of the other block stay exactly 0 (w2 = 0, or w1 = +-w2).
@@ -281,15 +284,16 @@ def lowest_eigenpair(pencil):
     1, gives rho = x^T A x, returned once it lies in [lo, hi) and the
     Kato-Temple bound, with eps^2 = r^T B^-1 r and r = A x - rho B x, gives
     rho - eps^2 / (hi - rho) <= lambda_1 <= rho with eps^2 / (hi - rho) <=
-    1e-13 (1 + |rho|).  A pencil with a ``split_form`` takes x from
-    ``_split_eigenvector``.  Any other pencil, or a split x the bound
-    rejects, takes four banded inverse-iteration steps at lo from a random
-    start (seed SEED), then at most three Rayleigh-quotient steps.  When no
-    such bracket forms (a cluster), or no x passes (rows of tiny mass whose
-    rounding keeps eps^2 high), the bisection goes on to width 1e-13 (1 +
-    |hi|) and mu is its midpoint.  Then a cluster of a split pencil takes x
-    from ``_split_eigenvector`` on that bracket, and any other pencil from
-    six inverse-iteration steps just below mu.  Returns (mu, x).
+    1e-13 (1 + |rho|).  The ``split_form``, built once, serves every count;
+    a pencil that has one takes x from ``_split_eigenvector``.  Any other
+    pencil, or a split x the bound rejects, takes four banded inverse-iteration
+    steps at lo from a random start (seed SEED), then at most three
+    Rayleigh-quotient steps.  When no such bracket forms (a cluster), or no
+    x passes (rows of tiny mass whose rounding keeps eps^2 high), the
+    bisection goes on to width 1e-13 (1 + |hi|) and mu is its midpoint.
+    Then a cluster of a split pencil takes x from ``_split_eigenvector`` on
+    that bracket, and any other pencil from six inverse-iteration steps just
+    below mu.  Returns (mu, x).
     """
     d11, d12, d22, off, bw = pencil
     Bv = np.repeat(bw, 2)
@@ -300,11 +304,14 @@ def lowest_eigenpair(pencil):
     x = start = np.random.default_rng(SEED).standard_normal(len(Bv))
 
     def inverse_step(x, s):
-        """(A - s B)^-1 B x, normalized to x^T B x = 1 and oriented along x."""
+        """(A - s B)^-1 B x with x^T B x = 1, oriented along x; LinAlgError on overflow."""
         shifted = ab.copy()
         shifted[2] -= s * Bv
         y = solve_banded((2, 2), shifted, Bv * x)
-        return y / math.copysign(math.sqrt(float(np.dot(Bv * y, y))), float(np.dot(Bv * y, x)))
+        norm = math.sqrt(float(np.dot(Bv * y, y)))
+        if not norm < math.inf:  # x would scale to exactly 0
+            raise np.linalg.LinAlgError("inverse step overflowed")
+        return y / math.copysign(norm, float(np.dot(Bv * y, x)))
 
     def quotient(x):
         """rho = x^T A x, and whether it lies in [lo, hi) with the Kato-Temple bound met."""
@@ -313,7 +320,8 @@ def lowest_eigenpair(pencil):
         r = ax - rho * Bv * x  # eps^2 = r^T B^-1 r below
         return rho, lo <= rho < hi and np.dot(r / Bv, r) <= 1e-13 * (1 + abs(rho)) * (hi - rho)
 
-    count = lru_cache(maxsize=None)(lambda s: count_below(pencil, s))  # settled re-reads hi
+    form = split_form(pencil)
+    count = lru_cache(maxsize=None)(lambda s: _count_below(pencil, form, s))  # settled re-reads hi
     g = gershgorin_floor(pencil)
     lo = g - 1e-6 * (1.0 + abs(g))  # strictly below: uncoupled pencils attain g
     hi = max(1.0, lo + 1.0)
@@ -321,7 +329,6 @@ def lowest_eigenpair(pencil):
         hi = 2.0 * hi + 1.0
     lo, hi, isolated = bisect_eigenvalue(
         count, 1, lo, hi, lambda lo, hi: count(hi) == 1 and hi - lo <= 1e-3 * (1.0 + abs(hi)))
-    form = split_form(pencil)
     if form is not None and isolated:
         split = _split_eigenvector(pencil, form, lo, hi)
         if split is not None:

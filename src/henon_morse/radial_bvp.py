@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, wraps
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +136,34 @@ class RadialProfile:
     def simpson(self):
         """``simpson_rule`` of this grid, made on first use."""
         return simpson_rule(self.grid)
+
+    @cached_property
+    def residuals(self):
+        """(``residual``, ``relative_residual``), from one gradient and one grid ** alpha."""
+        p = self.params
+        r = self.grid
+        h = r[1] - r[0]
+        a, N = p.alpha, p.N
+        ri, w = r[1:-1], r ** a
+        wi, out, scale = w[1:-1], 0.0, [0.0]
+        for y, dy, mu, g, d, g0 in live_components(zip(
+            (self.u, self.v), (self.du, self.dv), (p.mu1, p.mu2),
+            p.f.grad(self.u, self.v), self.amplitude, p.f.grad(*self.amplitude),
+        )):
+            d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
+            if 0.0 < a < 2.0:
+                s, s2 = -g0 * r ** (2.0 + a) / ((2.0 + a) * (a + N)), -g0 * (1.0 + a) * wi / (a + N)
+                z = y - s
+                d2 = np.where(np.abs(s[1:-1]) <= math.sqrt(RESIDUAL_GATE) * abs(d),
+                              (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (h * h) + s2, d2)
+            defect = -d2 - (N - 1.0) * dy[1:-1] / ri
+            if mu:
+                defect += mu * y[1:-1]
+            defect -= wi * g[1:-1]
+            out = np.maximum(out, np.max(np.abs(defect)))
+            scale += [float(np.max(np.abs(w * g))), mu and mu * float(np.max(np.abs(y)))]
+        out = float(out)
+        return out, out / (1.0 + max(scale))
 
     def scaled(self, t):
         """Profile multiplied by a scalar."""
@@ -790,19 +818,6 @@ def shoot_system_newton(params, d0, tol=1e-10, grid_size=4000, max_iter=60):
     raise NoConverge(f"Newton did not reach tolerance {tol} in {max_iter} iterations")
 
 
-def _once_per_profile(fn):
-    """fn(profile), computed once and kept on the profile (see ``RadialProfile``)."""
-    @wraps(fn)
-    def once(profile):
-        memo = profile.__dict__.setdefault("_memo", {})
-        if fn.__name__ not in memo:
-            memo[fn.__name__] = fn(profile)
-        return memo[fn.__name__]
-
-    return once
-
-
-@_once_per_profile
 def residual(profile):
     """Max absolute ODE defect over interior grid points, both components.
 
@@ -815,40 +830,12 @@ def residual(profile):
     next series term is then within the gate), it is differenced out and its
     exact second derivative added back.
     """
-    p = profile.params
-    r = profile.grid
-    h = r[1] - r[0]
-    a, N = p.alpha, p.N
-    ri, out = r[1:-1], 0.0
-    w = ri ** a
-    for y, dy, mu, g, d, g0 in live_components(zip(
-        (profile.u, profile.v), (profile.du, profile.dv), (p.mu1, p.mu2),
-        p.f.grad(profile.u, profile.v), profile.amplitude, p.f.grad(*profile.amplitude),
-    )):
-        d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
-        if 0.0 < a < 2.0:
-            s, s2 = -g0 * r ** (2.0 + a) / ((2.0 + a) * (a + N)), -g0 * (1.0 + a) * w / (a + N)
-            z = y - s
-            d2 = np.where(np.abs(s[1:-1]) <= math.sqrt(RESIDUAL_GATE) * abs(d),
-                          (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (h * h) + s2, d2)
-        defect = -d2 - (N - 1.0) * dy[1:-1] / ri
-        if mu:
-            defect += mu * y[1:-1]
-        defect -= w * g[1:-1]
-        out = np.maximum(out, np.max(np.abs(defect)))
-    return float(out)
+    return profile.residuals[0]
 
 
-@_once_per_profile
 def relative_residual(profile):
     """Defect scaled by the size of the equation's terms (certification metric)."""
-    p = profile.params
-    w = profile.grid ** p.alpha
-    scale = [0.0]
-    for y, _, g, mu in live_components(zip((profile.u, profile.v), (profile.du, profile.dv),
-                                           p.f.grad(profile.u, profile.v), (p.mu1, p.mu2))):
-        scale += [float(np.max(np.abs(w * g))), mu and mu * float(np.max(np.abs(y)))]
-    return residual(profile) / (1.0 + max(scale))
+    return profile.residuals[1]
 
 
 def live_components(components):

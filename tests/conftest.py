@@ -27,3 +27,22 @@ def solve():
         return _CACHE[key]
 
     return get
+
+
+@pytest.fixture
+def solve_shifts(monkeypatch):
+    """The shift of every inertia count the pencil kernel makes during the test.
+
+    Recorded at ``pencil._count_below``, which every eigen-solve and every
+    ``count_below`` call runs.
+    """
+    from henon_morse import pencil
+
+    shifts, real = [], pencil._count_below
+
+    def counted(pen, form, s):
+        shifts.append(s)
+        return real(pen, form, s)
+
+    monkeypatch.setattr(pencil, "_count_below", counted)
+    return shifts

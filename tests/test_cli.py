@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,8 @@ def test_verify_certified_profile(tmp_path, solve):
         assert report["checks"]["pohozaev_lower_bound"]["pass"]
         sector = report["checks"]["stable_sector"]
         assert sector["pass"] and sector["halfline"] == sector["radial"]
+        # the default horizon 30 / beta cuts the half-line form at r = e^-30
+        assert sector["inner_radius"] == pytest.approx(math.exp(-30.0), rel=1e-12)
         assert sector["radial"][0] >= 1 and sector["radial"][1] == 0
         assert sector["ell"] == next(e["ell"] for e in report["morse"]["per_ell"]
                                      if e["negatives"] == 0)
@@ -212,7 +215,8 @@ def test_verify_short_horizon(tmp_path, capsys, solve):
     assert rc == 1
     assert "Traceback" not in capsys.readouterr().err
     checks = json.loads((tmp_path / "report.json").read_text())["checks"]
-    assert checks["stable_sector"] == {"ell": 3, "halfline": [1, 0], "radial": [1, 0],
+    assert checks["stable_sector"] == {"ell": 3, "halfline": [1, 0], "radial": [1, 0], "T": 2.0,
+                                       "inner_radius": math.exp(-2.0 / 3.0),  # beta = 1/3
                                        "pass": True}
     assert checks["transformed_residual"]["pass"]
     assert not checks["pohozaev_identity"]["pass"]
@@ -224,8 +228,19 @@ def test_verify_fails_when_the_half_line_loses_a_sector(tmp_path, capsys, solve)
     save_profile(solve(2, 4.0), tmp_path / "profile")
     argv = ["verify", "--profile", str(tmp_path / "profile"), "--mesh", "600"]
     assert main(argv + ["--T", "1"]) == 1
-    assert ('[FAIL] stable_sector: {"ell": 3, "halfline": [0, 0], "radial": [1, 0]}'
-            in capsys.readouterr().out)
+    assert ('[FAIL] stable_sector: {"ell": 3, "halfline": [0, 0], "radial": [1, 0], "T": 1.0, '
+            f'"inner_radius": {json.dumps(math.exp(-1.0 / 3.0))}}}' in capsys.readouterr().out)
+
+
+def test_verify_names_the_horizon_of_a_failed_stable_sector(tmp_path, solve):
+    # N=3 alpha=0: beta = 1, so at T = 2 the half-line form is cut at r = e^-2, and its
+    # natural end there adds a negative direction at l* = 1 that the r-pencils do not have
+    save_profile(solve(3, 0.0), tmp_path / "profile")
+    assert main(["verify", "--profile", str(tmp_path / "profile"), "--T", "2",
+                 "--out", str(tmp_path / "report.json")]) == 1
+    sector = json.loads((tmp_path / "report.json").read_text())["checks"]["stable_sector"]
+    assert sector == {"ell": 1, "halfline": [1, 1], "radial": [1, 0], "T": 2.0,
+                      "inner_radius": math.exp(-2.0), "pass": False}
 
 
 def test_verify_fails_on_a_spurious_half_line_direction(tmp_path, capsys, solve, monkeypatch):
@@ -239,7 +254,7 @@ def test_verify_fails_on_a_spurious_half_line_direction(tmp_path, capsys, solve,
     capsys.readouterr()
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert '[FAIL] stable_sector: {"ell": 3, "halfline": [2, 1], "radial": [1, 0]}' in out
+    assert '[FAIL] stable_sector: {"ell": 3, "halfline": [2, 1], "radial": [1, 0], "T": ' in out
     assert out.count("[FAIL]") == 1
 
 

@@ -265,28 +265,20 @@ def test_weighted_eigen_sign_bridge(solve):
     assert q < 0
 
 
-def test_weighted_eigen_count_budget(solve, monkeypatch):
+def test_weighted_eigen_count_budget(solve, solve_shifts):
     # the twin of test_witness_count_budget: the bisection stops once a bracket
     # of width 1e-3 (1 + |hi|) isolates mu_min, and the Kato-Temple bound on
     # the Rayleigh quotient certifies it: 16 inertia counts on the stable
     # sector ell = 1, where bisecting to width 1e-13 took 49
     tp = transform_profile(solve(3, 0.0))
-    real = pencil.count_below
-    shifts = []
-
-    def counted(pen, s):
-        shifts.append(s)
-        return real(pen, s)
-
-    monkeypatch.setattr(pencil, "count_below", counted)
     mu, _ = weighted_eigen_min(_weighted_instance(tp), tp.gamma, tp.beta * 3.0,
                                lambda_ell(1, 3) * tp.beta ** 2, mesh=1000)
     assert mu >= 0
-    assert len(shifts) <= 20, len(shifts)
+    assert 1 <= len(solve_shifts) <= 20, len(solve_shifts)
 
 
 @pytest.mark.parametrize("ell", [0, 1])
-def test_weighted_pencil_counts_agree_on_both_routes(solve, ell, monkeypatch):
+def test_weighted_pencil_counts_agree_on_both_routes(solve, ell, solve_shifts):
     # the weighted form of the N=3 alpha=0 profile has masses down to about
     # 1e-41 at the horizon.  At every shift the eigen-solve visits, the LAPACK
     # count equals the pivot recursion's, but within 1e-12 (1 + |mu|) of
@@ -299,20 +291,40 @@ def test_weighted_pencil_counts_agree_on_both_routes(solve, ell, monkeypatch):
     pen = _weighted_blocks(*args)[0]
     d11, d12, d22, off, bw = pen
     assert not np.any(d12) and 1e-43 < np.min(bw) < 1e-39
-    real = pencil.count_below
-    shifts = []
-
-    def counted(p, s):
-        shifts.append(s)
-        return real(p, s)
-
-    monkeypatch.setattr(pencil, "count_below", counted)
     mu, _ = weighted_eigen_min(*args)
-    assert (mu < 0) == (ell == 0) and len(shifts) > 10
-    clear = [s for s in shifts if abs(s - mu) > 1e-12 * (1.0 + abs(mu))]
-    assert len(clear) >= len(shifts) - 6
+    assert (mu < 0) == (ell == 0) and len(solve_shifts) > 10
+    clear = [s for s in solve_shifts if abs(s - mu) > 1e-12 * (1.0 + abs(mu))]
+    assert len(clear) >= len(solve_shifts) - 6
     for s in clear:
-        assert real(pen, s) == pencil._negative_pivots(d11 - s * bw, d12, d22 - s * bw, off)
+        assert (pencil.count_below(pen, s)
+                == pencil._negative_pivots(d11 - s * bw, d12, d22 - s * bw, off))
+
+
+@pytest.mark.parametrize("alpha, mu", [(0.0, 0.0), (1.0, 0.5)])
+def test_unstable_weighted_sector_is_the_midpoint_of_a_sturm_bracket(solve, alpha, mu,
+                                                                     monkeypatch):
+    # on the unstable sector l = 0 of N=3 no eigenvector meets the Kato-Temple
+    # bound (masses down to about 1e-41), so mu_min is the midpoint of the
+    # Sturm bracket bisected to width 1e-13 from just below the Gershgorin
+    # floor, every count of the solve made on the one split form it builds
+    tp = transform_profile(solve(3, alpha, mu=mu))
+    args = (_weighted_instance(tp), tp.gamma, tp.beta * 3.0, 0.0, 1000)
+    pen = _weighted_blocks(*args)[0]
+    forms, real = [], pencil.split_form
+    monkeypatch.setattr(pencil, "split_form", lambda p: forms.append(p) or real(p))
+    mu_min, _ = weighted_eigen_min(*args)
+    assert len(forms) == 1
+
+    def count(s):
+        return pencil.count_below(pen, s)
+
+    g = pencil.gershgorin_floor(pen)
+    lo = g - 1e-6 * (1.0 + abs(g))
+    hi = max(1.0, lo + 1.0)
+    while count(hi) < 1:
+        hi = 2.0 * hi + 1.0
+    lo, hi, _ = pencil.bisect_eigenvalue(count, 1, lo, hi)
+    assert mu_min < 0 and mu_min == 0.5 * (lo + hi)
 
 
 def test_weighted_eigen_zero_potential():

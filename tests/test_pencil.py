@@ -167,7 +167,7 @@ def two_wells(link, coupling, m=40, grade=0.0):
 
 
 @pytest.mark.parametrize("link, isolated", [(1e-7, True), (0.0, False)])
-def test_lowest_eigenpair_of_two_weakly_coupled_wells(link, isolated, monkeypatch):
+def test_lowest_eigenpair_of_two_weakly_coupled_wells(link, isolated, solve_shifts):
     # two mirror-image wells joined by one link: link 1e-7 puts lambda_2 about
     # 1e-8 |lambda_1| above lambda_1, so no 1e-3 bracket isolates lambda_1.
     # The bisection narrows on until count(hi) = 1, and the Kato-Temple bound
@@ -178,18 +178,11 @@ def test_lowest_eigenpair_of_two_weakly_coupled_wells(link, isolated, monkeypatc
     eig = dense_pencil_eigvals(*pen)
     assert (eig[1] - eig[0] > 1e-9 * abs(eig[0])) == isolated
 
-    shifts = []
-
-    def counted(p, s):
-        shifts.append(s)
-        return count_below(p, s)
-
-    monkeypatch.setattr("henon_morse.pencil.count_below", counted)
     mu, x = lowest_eigenpair(pen)
     assert abs(mu - eig[0]) <= 1e-12 * abs(eig[0])
     if isolated:
         assert abs(mu - eig[0]) < 1e-3 * (eig[1] - eig[0])  # lambda_1, not lambda_2
-    assert (len(shifts) < 40) == isolated, len(shifts)
+    assert solve_shifts and (len(solve_shifts) < 40) == isolated, len(solve_shifts)
     A, B = dense_pencil(*pen)
     y = np.concatenate([x[0::2], x[1::2]])
     scale = np.linalg.norm(A, 2) + (1.0 + abs(mu)) * np.linalg.norm(B, 2)
@@ -214,6 +207,9 @@ def split_pencils(draw, max_nodes=8):
 @example(pencil=(np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([1.0, 1.0]),  # in w1 - w2
                  np.array([-0.5]), np.array([1e-40, 3e-40])))
 @example(pencil=two_wells(0.0, 0.0))  # two unjoined wells: a double lambda_1 in block 1
+# lambda_1 = 0: the banded route's Rayleigh step at rho about -1e-155 overflows x^T B x
+@example(pencil=(np.array([0.0]), np.zeros(1), np.array([3.0]), np.array([]),
+                 np.array([2.5e-15])))
 def test_lowest_eigenpair_of_split_pencils(pencil):
     # against the dense oracle and the banded route on the same bracket; the
     # block that does not hold lambda_1 is exactly 0 (d12 = 0), or the
@@ -393,11 +389,29 @@ def test_solve_banded_is_scipys_on_lowest_eigenpair_bands(link, coupling, monkey
 
 
 def test_split_pencils_make_no_banded_solve(monkeypatch):
-    # the same wells on uniform masses: the split solve passes, with no dgbsv call
+    # the same wells on uniform masses: the split solve passes, with no dgbsv
+    # call, and each solve builds its split form once for all its counts
     calls = recorded(monkeypatch, "solve_banded")
+    forms = recorded(monkeypatch, "split_form")
     for link in (1e-7, 0.0):
         lowest_eigenpair(two_wells(link, 0.0, m=400))
-    assert calls == []
+    assert calls == [] and len(forms) == 2
+
+
+def test_a_split_vector_the_bound_rejects_takes_the_banded_steps(monkeypatch):
+    # symmetric coupled wells (d22 = d11) on masses graded down to e^-55: the
+    # rotated split vector's eps^2 is about 3.7 times the Kato-Temple bound, by
+    # rounding on the rows of tiny mass, while four inverse steps and three
+    # Rayleigh steps meet it at half the bound.  A split pencil whose vector
+    # the bound rejects therefore keeps the banded steps.
+    d11, d12, _, off, bw = two_wells(0.0, 0.3, m=40, grade=27.5)
+    pen = (d11, d12, d11, off, bw)
+    calls = recorded(monkeypatch, "solve_banded")
+    mu, x = lowest_eigenpair(pen)
+    assert len(calls) == 7  # not the 13 of a bisection to width 1e-13
+    assert not np.array_equal(x[0::2], x[1::2])  # not the rotated split vector
+    tol = 1e-12 * (1.0 + abs(mu))
+    assert count_below(pen, mu - tol) == 0 and count_below(pen, mu + tol) == 1
 
 
 @PROPERTY
