@@ -9,7 +9,6 @@ from .errors import (
     DegenerateInput,
     HenonMorseError,
     HypothesisViolated,
-    MeshTooCoarse,
     NoBracket,
     NoConverge,
     NonTermination,

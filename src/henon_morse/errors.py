@@ -29,10 +29,6 @@ class SingularPivot(HenonMorseError):
     """
 
 
-class MeshTooCoarse(HenonMorseError):
-    """A discretization too coarse for its horizon; kept as a public name, raised nowhere."""
-
-
 class HypothesisViolated(HenonMorseError):
     """Parameter regime falls outside the hypotheses of the requested estimate."""
 

@@ -15,6 +15,9 @@ Dirichlet eigenvalue of -d^2/dt^2 - s D2F(u, v) on the window, held by an
 isolating Sturm bracket and the Kato-Temple bound on the Rayleigh quotient
 of its minimizer (``pencil.lowest_eigenpair``), an explicit witness.
 
+A scalar trajectory (v = v' = 0, s > 0) closes with a period P in closed
+form, and y(t + P/2) = -y(t): half a period integrated fixes all of it.
+
 The module also provides the two constructive ingredients used by the
 blow-up machinery: logarithmic cutoffs psi_n = phi(ln t / n) u approximating
 a finite-energy half-line function by compactly supported ones, and the
@@ -43,9 +46,9 @@ class LimitTrajectory:
     """A sampled trajectory of the autonomous limit system.
 
     ``dense`` evaluates t -> (u, v, du, dv) anywhere on [0, T], through the
-    dense output of ``radial_bvp.solve_ivp``.  ``period``
-    is the period P of a closed scalar orbit, whose ``dense`` evaluates one
-    integrated period at t mod P; it is None for every other trajectory.
+    dense output of ``radial_bvp.solve_ivp``.  ``period`` is the closed-form
+    period P of a scalar orbit, whose ``dense`` is its integrated half period
+    y at t mod P/2 times (-1)^floor(t / (P/2)); it is None for every other.
     """
 
     f: NonlinearityF
@@ -70,13 +73,13 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
 
     Half-line trajectories must start from u = v = 0.
 
-    A scalar start (v = v' = 0, dF/dv(+-1, 0) = 0) at s > 0 lies on a closed
-    orbit with a convex energy sublevel set, so the Poincare section through
-    the start, normal to the flow there, is crossed upward only at the start.
-    The second upward crossing ends the integration (rtol = atol = 1e-13)
-    after one period P; ``dense`` evaluates it at t mod P, and the energy
-    drift is that of one period, whatever T.  Coupled starts, and orbits not
-    closed by T, are integrated over [0, T] (coupled at rtol = atol = 1e-12).
+    A scalar start (v = v' = 0; both families have dF/dv(u, 0) = 0) at s > 0
+    conserves E = u'^2/2 + s F(u, 0) and turns at |u| = A with s F(A, 0) = E,
+    so its orbit is closed with period P = 4 A B(1/p, 1/2) / (p sqrt(2E)).
+    It is integrated over [0, min(P/2, T)] (rtol = atol = 1e-13) and extended
+    by y(t + P/2) = -y(t), F(., 0) being even; the energy drift is that of the
+    half period.  Coupled starts, and scalar ones whose energy underflows to
+    0, are integrated over [0, T] at rtol = atol = 1e-12 (period None).
     """
     if steps < 1000:
         raise ValueError("steps must be at least 1000")
@@ -99,32 +102,28 @@ def integrate_limit_system(f, scale, interval, init, T, steps=2000):
         fu, fv = grad(u, v)
         return (du, dv, -scale * fu, -scale * fv)
 
-    y0 = np.array([u0, v0, du0, dv0])
-    events, tol = [blowup_event()], 1e-12
-    scalar = (v0 == 0.0 and dv0 == 0.0 and scale > 0
-              and not np.any(f.grad(np.array([1.0, -1.0]), np.zeros(2))[1]))
-    if scalar:
-        # E = u'^2/2 + s F(u, 0) is conserved, so |u| turns at (E / (s F(1, 0)))^(1/p)
+    span, tol, period = T, 1e-12, None
+    if v0 == 0.0 and dv0 == 0.0 and scale > 0:
         energy = 0.5 * (du0 * du0) + scale * float(f.value(u0, 0.0))
         turning = (energy / (scale * float(f.value(1.0, 0.0)))) ** (1.0 / f.p)
         if turning > BLOWUP_GUARD:
             raise OverflowBlowUp(f"limit trajectory exceeded {BLOWUP_GUARD:.0e}: its energy "
                                  f"{energy:.3e} turns at |u| = {turning:.3e}")
-        normal = np.array(rhs(0.0, y0))
-
-        def section(t, y):
-            return float(np.dot(y - y0, normal))
-
-        section.direction = 1.0
-        section.terminal = 2  # the first crossing is the start itself
-        events, tol = [*events, section], 1e-13
-    sol = solve_ivp(rhs, (0.0, T), y0, tol, tol, events=events)
+        if energy > 0.0:
+            period = (4.0 * turning * math.gamma(1.0 / f.p) * math.gamma(0.5)
+                      / (f.p * math.gamma(1.0 / f.p + 0.5) * math.sqrt(2.0 * energy)))
+            span, tol = min(period / 2.0, T), 1e-13
+    sol = solve_ivp(rhs, (0.0, span), np.array([u0, v0, du0, dv0]), tol, tol,
+                    events=[blowup_event()])
     if len(sol.t_events[0]):
         raise OverflowBlowUp(f"limit trajectory exceeded {BLOWUP_GUARD:.0e} at t = {sol.t[-1]:.3f}")
-    period, dense = None, sol.sol
-    if scalar and len(sol.t_events[1]) == 2:
-        period, one_period = float(sol.t_events[1][1]), dense
-        dense = lambda t: one_period(np.mod(t, period))
+    dense = sol.sol
+    if period is not None:
+        half, half_orbit = period / 2.0, dense
+
+        def dense(t):
+            k, r = np.divmod(t, half)
+            return np.where(k % 2, -1.0, 1.0) * half_orbit(r)
     vals = dense(tgrid)
     return LimitTrajectory(f, interval, scale, tgrid,
                            vals[0], vals[1], vals[2], vals[3], dense=dense, period=period)

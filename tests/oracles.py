@@ -5,7 +5,7 @@ finite differences instead of analytic Hessians, dense sphere sampling
 instead of golden-section refinement, oscillation counting or dense
 symmetric eigensolves instead of matrix inertia, collocation instead of
 shooting, fixed-step RK4 instead of the adaptive integrator, and one
-full-horizon integration instead of a period evaluated at t mod P.
+full-horizon integration instead of a half period extended by oddness.
 """
 
 from __future__ import annotations

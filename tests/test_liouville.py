@@ -21,7 +21,7 @@ from henon_morse.liouville import (
     mother_plateau_dsup,
     witness_quadrature,
 )
-from henon_morse.nonlinearity import pure_power
+from henon_morse.nonlinearity import pure_power, quartic_coupled
 
 from oracles import full_horizon_power_trajectory, simpson_integral
 
@@ -99,6 +99,53 @@ def test_period_matches_full_horizon_oracle(p, E):
     ref = full_horizon_power_trajectory(p, 1.0, (0.0, 0.0, math.sqrt(2.0 * E), 0.0), 125.0, ts)
     err = float(np.max(np.abs(_scalar_orbit(p, E).dense(ts) - ref)))
     assert err <= (1e-7 if p == 3.0 else 1e-8)
+
+
+CLOSURE_CASES = [
+    *[(pure_power(p), 1.0, HALF_LINE, (0.0, 0.0, math.sqrt(2.0 * E), 0.0))
+      for p, E in PERIOD_CASES],
+    (pure_power(3), 2.0, FULL_LINE, (0.7, 0.0, -0.3, 0.0)),
+    (pure_power(6), 0.5, FULL_LINE, (-1.2, 0.0, 0.4, 0.0)),
+    (quartic_coupled(a1=2.0, b=0.5), 1.0, FULL_LINE, (0.5, 0.0, 1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("f, scale, interval, init", CLOSURE_CASES)
+def test_half_period_ends_at_minus_the_start(monkeypatch, f, scale, interval, init):
+    # the integrated half orbit, read from the solver's own dense output at
+    # its last step, closes on -y0: the closed-form period is the orbit's
+    real, sols = liouville.solve_ivp, []
+
+    def recorded(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(liouville, "solve_ivp", recorded)
+    traj = integrate_limit_system(f, scale, interval, init, T=125.0, steps=2500)
+    (sol,) = sols
+    half, y0 = traj.period / 2.0, np.array(init)
+    assert sol.t[-1] == half
+    assert float(np.max(np.abs(sol.sol(half) + y0))) <= 1e-11 * (1.0 + np.max(np.abs(y0)))
+    # t + P/2 is exact for these t, so oddness holds bit for bit
+    ts = (np.linspace(0.0, half, 97, endpoint=False) + half) - half
+    assert np.array_equal(traj.dense(ts + half), -traj.dense(ts))
+
+
+def test_subnormal_energy_orbit_is_a_straight_line():
+    # at E = 1e-320, s u^3 underflows to 0 and u = sqrt(2E) t; half the period
+    # lies far beyond T, so [0, T] is integrated and evaluated as it is
+    E = 1e-320
+    traj = _scalar_orbit(4.0, E)
+    assert traj.period > traj.tgrid[-1]
+    assert np.allclose(traj.u, math.sqrt(2.0 * E) * traj.tgrid, rtol=1e-12, atol=0.0)
+
+
+def test_underflowed_energy_keeps_the_full_horizon():
+    # u'(0)^2 / 2 = 5e-341 underflows to E = 0: no period to divide by
+    traj = integrate_limit_system(pure_power(4), 1.0, HALF_LINE,
+                                  (0.0, 0.0, 1e-170, 0.0), T=125.0, steps=2500)
+    assert traj.period is None
+    assert np.allclose(traj.u, 1e-170 * traj.tgrid, rtol=1e-12, atol=0.0)
 
 
 def test_coupled_start_keeps_full_horizon():

@@ -1,6 +1,7 @@
 """Homogeneity identities and sharp constants of the coupling families."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from henon_morse.nonlinearity import NonlinearityF, pure_power, quartic_coupled
+from henon_morse.radial_bvp import BLOWUP_GUARD
 
 from oracles import fd_hessian, max_on_circle_sampled, min_on_p_sphere_sampled
 
@@ -227,6 +229,29 @@ def test_pointwise_kernel_euler_identities(f, u, v):
     assert abs(f.p * value - lin) <= 1e-12 * f.p * value
     quad = fuu * u * u + 2.0 * fuv * u * v + fvv * v * v
     assert abs(quad - (f.p - 1.0) * lin) <= 1e-12 * (f.p - 1.0) * f.p * value
+
+
+@PROPERTY
+@given(couplings(), st.floats(-BLOWUP_GUARD, BLOWUP_GUARD))
+@example(pure_power(2.5), SUBNORMAL)
+@example(quartic_coupled(a1=10.0, b=4.0), -1e-77)
+@example(pure_power(12), -BLOWUP_GUARD)
+@example(quartic_coupled(), 0.26147580739250126)
+def test_scalar_axis_is_even_and_p_homogeneous(f, u):
+    # the limit system's scalar orbits rest on this: v = 0 stays 0, and
+    # F(., 0) = F(1, 0) |u|^p is even, so an orbit is odd after half a period
+    grad = f.pointwise()[0]
+    us = np.array([u, -u])
+    assert not np.any(f.grad(us, np.zeros(2))[1]) and grad(u, 0.0)[1] == 0.0 == grad(-u, 0.0)[1]
+    # oddness on the closures the right-hand sides call: numpy's vectorized
+    # u ** 3 on an array is not bit-odd (one ulp apart at u = 0.2614...)
+    assert grad(-u, 0.0)[0] == -grad(u, 0.0)[0]
+    value, value_minus = f.value(us, np.zeros(2))
+    assert value_minus == value
+    power = abs(u) ** f.p
+    # where F(u, 0) is a normal float; a subnormal |u|^p inside it has fewer digits
+    if min(value, power) >= sys.float_info.min:
+        assert abs(value - float(f.value(1.0, 0.0)) * power) <= 1e-14 * value
 
 
 @PROPERTY

@@ -396,11 +396,20 @@ def test_dop853_kernel_is_scipys_on_mu_positive_sensitivity_shots(monkeypatch):
 
 def test_dop853_kernel_is_scipys_on_a_liouville_period(monkeypatch):
     calls = captured_calls(monkeypatch, liouville)
+    # one call over half the closed-form period, the blow-up guard its only
+    # event; the trajectory is that half orbit at t mod P/2, negated on odd halves
     traj = liouville.integrate_limit_system(pure_power(4), 1.0, liouville.HALF_LINE,
                                             (0.0, 0.0, math.sqrt(2.0), 0.0), T=125.0, steps=2500)
     (call,) = calls
-    assert traj.period == call[2].t[-1] == call[2].t_events[1][1]
-    assert_kernel_is_scipys(call, np.mod(traj.tgrid, traj.period))
+    (_, t_span, _, _, _), kwargs, sol = call
+    half = traj.period / 2.0
+    assert t_span == (0.0, half) and sol.t[-1] == half
+    (guard,) = kwargs["events"]
+    assert (guard.terminal, guard.direction) == (True, 1)
+    assert guard(0.0, [3.0, -4.0, 0.0, 0.0]) == 7.0 - radial_bvp.BLOWUP_GUARD
+    k, r = np.divmod(traj.tgrid, half)
+    assert np.array_equal(traj.dense(traj.tgrid), np.where(k % 2, -1.0, 1.0) * sol.sol(r))
+    assert_kernel_is_scipys(call, np.mod(traj.tgrid, half))
 
 
 @st.composite
