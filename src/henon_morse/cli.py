@@ -18,12 +18,13 @@ import numpy as np
 
 from . import io as hio
 from .errors import HenonMorseError, NoBracket, NoConverge, OverflowBlowUp
-from .halfline import certify, qk_negative_count
+from .halfline import (ImageCertificate, certify, map_check, qk_negative_count,
+                       transform_profile)
 from .liouville import (HALF_LINE, energy_of, instability_witness, integrate_limit_system,
                         witness_quadrature)
 from .gates import WITNESS_GATE
 from .nonlinearity import pure_power
-from .radial_bvp import action_energy, lane_emden_params, lane_emden_shot, shoot_nodal
+from .radial_bvp import lane_emden_params, lane_emden_shot, mapped_profile, shoot_nodal
 from .spectral import MIN_MESH, SingularSpectrum, lambda_ell, morse_index, onset_alphas
 
 
@@ -56,22 +57,29 @@ def _record(name, check):
 
 
 def cmd_solve(args):
+    """Shoot one profile and store it; a mu = 0 profile is certified on its stored image."""
     raw, base_params = _load_params_file(args.params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         nodes = _parse_branch(raw.get("branch", "positive"))
-        profile = shoot_nodal(base_params, nodes, tol=args.tol, grid_size=args.grid)
+        shot = mapped = None
+        if not (base_params.mu1 or base_params.mu2):
+            shot = lane_emden_shot(base_params, nodes, tol=args.tol, grid_size=args.grid)
+            mapped = mapped_profile(base_params, nodes, shot, tol=args.tol)
+        profile = shoot_nodal(base_params, nodes, tol=args.tol, grid_size=args.grid, shot=shot)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except (NoBracket, NoConverge) as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
+    checks, _ = certify(mapped or profile)
     extra = {"branch": raw.get("branch", "positive"),
              "tool": {"grid": args.grid, "tol": args.tol}}
+    if mapped:
+        extra["image"] = hio.save_image(mapped, out / "profile", checks)
     hio.save_profile(profile, out / "profile", extra=extra)
-    checks, _ = certify(profile)
     print(f"wrote {out / 'profile'}.csv/.json  (amplitude {profile.amplitude[0]:.6g}, "
           f"relative residual {checks['radial_residual']['value']:.3e})")
     failed = [(name, c) for name, c in checks.items() if not c["pass"]]
@@ -82,27 +90,35 @@ def cmd_solve(args):
     return 1 if failed else 0
 
 
-def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared=None):
+def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared):
     """One fully certified sweep row as a plain dict: ``certify`` gates it, then it is counted.
 
     A row that fails a check is ``uncertified``, names each failed check in
     its reason, and has no counts: those of an uncertified profile certify
-    nothing.  With ``shared``, a dict, a mu = 0 row maps from the (M, 0) shot
-    and counts on the SingularSpectrum kept there, made by the first row that
-    needs them; without it the row is shot and counted on its own.
+    nothing.  A mu = 0 row is the image of the (M, 0) shot kept in the dict
+    ``shared`` (``mapped_profile``), checked by the ImageCertificate and
+    counted on the SingularSpectrum kept there, each made by the first row
+    that needs it; it is never sampled on an r-grid.  A mu > 0 row is shot,
+    certified and counted on its own r-grid.
     """
     row = {"alpha": alpha, "branch": branch_spec, "status": "ok", "reason": ""}
     try:
         params = hio.params_from_dict({**raw, "alpha": alpha})
         nodes = _parse_branch(branch_spec)
-        share = shared is not None and not (params.mu1 or params.mu2)
-        if share and "shot" not in shared:
-            shared["shot"] = lane_emden_shot(params, nodes, tol=tol, grid_size=grid)
-        profile = shoot_nodal(params, nodes, tol=tol, grid_size=grid,
-                              shot=shared["shot"] if share else None)
+        share = not (params.mu1 or params.mu2)
+        if not share:
+            profile = shoot_nodal(params, nodes, tol=tol, grid_size=grid)
+            checks, _ = certify(profile, T=horizon)
+        else:
+            if "shot" not in shared:
+                shared["shot"] = lane_emden_shot(params, nodes, tol=tol, grid_size=grid)
+            profile = mapped_profile(params, nodes, shared["shot"], tol=tol)
+            if "certificate" not in shared:
+                shared["certificate"] = ImageCertificate(profile.image,
+                                                         profile.image_horizon(horizon))
+            checks = shared["certificate"].checks(params)
         row["amplitude"] = list(profile.amplitude)
-        row["energy"] = action_energy(profile)
-        checks, _ = certify(profile, T=horizon)
+        row["energy"] = profile.energy
         row["relative_residual"] = checks["radial_residual"]["value"]
         row["transformed_residual"] = checks["transformed_residual"]["value"]
         row["pohozaev"] = {k: v for k, v in checks["pohozaev_slack"].items() if k != "pass"}
@@ -137,15 +153,15 @@ def _group_key(raw, alpha, branch_spec):
 def _sweep_group(job):
     """The rows of one group in ascending alpha, and its onset enclosures (worker-safe).
 
-    A group of two or more mu = 0 rows holds one shot and one spectrum for
-    the length of this call only.  A lone row has nothing to share: it is
-    counted on its own pencils, as ``verify`` counts it.
+    The mu = 0 rows of a group hold one shot, one image certificate and one
+    spectrum for the length of this call only, a lone row too.  Only a group
+    of two or more rows lists its onset enclosures.
     """
     raw, alphas, branch_spec, grid, mesh, tol, horizon = job
-    shared = {} if len(alphas) > 1 else None
+    shared = {}
     rows = [_sweep_row(raw, a, branch_spec, grid, mesh, tol, horizon, shared)
             for a in sorted(alphas)]
-    spectrum = (shared or {}).get("spectrum")
+    spectrum = shared.get("spectrum") if len(alphas) > 1 else None
     return rows, onset_alphas(spectrum, max(alphas)) if spectrum else []
 
 
@@ -217,45 +233,106 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    """Re-certify a stored profile: on its stored image when it has one, else on its r-grid.
+
+    With an image (``solve`` of a mu = 0 profile) the gates are the image's
+    checks, the map check of every stored r-sample against the image, the
+    stable sector on the image's half line, and the image's counts, which
+    are ``sweep``'s; the counts on the stored r-grid are made again as an
+    independent, reported check, whose disagreement is a warning.
+    """
     try:
         profile = hio.load_profile(args.profile)
+        mapped = hio.load_image(args.profile)
     except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
         print(f"profile load error: {exc}", file=sys.stderr)
         return 2
     report = {"kind": "verification", "profile": str(args.profile), "checks": {},
-              "trivial": profile.is_trivial}
+              "trivial": profile.is_trivial, "rule": "image" if mapped else "r-grid"}
     if profile.is_trivial:
         if args.out:
             hio.write_json(args.out, report)
         print("trivial profile: vacuous pass")
         return 0
-    checks, tp = certify(profile, T=args.T)
+    target = mapped or profile
+    checks, tp = certify(target, T=args.T)
+    if mapped:
+        checks["map"] = map_check(profile, mapped)
     report["checks"] = checks
 
     # the first stable sector l* on the half line: Q_k's negative directions at l* - 1 and l*,
-    # each the inertia of its stiffness on the t-grid, must equal the r-pencils' counts.  The
-    # form is cut at the horizon T, whose natural end frees the inner radius e^(-beta T)
-    horizon = {"T": tp.T, "inner_radius": math.exp(-tp.beta * tp.T)}
+    # each the inertia of its stiffness on the t-grid, must equal the pencils' counts.  The
+    # form is cut at the horizon T, whose natural end frees the inner radius e^(-beta T); an
+    # image's half line (beta = 1) carries the sector at l(l+N-2)/beta^2, beta = (2+alpha)/2
+    beta, lam = (mapped.beta, mapped.lam) if mapped else (1.0, 1.0)
+    horizon = {"T": tp.T / lam if args.T is None else args.T,
+               "inner_radius": math.exp(-tp.beta * tp.T / beta)}
+    counts = None
     try:
-        rep = morse_index(profile, mesh=args.mesh)
+        rep = morse_index(target, mesh=args.mesh)
         report["morse"] = hio.morse_report_to_dict(rep)
         counts = rep.counts()
         stable = next(ell for ell, neg in counts.items() if neg == 0)
         ells = range(max(stable - 1, 0), stable + 1)
-        halfline = [qk_negative_count(tp, lambda_ell(ell, profile.params.N)) for ell in ells]
+        lams = [lambda_ell(ell, profile.params.N) / beta ** 2 for ell in ells]
         radial = [counts[ell] for ell in ells]
+        halfline = [qk_negative_count(tp, lam) for lam in lams]
+        if mapped:
+            halfline, cells = _refined_halfline(mapped.image, tp, lams, radial, halfline)
+            horizon["cells"] = cells
         checks["stable_sector"] = {"ell": stable, "halfline": halfline, "radial": radial,
                                    **horizon, "pass": halfline == radial}
     except HenonMorseError as exc:
         checks["stable_sector"] = {"error": str(exc), **horizon, "pass": False}
+    if mapped:
+        report["r_grid_recount"] = _recount(profile, args.mesh, counts)
 
     ok = all(c.get("pass", False) for c in checks.values())
     report["pass"] = bool(ok)
     if args.out:
         hio.write_json(args.out, report)
+    print(f"rule: {report['rule']}")
     for name, c in checks.items():
         print(f"[{'PASS' if c.get('pass') else 'FAIL'}] {_record(name, c)}")
+    if mapped:
+        recount = report["r_grid_recount"]
+        print(f"[{'INFO' if recount['agrees'] else 'WARN'}] r_grid_recount: "
+              f"{json.dumps(recount, default=float)}")
     return 0 if ok else 1
+
+
+def _refined_halfline(image, tp, lams, radial, halfline):
+    """An image's half-line counts at ``lams``, on tp's t-grid or a finer one, and its cells.
+
+    At large alpha, l* is large and its sector lives within about
+    1/sqrt(l(l+N-2)/beta^2) of s = 0, where the uniform grid over the
+    image's horizon is coarser than the image's own samples (30/4000
+    against 1/4000).  So while the counts differ from ``radial`` the image
+    is transformed again at the same horizon with twice the cells, at most
+    twice: a discretization error of the grid goes, a difference of the
+    forms stays.
+    """
+    cells = len(tp.tgrid) - 1
+    for _ in range(2):
+        if halfline == radial:
+            break
+        cells *= 2
+        fine = transform_profile(image, T=tp.T, grid_size=cells)
+        halfline = [qk_negative_count(fine, lam) for lam in lams]
+    return halfline, cells
+
+
+def _recount(profile, mesh, counts):
+    """The counts of a stored r-grid, as ``verify`` reports them beside its image's ``counts``."""
+    def negative(c):
+        return {ell: neg for ell, neg in c.items() if neg}
+
+    try:
+        rep = morse_index(profile, mesh=mesh)
+    except HenonMorseError as exc:
+        return {"error": str(exc), "agrees": False}
+    return {"total": rep.total_index, "mesh_stable": rep.mesh_stable,
+            "agrees": counts is not None and negative(rep.counts()) == negative(counts)}
 
 
 def cmd_liouville(args):

@@ -13,6 +13,9 @@ with gamma = (N-2) beta and u_k(0) = 0 (image of the Dirichlet condition).
 Profiles are truncated at a horizon T (default 30/beta, far below every
 quadrature tolerance).  Checks skip zero data as in ``radial_bvp``; where
 the tail's decay cannot be fitted (T below about 1e-154), the Pohozaev band is g(T) T.
+A mu = 0 profile is certified on its (M, 0) image instead, by
+``ImageCertificate`` (``certify`` of a ``radial_bvp.MappedProfile``), and
+``map_check`` compares stored r-samples with a stored image.
 
 Also implemented here: the boundary-derivative estimate
 
@@ -37,10 +40,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisViolated
-from .gates import IDENTITY_GATE, POHOZAEV_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
+from .gates import IDENTITY_GATE, MAP_GATE, POHOZAEV_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
 from .nonlinearity import NonlinearityF
 from .pencil import count_below, flux_pencil, lowest_eigenpair
-from .radial_bvp import ProblemParams, live_components, relative_residual, simpson_rule
+from .radial_bvp import (MappedProfile, ProblemParams, live_components, relative_residual,
+                         simpson_rule)
 
 DEFAULT_HORIZON_SCALE = 30.0
 
@@ -144,20 +148,34 @@ def transform_profile(profile, T=None, grid_size=None):
         grid_size = len(profile.grid) - 1
     t = np.linspace(0.0, T, grid_size + 1)
     r = np.exp(-beta * t)
-    x = profile.grid
-    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
-    dx, s, out = np.diff(x).take(i), r - x.take(i), []
-    s2, s3, chain = s * s, s * s * s, -kappa * beta * r
+    hermite, out, chain = hermite_at(profile.grid, r), [], -kappa * beta * r
     for y, dy in ((profile.u, profile.du), (profile.v, profile.dv)):
         val = der = np.zeros_like(t)
         if live_components([(y, dy)]):
-            c0, c1 = y.take(i), dy.take(i)
-            slope = (y.take(i + 1) - c0) / dx
-            c = (c1 + dy.take(i + 1) - 2 * slope) / dx
-            c2, c3 = (slope - c1) / dx - c, c / dx
-            val, der = c0 + c1 * s + c2 * s2 + c3 * s3, c1 + (c2 * 2.0) * s + (c3 * 3.0) * s2
+            val, der = hermite(y, dy)
         out += [kappa * val, chain * der]
     return TransformedProfile(p, beta, gamma_of(p.N, p.alpha), t, out[0], out[2], out[1], out[3])
+
+
+def hermite_at(x, points):
+    """(y, dy) -> value and slope at ``points`` of the cubic Hermite interpolant on the grid x.
+
+    Evaluated as scipy's ``CubicHermiteSpline`` does (PPoly's interval
+    choice, coefficients and term order), bit for bit; the intervals are
+    found once for every pair (y, dy) on x.
+    """
+    i = np.clip(np.searchsorted(x, points, side="right") - 1, 0, len(x) - 2)
+    dx, s = np.diff(x).take(i), points - x.take(i)
+    s2, s3 = s * s, s * s * s
+
+    def evaluate(y, dy):
+        c0, c1 = y.take(i), dy.take(i)
+        slope = (y.take(i + 1) - c0) / dx
+        c = (c1 + dy.take(i + 1) - 2 * slope) / dx
+        c2, c3 = (slope - c1) / dx - c, c / dx
+        return c0 + c1 * s + c2 * s2 + c3 * s3, c1 + (c2 * 2.0) * s + (c3 * 3.0) * s2
+
+    return evaluate
 
 
 def inverse_transform(tp):
@@ -248,26 +266,19 @@ def eval_Qk(tp, lam, phi, dphi=None):
     return float(tp.simpson(quad))
 
 
-def pohozaev_check(tp):
-    """Both sides of the boundary-derivative estimate, with truncation band.
+def _hypothesis(params, beta, gamma):
+    """Why the estimate's exponent condition fails at (beta, gamma), or None where it holds."""
+    p = params
+    rho = beta * p.N
+    if p.N < 0.5 * p.f.p * rho + 0.5 * (p.f.p - 2.0) * gamma - 1e-12:
+        return (f"exponent condition N >= p rho/2 + (p-2) gamma/2 fails: "
+                f"N={p.N}, rho={rho:.4f}, gamma={gamma:.4f}, p={p.f.p}")
+    return None
 
-    lhs = u'(0)^2 + v'(0)^2, rhs = (2(N+gamma)/p) int_0^T g(t) dt with
-    g = ((e^(-gamma t) u)')^2 + ((e^(-gamma t) v)')^2.  The tail beyond T is
-    bounded by g's exponential decay envelope, fitted over the last decade of
-    samples, and reported as a band.  For mu1 = mu2 = 0 the two sides agree exactly.
-    """
-    p = tp.params
-    rho = tp.beta * p.N
-    if p.N < 0.5 * p.f.p * rho + 0.5 * (p.f.p - 2.0) * tp.gamma - 1e-12:
-        raise HypothesisViolated(
-            f"exponent condition N >= p rho/2 + (p-2) gamma/2 fails: "
-            f"N={p.N}, rho={rho:.4f}, gamma={tp.gamma:.4f}, p={p.f.p}"
-        )
-    t = tp.tgrid
-    _, g, lhs, int_g = tp.derivative_terms
-    factor = 2.0 * (p.N + tp.gamma) / p.f.p
-    rhs = factor * int_g
 
+def _tail(tp):
+    """Bound on int_T^inf g dt from g's exponential decay envelope over the last decade."""
+    t, g = tp.tgrid, tp.derivative_terms[1]
     tail, g_end = 0.0, float(g[-1])
     if g_end > 1e-280:
         m = max(len(t) // 10, 8)
@@ -277,7 +288,24 @@ def pohozaev_check(tp):
         if np.count_nonzero(pos) >= 4 and tp.T * tp.T >= np.finfo(float).tiny:
             slope = np.polyfit(tt[pos], np.log(gt[pos]), 1)[0]
         tail = g_end / (-slope) if slope < -1e-12 else g_end * tp.T
-    return PohozaevCheck(lhs=lhs, rhs=rhs, tail_band=factor * tail)
+    return tail
+
+
+def pohozaev_check(tp):
+    """Both sides of the boundary-derivative estimate, with truncation band.
+
+    lhs = u'(0)^2 + v'(0)^2, rhs = (2(N+gamma)/p) int_0^T g(t) dt with
+    g = ((e^(-gamma t) u)')^2 + ((e^(-gamma t) v)')^2.  The tail beyond T is
+    bounded by g's exponential decay envelope, fitted over the last decade of
+    samples, and reported as a band.  For mu1 = mu2 = 0 the two sides agree exactly.
+    """
+    p = tp.params
+    why = _hypothesis(p, tp.beta, tp.gamma)
+    if why:
+        raise HypothesisViolated(why)
+    _, _, lhs, int_g = tp.derivative_terms
+    factor = 2.0 * (p.N + tp.gamma) / p.f.p
+    return PohozaevCheck(lhs=lhs, rhs=factor * int_g, tail_band=factor * _tail(tp))
 
 
 def pohozaev_record(tp):
@@ -298,19 +326,30 @@ def pohozaev_identity_residual(tp):
     and returns the larger relative defect.  A sharp cross-check of the
     transform wiring for any mu.
     """
+    _, _, lhs, int_g = tp.derivative_terms
+    return _identity_residual(lhs, int_g, *_identity_integrals(tp))
+
+
+def _identity_integrals(tp):
+    """The right sides of identities (a) and (b), by quadrature on tp's grid."""
     p = tp.params
     t = tp.tgrid
     rho = tp.beta * p.N
     F = p.f.value(tp.u, tp.v)
-    eg, g, lhs, int_g = tp.derivative_terms
+    eg = tp.derivative_terms[0]
     nu = sum(tp.beta ** 2 * m * y ** 2 for y, m in ((tp.u, p.mu1), (tp.v, p.mu2)) if m and y.any())
     ida = 2.0 * (p.N + tp.gamma) * float(tp.simpson(np.exp(-(p.N + tp.gamma) * t) * F))
     idb = p.f.p * np.exp(-p.N * t) * F
     if np.any(nu):  # nu1 u^2 + nu2 v^2 over the terms with nu != 0
         ida -= (rho + tp.gamma) * float(tp.simpson(np.exp(-(rho + tp.gamma) * t) * nu))
         idb -= np.exp(-rho * t) * nu
+    return ida, float(tp.simpson(eg * idb))
+
+
+def _identity_residual(lhs, int_g, ida, idb):
+    """The larger relative mismatch of the identities lhs = ida and int g = idb."""
     res_a = abs(lhs - ida) / (1.0 + abs(lhs))
-    res_b = abs(int_g - float(tp.simpson(eg * idb))) / (1.0 + abs(int_g))
+    res_b = abs(int_g - idb) / (1.0 + abs(int_g))
     return float(np.maximum(res_a, res_b))
 
 
@@ -333,32 +372,119 @@ def pohozaev_lower_bound(f: NonlinearityF, N):
     return (2.0 * N / p) * inner ** (2.0 / (p - 2.0))
 
 
+def gated(value, limit):
+    """A check's JSON record: its value, its limit and whether value <= limit (a NaN fails)."""
+    return {"value": value, "limit": limit, "pass": bool(value <= limit)}
+
+
+def _checks(radial, transformed, params, gamma, pohozaev):
+    """``certify``'s records for a profile of ``params``; pohozaev() -> (lhs, rhs, band,
+    identity residual) runs only where the estimate's hypothesis holds."""
+    checks = {"radial_residual": gated(radial, RESIDUAL_GATE),
+              "transformed_residual": gated(transformed, TRANSFORMED_GATE)}
+    why = _hypothesis(params, beta_of(params.N, params.alpha), gamma)
+    if why:
+        checks["pohozaev_slack"] = {"skipped": why, "pass": True}
+        return checks
+    lhs, rhs, band, identity = pohozaev()
+    checks["pohozaev_slack"] = {"lhs": lhs, "rhs": rhs, "slack": lhs - rhs, "band": band,
+                                "pass": bool(lhs - rhs >= -(POHOZAEV_GATE * (1.0 + lhs) + band))}
+    checks["pohozaev_identity"] = gated(identity, IDENTITY_GATE)
+    if gamma <= params.N / (3.0 * params.f.p):
+        C = pohozaev_lower_bound(params.f, params.N)
+        checks["pohozaev_lower_bound"] = {"lhs": lhs, "constant": C,
+                                          "pass": bool(lhs >= C * (1.0 - 1e-9) - band)}
+    return checks
+
+
+class ImageCertificate:
+    """The checks of one (M, 0) image, made once for every mu = 0 profile mapped from it.
+
+    ``image`` is the image's RadialProfile and T its own horizon (default
+    30).  Its radial and transformed residuals, and the pieces of both
+    Pohozaev checks on its transform ``tp``, are computed here once.  A
+    profile at (N, alpha) mapped from it has the half-line transform
+    lam^(2/(p-2)) v_k(lam t), lam = N/M, with the same gamma t, so with
+    a = 4/(p-2) its lhs and the integral of identity (a) are lam^(a+2) times
+    the image's, and int g, the integral of identity (b) and the tail
+    lam^(a+1) times.  The image (alpha = 0) never meets the estimate's
+    hypothesis, so its pieces are taken whatever it says: ``checks`` decides
+    skipping and the lower bound on the profile's own hypothesis and regime.
+    In the image's variable g decays only like e^(-2(M-2)s), and M -> 2 as
+    alpha -> infinity, so identity (b) is read with the fitted tail beyond
+    the horizon added to int g (the tail the band bounds); identity (a) and
+    the r-grid transform's 30/beta horizon need none.
+    """
+
+    def __init__(self, image, T=None):
+        self.radial = relative_residual(image)
+        self.tp = transform_profile(image, T=T)
+        self.transformed = transformed_residual(self.tp)
+        _, _, lhs, int_g = self.tp.derivative_terms
+        self.pieces = (lhs, int_g, _tail(self.tp), *_identity_integrals(self.tp))
+
+    def checks(self, params):
+        """``certify``'s records for the mu = 0 profile of ``params`` mapped from this image."""
+        gamma = gamma_of(params.N, params.alpha)
+
+        def pohozaev():
+            lam, a = params.N / self.tp.params.N, 4.0 / (params.f.p - 2.0)
+            s2, s1 = lam ** (a + 2.0), lam ** (a + 1.0)
+            lhs, int_g, tail, ida, idb = self.pieces
+            factor = 2.0 * (params.N + gamma) / params.f.p
+            lhs, int_g, tail = s2 * lhs, s1 * int_g, s1 * tail
+            return (lhs, factor * int_g, factor * tail,
+                    _identity_residual(lhs, int_g + tail, s2 * ida, s1 * idb))
+
+        return _checks(self.radial, self.transformed, params, gamma, pohozaev)
+
+
 def certify(profile, T=None):
-    """The gated certificates of a nontrivial profile, and its transform at horizon T.
+    """The gated certificates of a nontrivial profile, and the transform they read.
 
     Returns (checks, tp): checks maps radial_residual, transformed_residual,
     pohozaev_slack ({"skipped": reason, "pass": True} off its hypothesis, and
     then last), pohozaev_identity and, for gamma <= N/(3p),
     pohozaev_lower_bound to JSON records with a bool "pass", in that order.
+    A RadialProfile is certified on its own grid and its transform at
+    horizon T.  A ``MappedProfile`` (mu = 0) is certified on its (M, 0)
+    image, by ``ImageCertificate`` at the image horizon lam T: the residuals
+    are the image's, the Pohozaev records the image's pieces rescaled to the
+    profile, and tp is the image's transform.
     """
-    def gated(value, limit):
-        return {"value": value, "limit": limit, "pass": bool(value <= limit)}
-
-    checks = {"radial_residual": gated(relative_residual(profile), RESIDUAL_GATE)}
+    if isinstance(profile, MappedProfile):
+        cert = ImageCertificate(profile.image, profile.image_horizon(T))
+        return cert.checks(profile.params), cert.tp
+    radial = relative_residual(profile)
     tp = transform_profile(profile, T=T)
-    checks["transformed_residual"] = gated(transformed_residual(tp), TRANSFORMED_GATE)
-    rec = checks["pohozaev_slack"] = {**pohozaev_record(tp), "pass": True}
-    if "skipped" in rec:
-        return checks, tp
-    lhs, band = rec["lhs"], rec["band"]
-    rec["pass"] = bool(rec["slack"] >= -(POHOZAEV_GATE * (1.0 + lhs) + band))
-    checks["pohozaev_identity"] = gated(pohozaev_identity_residual(tp), IDENTITY_GATE)
-    p = profile.params
-    if tp.gamma <= p.N / (3.0 * p.f.p):
-        C = pohozaev_lower_bound(p.f, p.N)
-        checks["pohozaev_lower_bound"] = {"lhs": lhs, "constant": C,
-                                          "pass": bool(lhs >= C * (1.0 - 1e-9) - band)}
-    return checks, tp
+
+    def pohozaev():
+        pc = pohozaev_check(tp)
+        return pc.lhs, pc.rhs, pc.tail_band, pohozaev_identity_residual(tp)
+
+    return _checks(radial, transformed_residual(tp), profile.params, tp.gamma, pohozaev), tp
+
+
+def map_check(profile, mapped):
+    """The stored r-samples of a mu = 0 profile against the image they map from, gated.
+
+    u(r_i) is compared with c v_H(r_i^beta) and u'(r_i) with
+    c beta r_i^(beta-1) v_H'(r_i^beta), v_H the cubic Hermite interpolant of
+    the image's stored (v, v') (``hermite_at``), relative to 1 + A and to
+    1 + max |u'|; the value is the larger of the two.
+    """
+    beta, c, img, r = mapped.beta, mapped.c, mapped.image, profile.grid
+    hermite, chain = hermite_at(img.grid, r ** beta), c * beta * r ** (beta - 1.0)
+    scale = (1.0 + max(map(abs, profile.amplitude)),
+             1.0 + max(float(np.max(np.abs(dy))) for dy in (profile.du, profile.dv)))
+    values = [0.0]
+    for y, dy, iy, idy in ((profile.u, profile.du, img.u, img.du),
+                           (profile.v, profile.dv, img.v, img.dv)):
+        if y.any() or dy.any() or iy.any() or idy.any():
+            val, der = hermite(iy, idy)
+            values += [np.max(np.abs(y - c * val)) / scale[0],
+                       np.max(np.abs(dy - chain * der)) / scale[1]]
+    return gated(float(np.max(values)), MAP_GATE)
 
 
 def _weighted_blocks(U, gamma, delta, lam, mesh):

@@ -18,9 +18,12 @@ import numpy as np
 from .halfline import TransformedProfile, pohozaev_record, transformed_residual
 from .nonlinearity import NonlinearityF
 from .radial_bvp import (
+    MappedProfile,
     ProblemParams,
     RadialProfile,
     action_energy,
+    lane_emden_params,
+    live_components,
     relative_residual,
     residual,
 )
@@ -93,7 +96,11 @@ def read_json(path):
 
 
 def save_profile(profile: RadialProfile, basepath, extra=None):
-    """Write <base>.csv (r,u,v,du,dv) and <base>.json (params + certificates)."""
+    """Write <base>.csv (r,u,v,du,dv) and <base>.json (params + certificates).
+
+    ``residual`` and ``relative_residual`` in the JSON describe the stored
+    r-samples; a mu = 0 profile is certified on its image (``save_image``).
+    """
     base = Path(basepath)
     _write_csv(base.with_suffix(".csv"), ["r", "u", "v", "du", "dv"],
                [profile.grid, profile.u, profile.v, profile.du, profile.dv])
@@ -123,12 +130,67 @@ def load_profile(basepath):
     header = read_json(base.with_suffix(".json"))
     params = params_from_dict(header["params"])
     r, u, v, du, dv = _read_csv(base.with_suffix(".csv"), 5)
-    if not (len(r) > 100 and np.max(np.abs(r - np.linspace(0.0, 1.0, len(r)))) <= 1e-12):
-        raise ValueError(f"{base}.csv: r is not a uniform grid of at least 101 points on [0, 1]")
-    if not np.isfinite([u, v, du, dv]).all():
-        raise ValueError(f"{base}.csv: a sample of u, v, du or dv is not finite")
+    _check_samples(base.with_suffix(".csv"), "r", r, [u, v, du, dv])
     amp = header.get("amplitude", [float(u[0]), float(v[0])])
     return RadialProfile(params, r, u, v, du, dv, (float(amp[0]), float(amp[1])))
+
+
+def _check_samples(path, name, x, columns):
+    """ValueError unless x is a uniform grid of >= 101 points on [0, 1] and every sample is finite."""
+    if not (len(x) > 100 and np.max(np.abs(x - np.linspace(0.0, 1.0, len(x)))) <= 1e-12):
+        raise ValueError(f"{path}: {name} is not a uniform grid of at least 101 points on [0, 1]")
+    if not np.isfinite(columns).all():
+        raise ValueError(f"{path}: a sample of u, v, du or dv is not finite")
+
+
+def image_path(basepath):
+    """<base>_image.csv, where ``save_image`` stores the (M, 0) image of <base>."""
+    base = Path(basepath)
+    return base.with_name(base.name + "_image.csv")
+
+
+def save_image(mapped: MappedProfile, basepath, checks):
+    """Write the image of a mu = 0 profile to <base>_image.csv; return its JSON block.
+
+    The CSV holds the image's live columns alone, those ``live_components``
+    keeps, one row per point of its uniform t-grid on [0, 1] (the grid of
+    ``lane_emden_shot``, so no t column); the block names them, with M,
+    beta, c and the gated ``checks``.
+    """
+    img = mapped.image
+    live = [(n, y, dy) for n, y, dy in (("u", img.u, img.du), ("v", img.v, img.dv))
+            if live_components([(y, dy)])]
+    names = [name for n, _, _ in live for name in (n, "d" + n)]
+    _write_csv(image_path(basepath), names, [c for _, y, dy in live for c in (y, dy)])
+    return {"M": img.params.N, "beta": mapped.beta, "c": mapped.c, "columns": names,
+            "checks": checks}
+
+
+def load_image(basepath):
+    """The stored image of <base> as a MappedProfile, or None when <base>.json has none.
+
+    The image's params are rebuilt from the profile's by ``lane_emden_params``
+    (its M is not an integer) and its t-grid by ``np.linspace`` from the row
+    count, bit for bit the shot's; its columns are those the JSON block
+    names, the others 0, and its amplitude is its sample at t = 0.
+    ValueError unless there are at least 101 rows and every sample is finite.
+    """
+    base = Path(basepath)
+    header = read_json(base.with_suffix(".json"))
+    if "image" not in header:
+        return None
+    params, columns = params_from_dict(header["params"]), ("u", "v", "du", "dv")
+    names = list(header["image"]["columns"])
+    if not (names and len(set(names)) == len(names) and set(names) <= set(columns)):
+        raise ValueError(f"{base}.json: image columns {names!r} are not among {columns}")
+    path = image_path(base)
+    data = _read_csv(path, len(names))
+    t = np.linspace(0.0, 1.0, len(data[0]))
+    _check_samples(path, "t", t, data)
+    cols = dict(zip(names, data))
+    u, v, du, dv = (cols.get(n, np.zeros_like(t)) for n in columns)
+    image = RadialProfile(lane_emden_params(params), t, u, v, du, dv, (float(u[0]), float(v[0])))
+    return MappedProfile(params, image)
 
 
 def save_transformed(tp: TransformedProfile, basepath, extra=None):

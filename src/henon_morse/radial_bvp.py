@@ -35,12 +35,17 @@ With mu = 0 a second change of variables removes alpha: t = r^beta,
 beta = (2 + alpha)/2, turns the problem in dimension N into the Lane-Emden
 problem -v'' - (M-1) v'/t = dF(v) in the dimension M = 2(N + alpha)/(2 + alpha),
 with u(r) = beta^(2/(p-2)) v(r^beta) (Gladiali, Grossi, Neves, Adv. Math.
-2013).  So every mu = 0 profile is mapped from one (M, 0) shot
-(``lane_emden_shot``); for N = 2, M = 2 at every alpha.  A sweep shoots once
-per (M, F, branch), counts the zeros once on the shot's 4x t-grid (the map
-sends zeros one to one) and evaluates the shot once per row, on the row's
-own r-grid; a lone profile counts its zeros on its own 4x grid.  With
-mu > 0 the map leaves a weight singular at t = 0, so those rows shoot in r.
+2013).  So every mu = 0 profile is the exact image of one (M, 0) shot
+(``lane_emden_shot``); for N = 2, M = 2 at every alpha.  That image is the
+certified object: ``mapped_profile`` holds a mu = 0 profile as its shot's
+samples on the uniform t-grid (``MappedProfile``, no r-grid), after the
+boundary, amplitude-cap, subcritical and zero-count rules in their scaled
+form, and its amplitude and action follow from the image's by exact scaling.
+The shot counts its zeros once on its 4x t-grid (the map sends zeros one to
+one).  ``shoot_nodal`` still samples a profile on its own r-grid, from a
+given shot or from a fresh one; a lone fresh profile counts its zeros on its
+own 4x grid.  With mu > 0 the map leaves a weight singular at t = 0, so
+those rows shoot and certify in r.
 
 The final profile is checked for its boundary value, relative to its
 amplitude, and its node count before it is returned, and it should be
@@ -136,6 +141,11 @@ class RadialProfile:
     def simpson(self):
         """``simpson_rule`` of this grid, made on first use."""
         return simpson_rule(self.grid)
+
+    @cached_property
+    def energy(self):
+        """``action_energy`` of this profile, made on first use."""
+        return action_energy(self)
 
     @cached_property
     def residuals(self):
@@ -696,6 +706,83 @@ def lane_emden_shot(params, nodes, tol=1e-10, grid_size=4000):
     return LaneEmdenShot(profile, nodes, zeros, dense)
 
 
+@dataclass(frozen=True)
+class MappedProfile:
+    """A mu = 0 profile held as its (M, 0) image: u(r) = c v(r^beta), with no r-grid.
+
+    ``image`` samples v on its uniform t-grid (a ``LaneEmdenShot``'s profile,
+    or a stored one).  beta = (2 + alpha)/2 and c = beta^(2/(p-2)); the
+    half-line transform of u is exactly lam^(2/(p-2)) v_k(lam t) with
+    lam = N/M, so a horizon T of u is lam T of the image.  The action is
+    J(N, alpha) = (|S^(N-1)|/|S^(M-1)|) beta^((p+2)/(p-2)) J(image), by
+    substitution.
+    """
+
+    params: ProblemParams
+    image: RadialProfile
+
+    @property
+    def beta(self):
+        return 1.0 + 0.5 * self.params.alpha
+
+    @property
+    def c(self):
+        return self.beta ** (2.0 / (self.params.f.p - 2.0))
+
+    @property
+    def lam(self):
+        return self.params.N / self.image.params.N
+
+    @property
+    def amplitude(self):
+        c, a = self.c, self.image.amplitude
+        return (c * a[0], c * a[1])
+
+    @property
+    def energy(self):
+        p = self.params.f.p
+        return (sphere_area(self.params.N) / sphere_area(self.image.params.N)
+                * self.beta ** ((p + 2.0) / (p - 2.0)) * self.image.energy)
+
+    def image_horizon(self, T):
+        """The image's horizon for the horizon T of this profile: lam T, or the default."""
+        return None if T is None else self.lam * T
+
+
+def mapped_profile(params, nodes, shot, tol=1e-10):
+    """The mu = 0 profile of ``params`` with ``nodes`` zeros as the image of ``shot``, in O(1).
+
+    Checked as ``shoot_nodal`` checks a sampled profile, on the shot's data:
+    the subcritical rule, the amplitude cap on c A, the boundary bound
+    c |v(1)| <= tol (1 + c A) and the zero count of the shot's 4x t-grid.
+    """
+    if params.mu1 or params.mu2 or (shot.profile.params, shot.nodes) != (
+            lane_emden_params(params), nodes):
+        raise ValueError("the shot maps to another dimension, coupling or branch")
+    _require_subcritical(params)
+    mapped = MappedProfile(params, shot.profile)
+    amplitude = mapped.amplitude[0]
+    if amplitude > AMPLITUDE_CAP:
+        raise NoBracket(f"the {nodes}-node solution has amplitude {amplitude:.6g}, "
+                        f"above {AMPLITUDE_CAP:.0e}")
+    _check_boundary_and_zeros(abs(mapped.c * float(shot.profile.u[-1])), amplitude,
+                              shot.zeros, nodes, tol)
+    return mapped
+
+
+def _check_boundary_and_zeros(boundary, amplitude, zeros, k, tol):
+    """NoConverge unless |u(1)| <= tol (1 + amplitude) and u has k interior zeros."""
+    if boundary > tol * (1.0 + amplitude):
+        raise NoConverge(
+            f"boundary value |u(1)| = {boundary:.3e} above tol (1 + amplitude) = "
+            f"{tol * (1.0 + amplitude):.3e} at amplitude {amplitude:.12g}"
+        )
+    if zeros != k:
+        raise NoConverge(
+            f"profile at amplitude {amplitude:.12g} has {zeros} interior zeros, not {k}"
+        )
+
+
 def _mapped(params, amplitude, dense):
     """Centre values and evaluator of the mu = 0 profile mapped from its (M, 0) image.
 
@@ -719,37 +806,24 @@ def _mapped(params, amplitude, dense):
 def _shoot_branch(params, k, tol, grid_size, shot=None):
     """Profile with k interior zeros and u(1) = 0, checked before it is returned.
 
-    mu = 0 profiles are mapped from ``shot``, or from a fresh (M, 0) shot
-    when none is given.  The zeros are counted on the 4x grid of the
-    profile's one evaluation, or taken from the shot's 4x t-grid.  A
-    rescaled profile's u(1) is its amplitude times the unit shot's event
-    location error, so the boundary bound is tol (1 + amplitude).
+    mu = 0 profiles are mapped from ``shot``, checked by ``mapped_profile``
+    and sampled at the r-grid nodes, or from a fresh (M, 0) shot when none
+    is given.  A fresh profile counts its zeros on the 4x grid of its one
+    evaluation.  A rescaled profile's u(1) is its amplitude times the unit
+    shot's event location error, so the boundary bound is tol (1 + amplitude).
     """
-    zeros = None
-    if shot is None or params.mu1 or params.mu2:
-        d, dense = _scaled_shot(params, k, tol)
-    elif (shot.profile.params, shot.nodes) == (lane_emden_params(params), k):
-        d, dense, zeros = shot.profile.amplitude, shot.dense, shot.zeros
-    else:
-        raise ValueError("the shot maps to another dimension, coupling or branch")
+    if shot is not None and not (params.mu1 or params.mu2):
+        mapped_profile(params, k, shot, tol)
+        d, dense = _mapped(params, shot.profile.amplitude, shot.dense)
+        return _sample(params, d, dense, grid_size)[0]
+    d, dense = _scaled_shot(params, k, tol)
     if not (params.mu1 or params.mu2):
         d, dense = _mapped(params, d, dense)
         if d[0] > AMPLITUDE_CAP:
             raise NoBracket(f"the {k}-node solution has amplitude {d[0]:.6g}, "
                             f"above {AMPLITUDE_CAP:.0e}")
-    amplitude = d[0]
-    profile, counted = _sample(params, d, dense, grid_size, refine=4 if zeros is None else 1)
-    zeros = counted if zeros is None else zeros
-    boundary = abs(float(profile.u[-1]))
-    if boundary > tol * (1.0 + amplitude):
-        raise NoConverge(
-            f"boundary value |u(1)| = {boundary:.3e} above tol (1 + amplitude) = "
-            f"{tol * (1.0 + amplitude):.3e} at amplitude {amplitude:.12g}"
-        )
-    if zeros != k:
-        raise NoConverge(
-            f"profile at amplitude {amplitude:.12g} has {zeros} interior zeros, not {k}"
-        )
+    profile, zeros = _sample(params, d, dense, grid_size, refine=4)
+    _check_boundary_and_zeros(abs(float(profile.u[-1])), d[0], zeros, k, tol)
     return profile
 
 
@@ -920,9 +994,17 @@ def action_energy(profile):
 
     The nonlinear term enters with the weight that makes nontrivial solutions
     critical points (for the scalar power family this is the usual 1/p
-    normalization carried inside F).
+    normalization carried inside F).  In a dimension N that is not an
+    integer (an (M, 0) image) the weight r^(N-1) is not smooth at 0 and
+    costs Simpson's rule its order, so the leading term F(u(0)) r^(N-1) of
+    the nonlinear integrand is integrated exactly and only the rest by Simpson.
     """
-    return 0.5 * quadratic_part(profile) - nonlinear_mass(profile) / profile.params.f.p
+    p = profile.params
+    energy = 0.5 * quadratic_part(profile) - nonlinear_mass(profile) / p.f.p
+    if not float(p.N).is_integer():
+        head = profile.simpson(profile.grid ** (p.N - 1.0)) - 1.0 / p.N
+        energy += sphere_area(p.N) * float(p.f.value(*profile.amplitude)) * head
+    return energy
 
 
 def nehari_project(profile):

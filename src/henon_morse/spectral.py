@@ -28,9 +28,13 @@ beta times the form of the (M, 0) image with l(l+N-2)/beta^2 in place of
 l(l+N-2).  By Sylvester's law of inertia each count at (N, alpha) is a count
 of the image's pencils against the ladder -l(l+N-2)/beta^2, the multiplicities
 still those of degree l in dimension N; nu_j(N, alpha) = beta^2 nu_j(M), and
-the truncation certificate scales by beta^2.  Rows with mu > 0 (the map
-leaves a weight singular at t = 0) and ``verify`` count on the profile's own
-r-grid, so ``verify`` checks the sweep's mapped counts independently.
+the truncation certificate scales by beta^2.  A ``radial_bvp.MappedProfile``
+is always counted so, on the spectrum of its image, whose certification
+(``SingularSpectrum`` requires it) stands for the profile's: ``sweep``,
+``solve`` and ``verify`` count every mu = 0 profile on its image.  Rows with
+mu > 0 (the map leaves a weight singular at t = 0) count on the profile's own
+r-grid, and ``verify`` recounts a stored mu = 0 profile on its stored r-grid
+as an independent, reported check.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import SingularPivot
 from .pencil import bisect_eigenvalue, count_below, flux_pencil, top_eigenvalue
-from .radial_bvp import RadialProfile, lane_emden_params, require_certified
+from .radial_bvp import MappedProfile, RadialProfile, lane_emden_params, require_certified
 
 MIN_MESH = 200  # smallest spectral mesh a count accepts
 ONSET_RTOL = 1e-5  # width of the nu_1 bracket behind the onset enclosures, relative to 1 + |nu_1|
@@ -276,16 +280,22 @@ def morse_index(profile, mesh=1000, spectrum=None):
     ``per_ell`` runs over l = 0 .. l_max, the first certified-nonnegative
     degree (listed with count 0); the module docstring gives the method.
     ``spectrum`` is the SingularSpectrum of the (M, 0) image of a mu = 0
-    profile, counted against the ladder scaled by 1/beta^2; without it the
-    profile's own pencils are counted.  ``nu_hat`` lists the brackets of
-    nu_1 .. nu_(c+1), c the count at l = 1, as far as the counts kept so far
-    have narrowed them.
+    profile, counted against the ladder scaled by 1/beta^2; a
+    ``MappedProfile`` is counted so, on its image's spectrum when none is
+    given, and needs no certification of its own.  A RadialProfile without
+    ``spectrum`` is counted on its own pencils.  ``nu_hat`` lists the
+    brackets of nu_1 .. nu_(c+1), c the count at l = 1, as far as the counts
+    kept so far have narrowed them.
     """
     p = profile.params
-    if spectrum is None:
+    mapped = isinstance(profile, MappedProfile)
+    if spectrum is None and not mapped:
         spectrum, scale = SingularSpectrum(profile, mesh), 1.0
     else:
-        require_certified(profile)
+        if spectrum is None:
+            spectrum = SingularSpectrum(profile.image, mesh)
+        elif not mapped:
+            require_certified(profile)
         if (spectrum.params, spectrum.mesh) != (lane_emden_params(p), mesh):
             raise ValueError("the spectrum is of another Lane-Emden problem or mesh")
         scale = (1.0 + 0.5 * p.alpha) ** 2

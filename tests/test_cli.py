@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import henon_morse
 from henon_morse import io as hio
-from henon_morse import cli, radial_bvp, spectral
+from henon_morse import cli, halfline, radial_bvp, spectral
 from henon_morse.cli import main
 from henon_morse.io import (
     load_profile,
@@ -23,6 +24,7 @@ from henon_morse.io import (
     save_profile,
     save_transformed,
 )
+from henon_morse.gates import MAP_GATE
 from henon_morse.halfline import transform_profile
 from henon_morse.nonlinearity import pure_power
 from henon_morse.pencil import load_scipy_file
@@ -119,9 +121,10 @@ def test_solve_writes_certified_profile(tmp_path):
 
 
 def test_solve_flags_uncertified_profile(tmp_path, capsys):
-    # relative residual 2.19e-5 at grid 4000, above the 1e-5 certification gate
+    # mu = 1 shoots and certifies in r: relative residual 2.25e-5 at grid 4000, above
+    # the 1e-5 certification gate (its mu = 0 twin certifies on its (2, 0) image)
     pfile = tmp_path / "params.json"
-    write_params(pfile, N=2, alpha=20.0, branch="nodal:1")
+    write_params(pfile, N=2, alpha=20.0, mu1=1.0, mu2=1.0, branch="nodal:1")
     rc = main(["solve", "--params", str(pfile), "--out", str(tmp_path / "run"),
                "--grid", "4000"])
     assert rc == 1
@@ -258,6 +261,30 @@ def test_verify_fails_on_a_spurious_half_line_direction(tmp_path, capsys, solve,
     assert out.count("[FAIL]") == 1
 
 
+@pytest.mark.parametrize("alpha, branch, T, sector", [
+    # l* = 1117 lies at l^2/beta^2 = 48.13 on the image's half line, within about 1/7 of
+    # s = 0: 4000 cells over [0, 30] count a spurious direction there, 8000 do not
+    (320.0, "nodal:2", None, {"ell": 1117, "halfline": [1, 0], "radial": [1, 0], "T": 30.0,
+                              "cells": 8000, "pass": True}),
+    (4.0, "positive", None, {"ell": 3, "halfline": [1, 0], "radial": [1, 0], "T": 30.0,
+                             "cells": 4000, "pass": True}),
+    # at T = 1 the half-line form itself loses sector 2's direction: no grid brings it back
+    (4.0, "positive", "1", {"ell": 3, "halfline": [0, 0], "radial": [1, 0], "T": 1.0,
+                            "cells": 16000, "pass": False}),
+])
+def test_verify_refines_an_image_half_line_only_against_its_grid(tmp_path, alpha, branch, T,
+                                                                  sector):
+    pfile = tmp_path / "params.json"
+    write_params(pfile, N=2, alpha=alpha, branch=branch)
+    assert main(["solve", "--params", str(pfile), "--out", str(tmp_path)]) == 0
+    argv = ["verify", "--profile", str(tmp_path / "profile"), "--out", str(tmp_path / "r.json")]
+    assert main(argv + (["--T", T] if T else [])) == (0 if sector["pass"] else 1)
+    got = json.loads((tmp_path / "r.json").read_text())["checks"]["stable_sector"]
+    beta = 1.0 + 0.5 * alpha  # the image's horizon lam T, lam = 1, cuts at r = e^(-T/beta)
+    assert got.pop("inner_radius") == pytest.approx(math.exp(-sector["T"] / beta), rel=1e-12)
+    assert got == sector
+
+
 @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf", "x"])
 def test_horizon_must_be_finite_and_positive(tmp_path, capsys, solve, T):
     save_profile(solve(2, 4.0), tmp_path / "profile")
@@ -291,16 +318,84 @@ def test_verify_detects_corruption(tmp_path, solve):
     bad = RadialProfile(prof.params, prof.grid, 1.1 * prof.u, prof.v,
                         1.1 * prof.du, prof.dv,
                         (1.1 * prof.amplitude[0], 0.0))
-    # relative residual 2.2e-5: above the certification gate that morse_index applies
-    coarse = solve(2, 20.0, nodes=1)
+    # mu = 1, certified in r: relative residual 2.25e-5, above the gate morse_index applies
+    coarse = solve(2, 20.0, mu=1.0, nodes=1)
     for name, profile in (("corrupted", bad), ("coarse", coarse)):
         save_profile(profile, tmp_path / name)
         rc = main(["verify", "--profile", str(tmp_path / name),
                    "--out", str(tmp_path / f"{name}.json"), "--mesh", "600"])
         assert rc == 1
         report = json.loads((tmp_path / f"{name}.json").read_text())
+        assert report["rule"] == "r-grid"  # no stored image: today's r-grid rules
         assert not report["checks"]["radial_residual"]["pass"]
         assert not report["checks"]["transformed_residual"]["pass"]
+
+
+def rewrite_csv(path, edit, *names):
+    """Store a CSV again with ``edit`` applied to its columns ``names``, repr for repr."""
+    header = path.read_text().split("\n", 1)[0].strip().split(",")
+    columns = hio._read_csv(path, len(header))
+    hio._write_csv(path, header, [edit(c) if h in names else c for h, c in zip(header, columns)])
+
+
+def spiked(y, at, by):
+    y = y.copy()
+    y[at] += by
+    return y
+
+
+@pytest.mark.parametrize("damage", ["none", "u times 1 + 1e-6", "spike of 1e-6 A",
+                                    "image times 1.1"])
+def test_verify_checks_the_stored_samples_against_the_stored_image(tmp_path, damage):
+    # solve stores a mu = 0 profile with its (M, 0) image (N=2 alpha=4: M = 2, beta = 3);
+    # verify certifies the image and maps every stored r-sample from it
+    pfile = tmp_path / "params.json"
+    write_params(pfile, N=2, alpha=4.0)
+    assert main(["solve", "--params", str(pfile), "--out", str(tmp_path)]) == 0
+    base = tmp_path / "profile"
+    amplitude = json.loads(base.with_suffix(".json").read_text())["amplitude"][0]
+    if damage == "u times 1 + 1e-6":
+        rewrite_csv(base.with_suffix(".csv"), lambda u: u * (1.0 + 1e-6), "u")
+    elif damage == "spike of 1e-6 A":  # at r = 0.5
+        rewrite_csv(base.with_suffix(".csv"), lambda u: spiked(u, 2000, 1e-6 * amplitude), "u")
+    elif damage == "image times 1.1":
+        rewrite_csv(hio.image_path(base), lambda y: 1.1 * y, "u", "du")
+    rc = main(["verify", "--profile", str(base), "--out", str(tmp_path / "report.json"),
+               "--mesh", "600"])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rule"] == "image"
+    failed = {name for name, c in report["checks"].items() if not c["pass"]}
+    value = report["checks"]["map"]["value"]
+    if damage == "none":
+        assert (rc, failed) == (0, set())
+        assert value <= MAP_GATE / 1000  # 4.4e-11 against 2e-7
+        assert report["r_grid_recount"] == {"total": 5, "mesh_stable": True, "agrees": True}
+    elif damage == "image times 1.1":
+        assert rc == 1 and {"radial_residual", "transformed_residual", "map"} <= failed
+    else:
+        # a relative change of 1e-6 in u reads 1e-6 A/(1 + A) = 9.1e-7, above the gate
+        assert (rc, failed) == (1, {"map"})
+        assert value == pytest.approx(1e-6 * amplitude / (1.0 + amplitude), rel=1e-3)
+
+
+@pytest.mark.parametrize("damage", ["no image file", "unknown column", "a nan sample"])
+def test_verify_rejects_a_malformed_stored_image(tmp_path, capsys, damage):
+    # the image is outside input like the r-profile: a file error, never a traceback
+    pfile = tmp_path / "params.json"
+    write_params(pfile, N=2, alpha=4.0)
+    assert main(["solve", "--params", str(pfile), "--out", str(tmp_path)]) == 0
+    base = tmp_path / "profile"
+    if damage == "no image file":
+        hio.image_path(base).unlink()
+    elif damage == "unknown column":
+        header = json.loads(base.with_suffix(".json").read_text())
+        header["image"]["columns"] = ["w", "dw"]
+        base.with_suffix(".json").write_text(json.dumps(header))
+    else:
+        rewrite_csv(hio.image_path(base), lambda du: spiked(du, 7, math.nan), "du")
+    assert main(["verify", "--profile", str(base)]) == 2
+    err = capsys.readouterr().err
+    assert "profile load error: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [("N", 2.6), ("alpha", float("nan")), ("mu1", None),
@@ -552,6 +647,36 @@ def test_headline_sweep_shoots_once(tmp_path, monkeypatch):
     assert work["count"] <= 100
 
 
+def test_headline_group_is_certified_once_on_its_image(tmp_path, monkeypatch):
+    # the eleven rows map from one (2, 0) image: one half-line transform and one radial
+    # residual for the group, and the one sampling pass is the image's own, on its t-grid
+    work = {"transform": 0, "residuals": 0, "samples": []}
+    transform, residuals, sample = (halfline.transform_profile, RadialProfile.residuals.func,
+                                    radial_bvp._sample)
+
+    def counted_transform(*args, **kwargs):
+        work["transform"] += 1
+        return transform(*args, **kwargs)
+
+    def counted_residuals(profile):
+        work["residuals"] += 1
+        return residuals(profile)
+
+    def counted_sample(params, *args, **kwargs):
+        work["samples"].append(params)
+        return sample(params, *args, **kwargs)
+
+    prop = functools.cached_property(counted_residuals)
+    prop.__set_name__(RadialProfile, "residuals")
+    monkeypatch.setattr(halfline, "transform_profile", counted_transform)
+    monkeypatch.setattr(RadialProfile, "residuals", prop)
+    monkeypatch.setattr(radial_bvp, "_sample", counted_sample)
+    payload = run_sweep(tmp_path, "headline", HEADLINE)
+    assert [r["status"] for r in payload["rows"]] == ["ok"] * 11
+    assert (work["transform"], work["residuals"]) == (1, 1)
+    assert [(p.N, p.alpha) for p in work["samples"]] == [(2.0, 0.0)]
+
+
 def test_back_to_back_sweeps_do_identical_work(tmp_path, monkeypatch):
     # the shot and the spectrum live for one sweep call: a second call in the
     # same process shoots and counts again, and writes the same file
@@ -581,15 +706,26 @@ MIXED = {**PLANAR, "alphas": [0.0, 2.0], "branches": ["positive", "nodal:1"]}
 
 
 @pytest.mark.parametrize("N, alpha, p, branch, certified", [
-    # half-line defects 25.9, 1.15, 1.51, 3.2e-2 and 4.2e-3 at the default
-    # grid, above the 1e-3 gate, while their relative residuals pass
+    # on the (M, 0) image, half-line defects 0.36, 0.48, 0.074 and 0.014 at the
+    # default grid, above the 1e-3 gate, while their relative residuals pass
     (8, 2.0, 2.5, "nodal:1", False), (2, 2.0, 2.5, "nodal:1", False),
     (3, 2.0, 2.2, "positive", False), (2, 2.0, 2.2, "positive", False),
-    (2, 6.0, 4, "nodal:2", False),
+    # its image is N=2 alpha=0 nodal:2 (half-line defect 3.1e-6): certified everywhere
+    (2, 6.0, 4, "nodal:2", True),
     (2, 2.0, 4, "positive", True), (2, 20.0, 4, "positive", True),
 ])
 def test_solve_sweep_and_verify_agree(tmp_path, capsys, N, alpha, p, branch, certified):
-    params = {**PLANAR, "N": N, "p": p}
+    one_verdict(tmp_path, capsys, {**PLANAR, "N": N, "p": p}, alpha, branch, certified)
+
+
+def test_solve_sweep_and_verify_agree_on_mu_positive_data(tmp_path, capsys):
+    # mu = 1 rows shoot and certify in r: at grid 4000 N=2 alpha=20 nodal:1 fails the radial
+    # (2.25e-5), half-line (1.43e-2) and identity (1.06e-5) checks, in all three commands
+    one_verdict(tmp_path, capsys, {**PLANAR, "mu1": 1.0, "mu2": 1.0}, 20.0, "nodal:1", False)
+
+
+def one_verdict(tmp_path, capsys, params, alpha, branch, certified):
+    """sweep, solve and verify give one verdict on the row, and name the same failed checks."""
     row = run_sweep(tmp_path, "sweep", {**params, "alphas": [alpha],
                                         "branches": [branch]})["rows"][0]
     pfile = tmp_path / "params.json"
@@ -599,7 +735,10 @@ def test_solve_sweep_and_verify_agree(tmp_path, capsys, N, alpha, p, branch, cer
     solve_err = capsys.readouterr().err
     verified = main(["verify", "--profile", str(tmp_path / "run" / "profile"),
                      "--out", str(tmp_path / "report.json")])
-    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    checks = report["checks"]
+    # a mu = 0 profile is certified on its stored (M, 0) image, a mu > 0 one on its r-grid
+    assert report["rule"] == ("r-grid" if params.get("mu1") else "image")
     if certified:
         assert (row["status"], solved, verified) == ("ok", 0, 0)
         assert all(c["pass"] for c in checks.values())
