@@ -18,8 +18,7 @@ import numpy as np
 
 from . import io as hio
 from .errors import HenonMorseError, NoBracket, NoConverge, OverflowBlowUp
-from .halfline import (ImageCertificate, certify, map_check, qk_negative_count,
-                       transform_profile)
+from .halfline import Certificate, certify, map_check, qk_negative_count, transform_profile
 from .liouville import (HALF_LINE, energy_of, instability_witness, integrate_limit_system,
                         witness_quadrature)
 from .gates import WITNESS_GATE
@@ -91,12 +90,12 @@ def cmd_solve(args):
 
 
 def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared):
-    """One fully certified sweep row as a plain dict: ``certify`` gates it, then it is counted.
+    """One fully certified sweep row as a plain dict: gated by a ``Certificate``, then counted.
 
     A row that fails a check is ``uncertified``, names each failed check in
     its reason, and has no counts: those of an uncertified profile certify
     nothing.  A mu = 0 row is the image of the (M, 0) shot kept in the dict
-    ``shared`` (``mapped_profile``), checked by the ImageCertificate and
+    ``shared`` (``mapped_profile``), checked by the image's Certificate and
     counted on the SingularSpectrum kept there, each made by the first row
     that needs it; it is never sampled on an r-grid.  A mu > 0 row is shot,
     certified and counted on its own r-grid.
@@ -108,15 +107,15 @@ def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared):
         share = not (params.mu1 or params.mu2)
         if not share:
             profile = shoot_nodal(params, nodes, tol=tol, grid_size=grid)
-            checks, _ = certify(profile, T=horizon)
+            cert = Certificate(profile, horizon)
         else:
             if "shot" not in shared:
                 shared["shot"] = lane_emden_shot(params, nodes, tol=tol, grid_size=grid)
             profile = mapped_profile(params, nodes, shared["shot"], tol=tol)
             if "certificate" not in shared:
-                shared["certificate"] = ImageCertificate(profile.image,
-                                                         profile.image_horizon(horizon))
-            checks = shared["certificate"].checks(params)
+                shared["certificate"] = Certificate(profile.image, profile.image_horizon(horizon))
+            cert = shared["certificate"]
+        checks = cert.checks(params)
         row["amplitude"] = list(profile.amplitude)
         row["energy"] = profile.energy
         row["relative_residual"] = checks["radial_residual"]["value"]

@@ -13,9 +13,11 @@ with gamma = (N-2) beta and u_k(0) = 0 (image of the Dirichlet condition).
 Profiles are truncated at a horizon T (default 30/beta, far below every
 quadrature tolerance).  Checks skip zero data as in ``radial_bvp``; where
 the tail's decay cannot be fitted (T below about 1e-154), the Pohozaev band is g(T) T.
-A mu = 0 profile is certified on its (M, 0) image instead, by
-``ImageCertificate`` (``certify`` of a ``radial_bvp.MappedProfile``), and
-``map_check`` compares stored r-samples with a stored image.
+Every profile is certified by one ``Certificate``: an r-grid profile by its
+own, a mu = 0 profile (``certify`` of a ``radial_bvp.MappedProfile``) by that
+of its (M, 0) image, rescaled; identity (b) reads the fitted tail beyond the
+horizon on every rule.  ``map_check`` compares stored r-samples with a stored
+image.
 
 Also implemented here: the boundary-derivative estimate
 
@@ -377,66 +379,59 @@ def gated(value, limit):
     return {"value": value, "limit": limit, "pass": bool(value <= limit)}
 
 
-def _checks(radial, transformed, params, gamma, pohozaev):
-    """``certify``'s records for a profile of ``params``; pohozaev() -> (lhs, rhs, band,
-    identity residual) runs only where the estimate's hypothesis holds."""
-    checks = {"radial_residual": gated(radial, RESIDUAL_GATE),
-              "transformed_residual": gated(transformed, TRANSFORMED_GATE)}
-    why = _hypothesis(params, beta_of(params.N, params.alpha), gamma)
-    if why:
-        checks["pohozaev_slack"] = {"skipped": why, "pass": True}
-        return checks
-    lhs, rhs, band, identity = pohozaev()
-    checks["pohozaev_slack"] = {"lhs": lhs, "rhs": rhs, "slack": lhs - rhs, "band": band,
-                                "pass": bool(lhs - rhs >= -(POHOZAEV_GATE * (1.0 + lhs) + band))}
-    checks["pohozaev_identity"] = gated(identity, IDENTITY_GATE)
-    if gamma <= params.N / (3.0 * params.f.p):
-        C = pohozaev_lower_bound(params.f, params.N)
-        checks["pohozaev_lower_bound"] = {"lhs": lhs, "constant": C,
-                                          "pass": bool(lhs >= C * (1.0 - 1e-9) - band)}
-    return checks
+class Certificate:
+    """The checks of one RadialProfile, made once for every profile certified on it.
 
-
-class ImageCertificate:
-    """The checks of one (M, 0) image, made once for every mu = 0 profile mapped from it.
-
-    ``image`` is the image's RadialProfile and T its own horizon (default
-    30).  Its radial and transformed residuals, and the pieces of both
-    Pohozaev checks on its transform ``tp``, are computed here once.  A
-    profile at (N, alpha) mapped from it has the half-line transform
-    lam^(2/(p-2)) v_k(lam t), lam = N/M, with the same gamma t, so with
+    T is the horizon of its transform ``tp`` (default 30/beta).  The residuals
+    are computed here, the Pohozaev pieces on first use, so a profile off the
+    estimate's hypothesis makes none.  An r-grid profile is its own (lam = 1);
+    a mu = 0 profile at (N, alpha) is its (M, 0) image's, lam = N/M: its
+    transform is lam^(2/(p-2)) tp(lam t), with the same gamma t, so with
     a = 4/(p-2) its lhs and the integral of identity (a) are lam^(a+2) times
-    the image's, and int g, the integral of identity (b) and the tail
-    lam^(a+1) times.  The image (alpha = 0) never meets the estimate's
-    hypothesis, so its pieces are taken whatever it says: ``checks`` decides
-    skipping and the lower bound on the profile's own hypothesis and regime.
-    In the image's variable g decays only like e^(-2(M-2)s), and M -> 2 as
-    alpha -> infinity, so identity (b) is read with the fitted tail beyond
-    the horizon added to int g (the tail the band bounds); identity (a) and
-    the r-grid transform's 30/beta horizon need none.
+    tp's, and int g, the integral of identity (b) and the tail lam^(a+1)
+    times.  ``checks`` decides skipping and the lower bound on the profile's
+    own hypothesis (an image, alpha = 0, never meets it).  Identity (b) reads
+    int g plus the fitted tail beyond the horizon (the tail the band bounds)
+    on every rule: in the image's variable g decays only like e^(-2(M-2)s),
+    and M -> 2 as alpha -> infinity; at an r-grid profile's default horizon
+    the tail is below the last bit of int g.
     """
 
-    def __init__(self, image, T=None):
-        self.radial = relative_residual(image)
-        self.tp = transform_profile(image, T=T)
+    def __init__(self, profile, T=None):
+        self.radial = relative_residual(profile)
+        self.tp = transform_profile(profile, T=T)
         self.transformed = transformed_residual(self.tp)
+
+    @cached_property
+    def pieces(self):
+        """(lhs, int g, tail, identity (a) integral, identity (b) integral) on tp."""
         _, _, lhs, int_g = self.tp.derivative_terms
-        self.pieces = (lhs, int_g, _tail(self.tp), *_identity_integrals(self.tp))
+        return (lhs, int_g, _tail(self.tp), *_identity_integrals(self.tp))
 
     def checks(self, params):
-        """``certify``'s records for the mu = 0 profile of ``params`` mapped from this image."""
+        """``certify``'s records for the profile of ``params`` certified on this transform."""
+        checks = {"radial_residual": gated(self.radial, RESIDUAL_GATE),
+                  "transformed_residual": gated(self.transformed, TRANSFORMED_GATE)}
         gamma = gamma_of(params.N, params.alpha)
-
-        def pohozaev():
-            lam, a = params.N / self.tp.params.N, 4.0 / (params.f.p - 2.0)
-            s2, s1 = lam ** (a + 2.0), lam ** (a + 1.0)
-            lhs, int_g, tail, ida, idb = self.pieces
-            factor = 2.0 * (params.N + gamma) / params.f.p
-            lhs, int_g, tail = s2 * lhs, s1 * int_g, s1 * tail
-            return (lhs, factor * int_g, factor * tail,
-                    _identity_residual(lhs, int_g + tail, s2 * ida, s1 * idb))
-
-        return _checks(self.radial, self.transformed, params, gamma, pohozaev)
+        why = _hypothesis(params, beta_of(params.N, params.alpha), gamma)
+        if why:
+            checks["pohozaev_slack"] = {"skipped": why, "pass": True}
+            return checks
+        lam, a = params.N / self.tp.params.N, 4.0 / (params.f.p - 2.0)
+        s2, s1 = lam ** (a + 2.0), lam ** (a + 1.0)
+        lhs, int_g, tail, ida, idb = self.pieces
+        factor = 2.0 * (params.N + gamma) / params.f.p
+        lhs, int_g, tail = s2 * lhs, s1 * int_g, s1 * tail
+        rhs, band = factor * int_g, factor * tail
+        checks["pohozaev_slack"] = {"lhs": lhs, "rhs": rhs, "slack": lhs - rhs, "band": band,
+                                    "pass": bool(lhs - rhs >= -(POHOZAEV_GATE * (1.0 + lhs) + band))}
+        identity = _identity_residual(lhs, int_g + tail, s2 * ida, s1 * idb)
+        checks["pohozaev_identity"] = gated(identity, IDENTITY_GATE)
+        if gamma <= params.N / (3.0 * params.f.p):
+            C = pohozaev_lower_bound(params.f, params.N)
+            checks["pohozaev_lower_bound"] = {"lhs": lhs, "constant": C,
+                                              "pass": bool(lhs >= C * (1.0 - 1e-9) - band)}
+        return checks
 
 
 def certify(profile, T=None):
@@ -446,23 +441,17 @@ def certify(profile, T=None):
     pohozaev_slack ({"skipped": reason, "pass": True} off its hypothesis, and
     then last), pohozaev_identity and, for gamma <= N/(3p),
     pohozaev_lower_bound to JSON records with a bool "pass", in that order.
-    A RadialProfile is certified on its own grid and its transform at
-    horizon T.  A ``MappedProfile`` (mu = 0) is certified on its (M, 0)
-    image, by ``ImageCertificate`` at the image horizon lam T: the residuals
-    are the image's, the Pohozaev records the image's pieces rescaled to the
-    profile, and tp is the image's transform.
+    A RadialProfile is certified by its own ``Certificate`` at horizon T.  A
+    ``MappedProfile`` (mu = 0) is certified by the ``Certificate`` of its
+    (M, 0) image at the image horizon lam T: the residuals are the image's,
+    the Pohozaev records the image's pieces rescaled to the profile, and tp
+    is the image's transform.
     """
     if isinstance(profile, MappedProfile):
-        cert = ImageCertificate(profile.image, profile.image_horizon(T))
-        return cert.checks(profile.params), cert.tp
-    radial = relative_residual(profile)
-    tp = transform_profile(profile, T=T)
-
-    def pohozaev():
-        pc = pohozaev_check(tp)
-        return pc.lhs, pc.rhs, pc.tail_band, pohozaev_identity_residual(tp)
-
-    return _checks(radial, transformed_residual(tp), profile.params, tp.gamma, pohozaev), tp
+        cert = Certificate(profile.image, profile.image_horizon(T))
+    else:
+        cert = Certificate(profile, T)
+    return cert.checks(profile.params), cert.tp
 
 
 def map_check(profile, mapped):

@@ -42,10 +42,9 @@ samples on the uniform t-grid (``MappedProfile``, no r-grid), after the
 boundary, amplitude-cap, subcritical and zero-count rules in their scaled
 form, and its amplitude and action follow from the image's by exact scaling.
 The shot counts its zeros once on its 4x t-grid (the map sends zeros one to
-one).  ``shoot_nodal`` still samples a profile on its own r-grid, from a
-given shot or from a fresh one; a lone fresh profile counts its zeros on its
-own 4x grid.  With mu > 0 the map leaves a weight singular at t = 0, so
-those rows shoot and certify in r.
+one).  ``shoot_nodal`` samples such a profile on an r-grid, mapped from a
+given shot or from ``lane_emden_shot``.  With mu > 0 the map leaves a weight
+singular at t = 0, so those rows shoot and certify in r.
 
 The final profile is checked for its boundary value, relative to its
 amplitude, and its node count before it is returned, and it should be
@@ -752,9 +751,9 @@ class MappedProfile:
 def mapped_profile(params, nodes, shot, tol=1e-10):
     """The mu = 0 profile of ``params`` with ``nodes`` zeros as the image of ``shot``, in O(1).
 
-    Checked as ``shoot_nodal`` checks a sampled profile, on the shot's data:
-    the subcritical rule, the amplitude cap on c A, the boundary bound
-    c |v(1)| <= tol (1 + c A) and the zero count of the shot's 4x t-grid.
+    Checked on the shot's data: the subcritical rule, the amplitude cap on
+    c A, the boundary bound c |v(1)| <= tol (1 + c A) and the zero count of
+    the shot's 4x t-grid.
     """
     if params.mu1 or params.mu2 or (shot.profile.params, shot.nodes) != (
             lane_emden_params(params), nodes):
@@ -783,15 +782,13 @@ def _check_boundary_and_zeros(boundary, amplitude, zeros, k, tol):
         )
 
 
-def _mapped(params, amplitude, dense):
-    """Centre values and evaluator of the mu = 0 profile mapped from its (M, 0) image.
+def _mapped(mapped, dense):
+    """Evaluator of the mu = 0 profile ``mapped`` from the dense output of its (M, 0) image.
 
-    u(r) = c v(r^beta) and u'(r) = c beta r^(beta-1) v'(r^beta), with
-    beta = (2 + alpha)/2 and c = beta^(2/(p-2)); both factors are exactly 1
-    at alpha = 0.
+    u(r) = c v(r^beta) and u'(r) = c beta r^(beta-1) v'(r^beta), with beta
+    and c those of the ``MappedProfile``; both are exactly 1 at alpha = 0.
     """
-    beta = 1.0 + 0.5 * params.alpha
-    c = beta ** (2.0 / (params.f.p - 2.0))
+    beta, c = mapped.beta, mapped.c
 
     def profile(r):
         r = np.asarray(r, dtype=float)
@@ -800,28 +797,24 @@ def _mapped(params, amplitude, dense):
         vals[2:] *= c * beta * r ** (beta - 1.0)
         return vals
 
-    return (c * amplitude[0], c * amplitude[1]), profile
+    return profile
 
 
 def _shoot_branch(params, k, tol, grid_size, shot=None):
     """Profile with k interior zeros and u(1) = 0, checked before it is returned.
 
-    mu = 0 profiles are mapped from ``shot``, checked by ``mapped_profile``
-    and sampled at the r-grid nodes, or from a fresh (M, 0) shot when none
-    is given.  A fresh profile counts its zeros on the 4x grid of its one
+    A mu = 0 profile is mapped from ``shot``, or from ``lane_emden_shot`` when
+    none is given, checked by ``mapped_profile`` and sampled at the r-grid
+    nodes.  A mu > 0 profile counts its zeros on the 4x grid of its one
     evaluation.  A rescaled profile's u(1) is its amplitude times the unit
     shot's event location error, so the boundary bound is tol (1 + amplitude).
     """
-    if shot is not None and not (params.mu1 or params.mu2):
-        mapped_profile(params, k, shot, tol)
-        d, dense = _mapped(params, shot.profile.amplitude, shot.dense)
-        return _sample(params, d, dense, grid_size)[0]
-    d, dense = _scaled_shot(params, k, tol)
     if not (params.mu1 or params.mu2):
-        d, dense = _mapped(params, d, dense)
-        if d[0] > AMPLITUDE_CAP:
-            raise NoBracket(f"the {k}-node solution has amplitude {d[0]:.6g}, "
-                            f"above {AMPLITUDE_CAP:.0e}")
+        if shot is None:
+            shot = lane_emden_shot(params, k, tol, grid_size)
+        mapped = mapped_profile(params, k, shot, tol)
+        return _sample(params, mapped.amplitude, _mapped(mapped, shot.dense), grid_size)[0]
+    d, dense = _scaled_shot(params, k, tol)
     profile, zeros = _sample(params, d, dense, grid_size, refine=4)
     _check_boundary_and_zeros(abs(float(profile.u[-1])), d[0], zeros, k, tol)
     return profile
@@ -833,7 +826,8 @@ def shoot_positive(params, tol=1e-10, grid_size=4000, shot=None):
     Scalar problems (second component identically zero) shoot on the first
     component; a symmetric coupled system (a1 = a2, mu1 = mu2) gives u = v,
     shot as its scalar reduction (``_scaled_shot``).  ``shot``, from
-    ``lane_emden_shot``, is the (M, 0) shot a mu = 0 problem maps from.
+    ``lane_emden_shot``, is the (M, 0) shot a mu = 0 problem maps from; a
+    mu = 0 problem without one makes its own.
     """
     return _shoot_branch(params, 0, tol, grid_size, shot)
 
@@ -841,11 +835,8 @@ def shoot_positive(params, tol=1e-10, grid_size=4000, shot=None):
 def shoot_nodal(params, nodes, tol=1e-10, grid_size=4000, shot=None):
     """Scalar radial solution with exactly ``nodes`` interior zeros.
 
-    |u(1)| <= tol (1 + |u(0)|), as for the positive shoot; nodes = 0
-    delegates to it.
+    |u(1)| <= tol (1 + |u(0)|), as for the positive shoot, which is nodes = 0.
     """
-    if nodes == 0:
-        return shoot_positive(params, tol=tol, grid_size=grid_size, shot=shot)
     return _shoot_branch(params, nodes, tol, grid_size, shot)
 
 

@@ -28,13 +28,14 @@ beta times the form of the (M, 0) image with l(l+N-2)/beta^2 in place of
 l(l+N-2).  By Sylvester's law of inertia each count at (N, alpha) is a count
 of the image's pencils against the ladder -l(l+N-2)/beta^2, the multiplicities
 still those of degree l in dimension N; nu_j(N, alpha) = beta^2 nu_j(M), and
-the truncation certificate scales by beta^2.  A ``radial_bvp.MappedProfile``
-is always counted so, on the spectrum of its image, whose certification
-(``SingularSpectrum`` requires it) stands for the profile's: ``sweep``,
-``solve`` and ``verify`` count every mu = 0 profile on its image.  Rows with
-mu > 0 (the map leaves a weight singular at t = 0) count on the profile's own
-r-grid, and ``verify`` recounts a stored mu = 0 profile on its stored r-grid
-as an independent, reported check.
+the truncation certificate scales by beta^2.  So ``morse_index`` has two
+modes: a ``radial_bvp.MappedProfile`` is counted on the spectrum of its image,
+whose certification (``SingularSpectrum`` requires it) stands for the
+profile's, and a ``RadialProfile`` on its own pencils.  ``sweep``, ``solve``
+and ``verify`` count every mu = 0 profile on its image; rows with mu > 0 (the
+map leaves a weight singular at t = 0) count on their own r-grid, and
+``verify`` recounts a stored mu = 0 profile on its stored r-grid as an
+independent, reported check.
 """
 
 from __future__ import annotations
@@ -279,26 +280,24 @@ def morse_index(profile, mesh=1000, spectrum=None):
 
     ``per_ell`` runs over l = 0 .. l_max, the first certified-nonnegative
     degree (listed with count 0); the module docstring gives the method.
-    ``spectrum`` is the SingularSpectrum of the (M, 0) image of a mu = 0
-    profile, counted against the ladder scaled by 1/beta^2; a
-    ``MappedProfile`` is counted so, on its image's spectrum when none is
-    given, and needs no certification of its own.  A RadialProfile without
-    ``spectrum`` is counted on its own pencils.  ``nu_hat`` lists the
-    brackets of nu_1 .. nu_(c+1), c the count at l = 1, as far as the counts
-    kept so far have narrowed them.
+    Two modes: a RadialProfile is counted on its own pencils, and takes no
+    ``spectrum`` (ValueError); a ``MappedProfile`` (mu = 0) is counted on the
+    SingularSpectrum of its (M, 0) image, ``spectrum`` or one made here,
+    against the ladder scaled by 1/beta^2, and needs no certification of its
+    own.  ``nu_hat`` lists the brackets of nu_1 .. nu_(c+1), c the count at
+    l = 1, as far as the counts kept so far have narrowed them.
     """
     p = profile.params
-    mapped = isinstance(profile, MappedProfile)
-    if spectrum is None and not mapped:
+    if not isinstance(profile, MappedProfile):
+        if spectrum is not None:
+            raise ValueError("a RadialProfile is counted on its own pencils, not on a spectrum")
         spectrum, scale = SingularSpectrum(profile, mesh), 1.0
     else:
         if spectrum is None:
             spectrum = SingularSpectrum(profile.image, mesh)
-        elif not mapped:
-            require_certified(profile)
         if (spectrum.params, spectrum.mesh) != (lane_emden_params(p), mesh):
             raise ValueError("the spectrum is of another Lane-Emden problem or mesh")
-        scale = (1.0 + 0.5 * p.alpha) ** 2
+        scale = profile.beta ** 2
     spec, radial, singular = spectrum.spec, spectrum.radial, spectrum.singular
     ell_max, cert = ell_truncation(spec, p.N, scale)
     rung = [-lambda_ell(ell, p.N) / scale for ell in range(ell_max + 1)]

@@ -5,6 +5,10 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+# every package module, whichever test files are collected: Hypothesis mixes the
+# constants of the loaded local modules into its draws, so the modules loaded
+# would otherwise decide a property test's examples
+import henon_morse.cli  # noqa: F401, E402
 from henon_morse.nonlinearity import pure_power, quartic_coupled
 from henon_morse.radial_bvp import ProblemParams, shoot_nodal, shoot_positive
 

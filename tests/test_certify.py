@@ -116,6 +116,35 @@ def test_the_cases_cover_what_the_skips_decide(solve):
     assert tp.gamma > 0 and tp.params.mu1 > 0
 
 
+@pytest.mark.parametrize("case", [
+    dict(N=3, alpha=6.0, mu=0.5),  # mu > 0, gamma > 0
+    dict(N=2, alpha=4.0, mu=1.0),  # mu > 0, gamma = 0
+    dict(N=2, alpha=4.0, p=3.0),
+    dict(N=2, alpha=4.0, family="quartic_coupled", b=0.5),
+], ids=["N3-a6-mu0.5", "N2-a4-mu1", "N2-a4-p3", "N2-a4-coupled"])
+def test_an_r_grid_certificate_is_pohozaev_check_bit_for_bit(solve, case):
+    # an r-grid profile is certified by its own Certificate, lam = 1: at the
+    # default horizon 30/beta its records are pohozaev_check's and
+    # pohozaev_identity_residual's bit for bit, since the fitted tail that
+    # identity (b) adds to int g (4e-26 and less here) is below int g's last bit
+    profile = solve(**case)
+    checks, tp = certify(profile)
+    pc, slack = pohozaev_check(tp), checks["pohozaev_slack"]
+    assert (slack["lhs"], slack["rhs"], slack["slack"], slack["band"]) == \
+        (pc.lhs, pc.rhs, pc.slack, pc.tail_band)
+    assert checks["pohozaev_identity"]["value"] == pohozaev_identity_residual(tp)
+
+
+def test_identity_b_reads_the_fitted_tail_at_a_short_horizon(solve):
+    # at T = 1 the tail beyond the horizon is not negligible: the certificate
+    # reads int g plus the fitted tail, 0.67387, where the identity on int g
+    # alone reads 0.66575; both fail the gate (N = 2, alpha = 4, mu = 1, positive)
+    checks, tp = certify(solve(2, 4.0, mu=1.0), T=1.0)
+    assert checks["pohozaev_identity"]["value"] == pytest.approx(0.6738746521938501, rel=1e-6)
+    assert pohozaev_identity_residual(tp) == pytest.approx(0.6657485762246989, rel=1e-6)
+    assert not checks["pohozaev_identity"]["pass"]
+
+
 def test_a_nan_slope_fails_the_radial_residual(solve):
     profile = solve(2, 4.0)
     du = profile.du.copy()

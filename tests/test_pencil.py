@@ -1,5 +1,8 @@
 """The block-tridiagonal pencil kernel against dense symmetric eigensolves."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -27,6 +30,15 @@ from henon_morse.spectral import morse_index
 from oracles import dense_flux_form, dense_pencil, dense_pencil_eigvals
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def test_every_package_module_is_loaded_before_any_draw():
+    # Hypothesis draws from constants it reads in every loaded local module,
+    # so the property tests here draw one example set, alone or in the suite,
+    # only if the conftest loads the whole package first
+    package = Path(pencil_module.__file__).parent
+    assert {f"henon_morse.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__"} \
+        <= set(sys.modules)
 
 
 @st.composite

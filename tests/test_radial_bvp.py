@@ -315,8 +315,8 @@ def test_shoot_rhs_budget(monkeypatch):
     assert len(nfev) == 1 and nfev[0] <= 1400, nfev
 
 
-def test_shoot_evaluates_dense_output_once(monkeypatch):
-    # one call on the 4x grid serves the stored profile and the zero count
+def dense_call_sizes(monkeypatch):
+    """The point count of every call of a shot's dense evaluator from now on."""
     real = radial_bvp._scaling_amplitude
     sizes = []
 
@@ -330,8 +330,25 @@ def test_shoot_evaluates_dense_output_once(monkeypatch):
         return amplitude, evaluate
 
     monkeypatch.setattr(radial_bvp, "_scaling_amplitude", counted)
-    prof = shoot_nodal(params_for(2, 4.0), 2, grid_size=1000)
+    return sizes
+
+
+def test_shoot_evaluates_dense_output_once(monkeypatch):
+    # a mu > 0 shot: one call on the 4x r-grid serves the stored profile and
+    # the zero count
+    sizes = dense_call_sizes(monkeypatch)
+    prof = shoot_nodal(params_for(3, 1.0, mu=1.0), 1, grid_size=1000)
     assert sizes == [4001]
+    assert np.array_equal(prof.grid, np.linspace(0.0, 1.0, 1001))
+    assert interior_zeros(prof) == 1
+
+
+def test_mu_zero_shoot_evaluates_its_image_once_and_the_r_grid_once(monkeypatch):
+    # the (M, 0) shot's one call on its 4x t-grid counts the zeros; the
+    # profile is one more call, at the r-grid nodes
+    sizes = dense_call_sizes(monkeypatch)
+    prof = shoot_nodal(params_for(2, 4.0), 2, grid_size=1000)
+    assert sizes == [4001, 1001]
     assert np.array_equal(prof.grid, np.linspace(0.0, 1.0, 1001))
     assert interior_zeros(prof) == 2
 
@@ -563,7 +580,7 @@ def test_scaling_solve_matches_bisection(N, alpha, nodes, f):
 ])
 def test_lane_emden_map_matches_bisection(N, alpha, nodes, f):
     # a mu = 0 profile is mapped from the (M, 0) shot (M = 2.5 and 2 here):
-    # the shared shot and a fresh one give the same profile, and the fixed-step
+    # a given shot and the one shoot_nodal makes give the same profile, and the fixed-step
     # RK4 integration in r brackets its amplitude to rel 1e-9
     params = ProblemParams(N=N, alpha=alpha, mu1=0.0, mu2=0.0, f=f)
     shared = shoot_nodal(params, nodes, shot=lane_emden_shot(params, nodes))

@@ -15,6 +15,7 @@ from henon_morse.radial_bvp import (
     ProblemParams,
     integrate_radial_ivp,
     lane_emden_shot,
+    mapped_profile,
     shoot_nodal,
     shoot_positive,
 )
@@ -338,25 +339,32 @@ def test_singular_eigenvalue_scales_by_beta_squared(solve, N, alpha):
 
 @pytest.mark.parametrize("nodes", [0, 1])
 def test_mapped_counts_match_own_pencil(nodes):
-    # one (2, 0) spectrum serves alpha = 8, 2, 0 in turn, each row starting
-    # from brackets the rows before it narrowed; every count, warning and
-    # mesh flag is that of the row's own r-pencil, and each bracket of an
-    # eigenvalue below -l(l+N-2) at l = 1 overlaps the row's own (above it,
-    # N = 2 puts the continuous spectrum, [0, inf), which the two
-    # discretizations sample differently)
+    # one (2, 0) spectrum serves the images at alpha = 8, 2, 0 in turn, each
+    # row starting from brackets the rows before it narrowed; every count,
+    # warning and mesh flag is that of the row's r-grid profile on its own
+    # pencils, and each bracket of an eigenvalue below -l(l+N-2) at l = 1
+    # overlaps the r-grid's (above it, N = 2 puts the continuous spectrum,
+    # [0, inf), which the two discretizations sample differently)
     shot = lane_emden_shot(params_for(2, 8.0), nodes)
     spectrum = SingularSpectrum(shot.profile, 1000)
     for alpha in (8.0, 2.0, 0.0):
-        prof = shoot_nodal(params_for(2, alpha), nodes, shot=shot)
-        mapped, own = morse_index(prof, 1000, spectrum), morse_index(prof, 1000)
+        params = params_for(2, alpha)
+        image = mapped_profile(params, nodes, shot)
+        prof = shoot_nodal(params, nodes, shot=shot)
+        mapped, own = morse_index(image, 1000, spectrum), morse_index(prof, 1000)
         assert (mapped.per_ell, mapped.warnings, mapped.mesh_stable) == \
             (own.per_ell, own.warnings, own.mesh_stable)
         assert [j for j, *_ in mapped.nu_hat] == [j for j, *_ in own.nu_hat]
         for (j, a, _), (_, b, _) in zip(mapped.nu_hat, own.nu_hat):
             if j <= own.counts()[1]:
                 assert max(a[0], b[0]) < min(a[1], b[1])
-    with pytest.raises(ValueError):
-        morse_index(shoot_positive(params_for(3, 2.0)), 1000, spectrum)
+    # an image of another Lane-Emden problem (M = 2.5), and an r-grid profile,
+    # which is counted on its own pencils only
+    params = params_for(3, 2.0)
+    with pytest.raises(ValueError, match="another Lane-Emden problem"):
+        morse_index(mapped_profile(params, 0, lane_emden_shot(params, 0)), 1000, spectrum)
+    with pytest.raises(ValueError, match="own pencils"):
+        morse_index(shoot_positive(params_for(2, 8.0)), 1000, spectrum)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -369,8 +377,8 @@ def test_mu_zero_map_keeps_the_index(N, alpha, nodes):
     # sector or is not mesh-stable: there the two discretizations may differ
     params = params_for(N, alpha, p=3.0)
     shot = lane_emden_shot(params, nodes)
-    prof = shoot_nodal(params, nodes, shot=shot)
-    mapped = morse_index(prof, 400, SingularSpectrum(shot.profile, 400))
-    own = morse_index(prof, 400)
+    mapped = morse_index(mapped_profile(params, nodes, shot), 400,
+                         SingularSpectrum(shot.profile, 400))
+    own = morse_index(shoot_nodal(params, nodes, shot=shot), 400)
     assume(not (mapped.warnings or own.warnings) and mapped.mesh_stable and own.mesh_stable)
     assert mapped.per_ell == own.per_ell
