@@ -23,7 +23,7 @@ from .liouville import (HALF_LINE, energy_of, instability_witness, integrate_lim
                         witness_quadrature)
 from .gates import WITNESS_GATE
 from .nonlinearity import pure_power
-from .radial_bvp import lane_emden_params, lane_emden_shot, mapped_profile, shoot_nodal
+from .radial_bvp import image_params, image_shot, mapped_profile, shoot_nodal
 from .spectral import MIN_MESH, SingularSpectrum, lambda_ell, morse_index, onset_alphas
 
 
@@ -56,16 +56,14 @@ def _record(name, check):
 
 
 def cmd_solve(args):
-    """Shoot one profile and store it; a mu = 0 profile is certified on its stored image."""
+    """Shoot one profile and store it, certified on its image; a mu = 0 profile stores its image."""
     raw, base_params = _load_params_file(args.params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         nodes = _parse_branch(raw.get("branch", "positive"))
-        shot = mapped = None
-        if not (base_params.mu1 or base_params.mu2):
-            shot = lane_emden_shot(base_params, nodes, tol=args.tol, grid_size=args.grid)
-            mapped = mapped_profile(base_params, nodes, shot, tol=args.tol)
+        shot = image_shot(base_params, nodes, tol=args.tol, grid_size=args.grid)
+        mapped = mapped_profile(base_params, nodes, shot, tol=args.tol)
         profile = shoot_nodal(base_params, nodes, tol=args.tol, grid_size=args.grid, shot=shot)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
@@ -73,10 +71,10 @@ def cmd_solve(args):
     except (NoBracket, NoConverge) as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
-    checks, _ = certify(mapped or profile)
+    checks, _ = certify(mapped)
     extra = {"branch": raw.get("branch", "positive"),
              "tool": {"grid": args.grid, "tol": args.tol}}
-    if mapped:
+    if mapped is not profile:
         extra["image"] = hio.save_image(mapped, out / "profile", checks)
     hio.save_profile(profile, out / "profile", extra=extra)
     print(f"wrote {out / 'profile'}.csv/.json  (amplitude {profile.amplitude[0]:.6g}, "
@@ -94,28 +92,22 @@ def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared):
 
     A row that fails a check is ``uncertified``, names each failed check in
     its reason, and has no counts: those of an uncertified profile certify
-    nothing.  A mu = 0 row is the image of the (M, 0) shot kept in the dict
-    ``shared`` (``mapped_profile``), checked by the image's Certificate and
-    counted on the SingularSpectrum kept there, each made by the first row
-    that needs it; it is never sampled on an r-grid.  A mu > 0 row is shot,
-    certified and counted on its own r-grid.
+    nothing.  The row is the map (``mapped_profile``) of the image shot kept
+    in the dict ``shared``, checked by the image's Certificate and counted on
+    the image's SingularSpectrum kept there, each made by the first row that
+    needs it.  A mu = 0 row is never sampled on an r-grid; a mu > 0 row is
+    its own image.
     """
     row = {"alpha": alpha, "branch": branch_spec, "status": "ok", "reason": ""}
     try:
         params = hio.params_from_dict({**raw, "alpha": alpha})
         nodes = _parse_branch(branch_spec)
-        share = not (params.mu1 or params.mu2)
-        if not share:
-            profile = shoot_nodal(params, nodes, tol=tol, grid_size=grid)
-            cert = Certificate(profile, horizon)
-        else:
-            if "shot" not in shared:
-                shared["shot"] = lane_emden_shot(params, nodes, tol=tol, grid_size=grid)
-            profile = mapped_profile(params, nodes, shared["shot"], tol=tol)
-            if "certificate" not in shared:
-                shared["certificate"] = Certificate(profile.image, profile.image_horizon(horizon))
-            cert = shared["certificate"]
-        checks = cert.checks(params)
+        if "shot" not in shared:
+            shared["shot"] = image_shot(params, nodes, tol=tol, grid_size=grid)
+        profile = mapped_profile(params, nodes, shared["shot"], tol=tol)
+        if "certificate" not in shared:
+            shared["certificate"] = Certificate(profile.image, profile.image_horizon(horizon))
+        checks = shared["certificate"].checks(params)
         row["amplitude"] = list(profile.amplitude)
         row["energy"] = profile.energy
         row["relative_residual"] = checks["radial_residual"]["value"]
@@ -125,9 +117,9 @@ def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared):
         if failed:
             row["status"], row["reason"] = "uncertified", "; ".join(failed)
             return row
-        if share and "spectrum" not in shared:
-            shared["spectrum"] = SingularSpectrum(shared["shot"].profile, mesh)
-        report = morse_index(profile, mesh=mesh, spectrum=shared["spectrum"] if share else None)
+        if "spectrum" not in shared:
+            shared["spectrum"] = SingularSpectrum(profile.image, mesh)
+        report = morse_index(profile, mesh=mesh, spectrum=shared["spectrum"])
         row["morse"] = hio.morse_report_to_dict(report)
         row["total_morse_index"] = report.total_index
         row["mesh_stable"] = report.mesh_stable
@@ -142,9 +134,9 @@ def _sweep_row(raw, alpha, branch_spec, grid, mesh, tol, horizon, shared):
 
 
 def _group_key(raw, alpha, branch_spec):
-    """Rows with one key share a shot: mu = 0 rows by (branch, M, F), other rows by alpha."""
+    """Rows with one key share a shot: by (branch, image problem), or by alpha without one."""
     try:
-        return branch_spec, lane_emden_params(hio.params_from_dict({**raw, "alpha": alpha}))
+        return branch_spec, image_params(hio.params_from_dict({**raw, "alpha": alpha}))
     except (KeyError, TypeError, ValueError):
         return branch_spec, alpha
 
@@ -152,7 +144,7 @@ def _group_key(raw, alpha, branch_spec):
 def _sweep_group(job):
     """The rows of one group in ascending alpha, and its onset enclosures (worker-safe).
 
-    The mu = 0 rows of a group hold one shot, one image certificate and one
+    The rows of a group hold one shot, one image certificate and one
     spectrum for the length of this call only, a lone row too.  Only a group
     of two or more rows lists its onset enclosures.
     """
@@ -173,6 +165,12 @@ def cmd_sweep(args):
         raise SystemExit("parameter file error: 'alphas' must be a list of numbers")
     if not (isinstance(branches, list) and all(isinstance(b, str) for b in branches)):
         raise SystemExit("parameter file error: 'branches' must be a list of strings")
+    if not branches:
+        raise SystemExit("parameter file error: 'branches' is empty")
+    # a repeated alpha (4 and 4.0 are one) or branch would run and list its rows twice
+    for key, values in (("alphas", [float(a) for a in alphas]), ("branches", branches)):
+        if len(set(values)) < len(values):
+            raise SystemExit(f"parameter file error: '{key}' repeats a value")
     if not alphas:
         print("sweep error: empty alpha list", file=sys.stderr)
         return 2
@@ -263,7 +261,7 @@ def cmd_verify(args):
     # each the inertia of its stiffness on the t-grid, must equal the pencils' counts.  The
     # form is cut at the horizon T, whose natural end frees the inner radius e^(-beta T); an
     # image's half line (beta = 1) carries the sector at l(l+N-2)/beta^2, beta = (2+alpha)/2
-    beta, lam = (mapped.beta, mapped.lam) if mapped else (1.0, 1.0)
+    beta, lam = target.beta, target.lam
     horizon = {"T": tp.T / lam if args.T is None else args.T,
                "inner_radius": math.exp(-tp.beta * tp.T / beta)}
     counts = None

@@ -13,11 +13,11 @@ with gamma = (N-2) beta and u_k(0) = 0 (image of the Dirichlet condition).
 Profiles are truncated at a horizon T (default 30/beta, far below every
 quadrature tolerance).  Checks skip zero data as in ``radial_bvp``; where
 the tail's decay cannot be fitted (T below about 1e-154), the Pohozaev band is g(T) T.
-Every profile is certified by one ``Certificate``: an r-grid profile by its
-own, a mu = 0 profile (``certify`` of a ``radial_bvp.MappedProfile``) by that
-of its (M, 0) image, rescaled; identity (b) reads the fitted tail beyond the
-horizon on every rule.  ``map_check`` compares stored r-samples with a stored
-image.
+Every profile is certified by the ``Certificate`` of its image
+(``radial_bvp.image_params``), rescaled: a mu = 0 profile by that of its
+(M, 0) image, a profile that is its own image (mu > 0, or a stored r-grid)
+by its own; identity (b) reads the fitted tail beyond the horizon on every
+rule.  ``map_check`` compares stored r-samples with a stored image.
 
 Also implemented here: the boundary-derivative estimate
 
@@ -45,8 +45,7 @@ from .errors import HypothesisViolated
 from .gates import IDENTITY_GATE, MAP_GATE, POHOZAEV_GATE, RESIDUAL_GATE, TRANSFORMED_GATE
 from .nonlinearity import NonlinearityF
 from .pencil import count_below, flux_pencil, lowest_eigenpair
-from .radial_bvp import (MappedProfile, ProblemParams, live_components, relative_residual,
-                         simpson_rule)
+from .radial_bvp import ProblemParams, live_components, relative_residual, simpson_rule
 
 DEFAULT_HORIZON_SCALE = 30.0
 
@@ -380,17 +379,18 @@ def gated(value, limit):
 
 
 class Certificate:
-    """The checks of one RadialProfile, made once for every profile certified on it.
+    """The checks of one image, a RadialProfile, made once for every profile certified on it.
 
     T is the horizon of its transform ``tp`` (default 30/beta).  The residuals
     are computed here, the Pohozaev pieces on first use, so a profile off the
-    estimate's hypothesis makes none.  An r-grid profile is its own (lam = 1);
-    a mu = 0 profile at (N, alpha) is its (M, 0) image's, lam = N/M: its
-    transform is lam^(2/(p-2)) tp(lam t), with the same gamma t, so with
-    a = 4/(p-2) its lhs and the integral of identity (a) are lam^(a+2) times
-    tp's, and int g, the integral of identity (b) and the tail lam^(a+1)
-    times.  ``checks`` decides skipping and the lower bound on the profile's
-    own hypothesis (an image, alpha = 0, never meets it).  Identity (b) reads
+    estimate's hypothesis makes none.  A profile that is its own image is
+    certified on its own (lam = 1); a mu = 0 profile at (N, alpha) on its
+    (M, 0) image's, lam = N/M: its transform is lam^(2/(p-2)) tp(lam t), with
+    the same gamma t, so with a = 4/(p-2) its lhs and the integral of
+    identity (a) are lam^(a+2) times tp's, and int g, the integral of
+    identity (b) and the tail lam^(a+1) times.  ``checks`` decides skipping
+    and the lower bound on the profile's own hypothesis (an image, alpha = 0,
+    never meets it).  Identity (b) reads
     int g plus the fitted tail beyond the horizon (the tail the band bounds)
     on every rule: in the image's variable g decays only like e^(-2(M-2)s),
     and M -> 2 as alpha -> infinity; at an r-grid profile's default horizon
@@ -441,16 +441,13 @@ def certify(profile, T=None):
     pohozaev_slack ({"skipped": reason, "pass": True} off its hypothesis, and
     then last), pohozaev_identity and, for gamma <= N/(3p),
     pohozaev_lower_bound to JSON records with a bool "pass", in that order.
-    A RadialProfile is certified by its own ``Certificate`` at horizon T.  A
-    ``MappedProfile`` (mu = 0) is certified by the ``Certificate`` of its
-    (M, 0) image at the image horizon lam T: the residuals are the image's,
+    The profile is certified by the ``Certificate`` of its image at the
+    image's horizon for T (``image_horizon``): the residuals are the image's,
     the Pohozaev records the image's pieces rescaled to the profile, and tp
-    is the image's transform.
+    is the image's transform.  A profile that is its own image is certified
+    on its own at horizon T.
     """
-    if isinstance(profile, MappedProfile):
-        cert = Certificate(profile.image, profile.image_horizon(T))
-    else:
-        cert = Certificate(profile, T)
+    cert = Certificate(profile.image, profile.image_horizon(T))
     return cert.checks(profile.params), cert.tp
 
 

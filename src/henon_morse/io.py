@@ -154,7 +154,7 @@ def save_image(mapped: MappedProfile, basepath, checks):
 
     The CSV holds the image's live columns alone, those ``live_components``
     keeps, one row per point of its uniform t-grid on [0, 1] (the grid of
-    ``lane_emden_shot``, so no t column); the block names them, with M,
+    ``image_shot``, so no t column); the block names them, with M,
     beta, c and the gated ``checks``.
     """
     img = mapped.image

@@ -35,16 +35,18 @@ With mu = 0 a second change of variables removes alpha: t = r^beta,
 beta = (2 + alpha)/2, turns the problem in dimension N into the Lane-Emden
 problem -v'' - (M-1) v'/t = dF(v) in the dimension M = 2(N + alpha)/(2 + alpha),
 with u(r) = beta^(2/(p-2)) v(r^beta) (Gladiali, Grossi, Neves, Adv. Math.
-2013).  So every mu = 0 profile is the exact image of one (M, 0) shot
-(``lane_emden_shot``); for N = 2, M = 2 at every alpha.  That image is the
-certified object: ``mapped_profile`` holds a mu = 0 profile as its shot's
-samples on the uniform t-grid (``MappedProfile``, no r-grid), after the
-boundary, amplitude-cap, subcritical and zero-count rules in their scaled
-form, and its amplitude and action follow from the image's by exact scaling.
-The shot counts its zeros once on its 4x t-grid (the map sends zeros one to
-one).  ``shoot_nodal`` samples such a profile on an r-grid, mapped from a
-given shot or from ``lane_emden_shot``.  With mu > 0 the map leaves a weight
-singular at t = 0, so those rows shoot and certify in r.
+2013).  So every mu = 0 profile is the exact image of one (M, 0) shot; for
+N = 2, M = 2 at every alpha.  With mu > 0 the map leaves a weight singular
+at t = 0, so a mu > 0 profile is its own image, under the identity map.
+``image_params`` is the one place this rule is written, and every row takes
+one road: ``image_shot`` shoots the image once, ``mapped_profile`` holds the
+row as the map of that shot (``MappedProfile`` at mu = 0, with no r-grid;
+the shot's own profile at mu > 0) after the boundary, amplitude-cap,
+subcritical and zero-count rules in their scaled form, and the image is
+what is certified and counted.  A mapped amplitude and action follow from
+the image's by exact scaling.  The shot counts its zeros once on its 4x
+grid (the map sends zeros one to one).  ``shoot_nodal`` samples a mu = 0
+profile on an r-grid, mapped from a given shot or from ``image_shot``.
 
 The final profile is checked for its boundary value, relative to its
 amplitude, and its node count before it is returned, and it should be
@@ -131,6 +133,13 @@ class RadialProfile:
     du: np.ndarray
     dv: np.ndarray
     amplitude: tuple
+
+    # ``MappedProfile``'s interface for the identity map: the profile is its own image
+    beta = c = lam = 1.0
+    image = property(lambda self: self)
+
+    def image_horizon(self, T):
+        return T
 
     @property
     def is_trivial(self):
@@ -651,13 +660,20 @@ def lane_emden_params(params):
     return ProblemParams(N=M, alpha=0.0, mu1=0.0, mu2=0.0, f=params.f)
 
 
-@dataclass(frozen=True)
-class LaneEmdenShot:
-    """k-node solution of an (M, 0) problem, shared by the mu = 0 rows mapped from it.
+def image_params(params):
+    """The image a row of ``params`` is shot, certified and counted on, by the one rule:
+    ``lane_emden_params`` at mu1 = mu2 = 0, and ``params`` itself otherwise."""
+    return params if params.mu1 or params.mu2 else lane_emden_params(params)
 
-    ``profile`` samples it on the uniform t-grid, ``zeros`` counts the
-    interior sign changes of its u on the 4x t-grid, and ``dense`` evaluates
-    it anywhere on [0, 1].
+
+@dataclass(frozen=True)
+class ImageShot:
+    """k-node solution of an image problem, shared by the rows mapped from it.
+
+    ``profile`` samples it on the uniform grid of its variable (t = r^beta,
+    or r for a problem that is its own image), ``zeros`` counts the interior
+    sign changes of its u on the 4x grid, and ``dense`` evaluates it
+    anywhere on [0, 1].
     """
 
     profile: RadialProfile
@@ -667,12 +683,12 @@ class LaneEmdenShot:
 
 
 def _scaled_shot(params, nodes, tol):
-    """Centre values and evaluator of the k-node solution: of ``params``, or its image at mu = 0.
+    """Centre values and evaluator of the k-node solution of the image of ``params``.
 
-    The image is the (M, 0) problem of ``lane_emden_params``.  The positive
-    branch of a symmetric coupled system is u = v: it is shot as the scalar
-    problem with dF/du(u, u) = (a1 + b) u^3, from (1, 0), and its evaluator
-    copies u, u' into v, v'.  Every other problem is shot as it is.
+    The image is that of ``image_params``.  The positive branch of a
+    symmetric coupled system is u = v: it is shot as the scalar problem with
+    dF/du(u, u) = (a1 + b) u^3, from (1, 0), and its evaluator copies u, u'
+    into v, v'.  Every other problem is shot as it is.
     """
     if nodes < 0:
         raise ValueError("nodes must be nonnegative")
@@ -682,10 +698,8 @@ def _scaled_shot(params, nodes, tol):
         raise ValueError("the positive branch of a coupled system is shot on the diagonal "
                          "u = v, which needs a1 = a2 and mu1 = mu2")
     _require_subcritical(params)
-    if params.mu1 or params.mu2:
-        problem, ivp_tol = params, (1e-12, 1e-14)
-    else:
-        problem, ivp_tol = lane_emden_params(params), LANE_EMDEN_TOL
+    problem = image_params(params)
+    ivp_tol = (1e-12, 1e-14) if problem is params else LANE_EMDEN_TOL
     if not synchronized:
         amplitude, dense = _scaling_amplitude(problem, nodes, tol, ivp_tol)
         return (amplitude, 0.0), dense
@@ -694,27 +708,27 @@ def _scaled_shot(params, nodes, tol):
     return (amplitude, amplitude), lambda r: dense(r)[[0, 0, 2, 2]]
 
 
-def lane_emden_shot(params, nodes, tol=1e-10, grid_size=4000):
-    """The (M, 0) shot behind the mu = 0 problem ``params``, for ``shoot_nodal(shot=...)``.
+def image_shot(params, nodes, tol=1e-10, grid_size=4000):
+    """The shot of the image of ``params``, for ``mapped_profile`` and ``shoot_nodal(shot=...)``.
 
-    One unit-amplitude shot, evaluated once on the 4x t-grid of ``grid_size``.
+    One unit-amplitude shot, evaluated once on the 4x grid of ``grid_size``.
     """
-    image = lane_emden_params(params)
     amplitude, dense = _scaled_shot(params, nodes, tol)
-    profile, zeros = _sample(image, amplitude, dense, grid_size, refine=4)
-    return LaneEmdenShot(profile, nodes, zeros, dense)
+    profile, zeros = _sample(image_params(params), amplitude, dense, grid_size, refine=4)
+    return ImageShot(profile, nodes, zeros, dense)
 
 
 @dataclass(frozen=True)
 class MappedProfile:
     """A mu = 0 profile held as its (M, 0) image: u(r) = c v(r^beta), with no r-grid.
 
-    ``image`` samples v on its uniform t-grid (a ``LaneEmdenShot``'s profile,
+    ``image`` samples v on its uniform t-grid (an ``ImageShot``'s profile,
     or a stored one).  beta = (2 + alpha)/2 and c = beta^(2/(p-2)); the
     half-line transform of u is exactly lam^(2/(p-2)) v_k(lam t) with
     lam = N/M, so a horizon T of u is lam T of the image.  The action is
     J(N, alpha) = (|S^(N-1)|/|S^(M-1)|) beta^((p+2)/(p-2)) J(image), by
-    substitution.
+    substitution.  A ``RadialProfile`` has the same interface for the
+    identity map.
     """
 
     params: ProblemParams
@@ -749,37 +763,31 @@ class MappedProfile:
 
 
 def mapped_profile(params, nodes, shot, tol=1e-10):
-    """The mu = 0 profile of ``params`` with ``nodes`` zeros as the image of ``shot``, in O(1).
+    """The profile of ``params`` with ``nodes`` zeros as the image of ``shot``, in O(1).
 
-    Checked on the shot's data: the subcritical rule, the amplitude cap on
-    c A, the boundary bound c |v(1)| <= tol (1 + c A) and the zero count of
-    the shot's 4x t-grid.
+    A ``MappedProfile`` at mu = 0, and ``shot.profile`` itself when the
+    problem is its own image.  Checked on the shot's data: the subcritical
+    rule, the amplitude cap on c A, the boundary bound c |v(1)| <= tol
+    (1 + c A) (a rescaled shot's u(1) is its amplitude times the unit shot's
+    event location error) and the zero count of the shot's 4x grid.
     """
-    if params.mu1 or params.mu2 or (shot.profile.params, shot.nodes) != (
-            lane_emden_params(params), nodes):
-        raise ValueError("the shot maps to another dimension, coupling or branch")
+    image = image_params(params)
+    if (shot.profile.params, shot.nodes) != (image, nodes):
+        raise ValueError("the shot is of another image problem or branch")
     _require_subcritical(params)
-    mapped = MappedProfile(params, shot.profile)
+    mapped = shot.profile if image is params else MappedProfile(params, shot.profile)
     amplitude = mapped.amplitude[0]
     if amplitude > AMPLITUDE_CAP:
         raise NoBracket(f"the {nodes}-node solution has amplitude {amplitude:.6g}, "
                         f"above {AMPLITUDE_CAP:.0e}")
-    _check_boundary_and_zeros(abs(mapped.c * float(shot.profile.u[-1])), amplitude,
-                              shot.zeros, nodes, tol)
-    return mapped
-
-
-def _check_boundary_and_zeros(boundary, amplitude, zeros, k, tol):
-    """NoConverge unless |u(1)| <= tol (1 + amplitude) and u has k interior zeros."""
+    boundary = abs(mapped.c * float(shot.profile.u[-1]))
     if boundary > tol * (1.0 + amplitude):
-        raise NoConverge(
-            f"boundary value |u(1)| = {boundary:.3e} above tol (1 + amplitude) = "
-            f"{tol * (1.0 + amplitude):.3e} at amplitude {amplitude:.12g}"
-        )
-    if zeros != k:
-        raise NoConverge(
-            f"profile at amplitude {amplitude:.12g} has {zeros} interior zeros, not {k}"
-        )
+        raise NoConverge(f"boundary value |u(1)| = {boundary:.3e} above tol (1 + amplitude) = "
+                         f"{tol * (1.0 + amplitude):.3e} at amplitude {amplitude:.12g}")
+    if shot.zeros != nodes:
+        raise NoConverge(f"profile at amplitude {amplitude:.12g} has {shot.zeros} interior "
+                         f"zeros, not {nodes}")
+    return mapped
 
 
 def _mapped(mapped, dense):
@@ -803,21 +811,18 @@ def _mapped(mapped, dense):
 def _shoot_branch(params, k, tol, grid_size, shot=None):
     """Profile with k interior zeros and u(1) = 0, checked before it is returned.
 
-    A mu = 0 profile is mapped from ``shot``, or from ``lane_emden_shot`` when
-    none is given, checked by ``mapped_profile`` and sampled at the r-grid
-    nodes.  A mu > 0 profile counts its zeros on the 4x grid of its one
-    evaluation.  A rescaled profile's u(1) is its amplitude times the unit
-    shot's event location error, so the boundary bound is tol (1 + amplitude).
+    The profile is mapped from ``shot``, or from ``image_shot`` when none is
+    given, and checked by ``mapped_profile``.  A problem that is its own
+    image (mu > 0) is the shot's profile, on the shot's grid: a given shot's
+    grid is the grid of a mu > 0 profile.  Any other is sampled at the
+    r-grid nodes.
     """
-    if not (params.mu1 or params.mu2):
-        if shot is None:
-            shot = lane_emden_shot(params, k, tol, grid_size)
-        mapped = mapped_profile(params, k, shot, tol)
-        return _sample(params, mapped.amplitude, _mapped(mapped, shot.dense), grid_size)[0]
-    d, dense = _scaled_shot(params, k, tol)
-    profile, zeros = _sample(params, d, dense, grid_size, refine=4)
-    _check_boundary_and_zeros(abs(float(profile.u[-1])), d[0], zeros, k, tol)
-    return profile
+    if shot is None:
+        shot = image_shot(params, k, tol, grid_size)
+    mapped = mapped_profile(params, k, shot, tol)
+    if mapped is shot.profile:
+        return mapped
+    return _sample(params, mapped.amplitude, _mapped(mapped, shot.dense), grid_size)[0]
 
 
 def shoot_positive(params, tol=1e-10, grid_size=4000, shot=None):
@@ -826,8 +831,8 @@ def shoot_positive(params, tol=1e-10, grid_size=4000, shot=None):
     Scalar problems (second component identically zero) shoot on the first
     component; a symmetric coupled system (a1 = a2, mu1 = mu2) gives u = v,
     shot as its scalar reduction (``_scaled_shot``).  ``shot``, from
-    ``lane_emden_shot``, is the (M, 0) shot a mu = 0 problem maps from; a
-    mu = 0 problem without one makes its own.
+    ``image_shot``, is the shot of the problem's image; a problem without
+    one makes its own.
     """
     return _shoot_branch(params, 0, tol, grid_size, shot)
 

@@ -28,14 +28,13 @@ beta times the form of the (M, 0) image with l(l+N-2)/beta^2 in place of
 l(l+N-2).  By Sylvester's law of inertia each count at (N, alpha) is a count
 of the image's pencils against the ladder -l(l+N-2)/beta^2, the multiplicities
 still those of degree l in dimension N; nu_j(N, alpha) = beta^2 nu_j(M), and
-the truncation certificate scales by beta^2.  So ``morse_index`` has two
-modes: a ``radial_bvp.MappedProfile`` is counted on the spectrum of its image,
-whose certification (``SingularSpectrum`` requires it) stands for the
-profile's, and a ``RadialProfile`` on its own pencils.  ``sweep``, ``solve``
-and ``verify`` count every mu = 0 profile on its image; rows with mu > 0 (the
-map leaves a weight singular at t = 0) count on their own r-grid, and
-``verify`` recounts a stored mu = 0 profile on its stored r-grid as an
-independent, reported check.
+the truncation certificate scales by beta^2.  ``morse_index`` counts every
+profile on the spectrum of its image (``radial_bvp.image_params``), whose
+certification (``SingularSpectrum`` requires it) stands for the profile's,
+against the ladder scaled by 1/beta^2: a mu = 0 profile on its (M, 0)
+image's pencils, and a mu > 0 profile, its own image (beta = 1), on its own.
+``verify`` recounts a stored mu = 0 profile on its stored r-grid, a profile
+that is its own image, as an independent, reported check.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from .errors import SingularPivot
 from .pencil import bisect_eigenvalue, count_below, flux_pencil, top_eigenvalue
-from .radial_bvp import MappedProfile, RadialProfile, lane_emden_params, require_certified
+from .radial_bvp import RadialProfile, require_certified
 
 MIN_MESH = 200  # smallest spectral mesh a count accepts
 ONSET_RTOL = 1e-5  # width of the nu_1 bracket behind the onset enclosures, relative to 1 + |nu_1|
@@ -254,14 +253,17 @@ class SingularSpectrum:
 def onset_alphas(spectrum, alpha_max):
     """Enclosures [lo, hi) of the alpha_k where sector k's count turns positive, N = 2.
 
-    Every planar mu = 0 row maps to M = 2 and counts sector k positive when
-    beta^2 nu_1 < -k^2, that is beyond alpha_k = 2 k / sqrt(|nu_1|) - 2.  The
+    Every planar mu = 0 row maps to the Lane-Emden image M = 2 and counts
+    sector k positive when beta^2 nu_1 < -k^2, that is beyond
+    alpha_k = 2 k / sqrt(|nu_1|) - 2.  So the list is empty unless
+    ``spectrum`` is of such an image (N = 2, alpha = 0, mu1 = mu2 = 0).  The
     ends come from the bracket of nu_1 at mesh that ``spectrum`` holds,
     bisected to ONSET_RTOL, which puts four decimals on each alpha_k up to 20;
     the list runs up to alpha_max and leaves out the alpha_k below 0.
     """
+    p = spectrum.params
     lo, hi = spectrum.singular[0].bracket(1)
-    if spectrum.params.N != 2 or not -math.inf < lo < hi < 0.0:
+    if (p.N, p.alpha, p.mu1, p.mu2) != (2, 0, 0, 0) or not -math.inf < lo < hi < 0.0:
         return []
     try:
         lo, hi, _ = bisect_eigenvalue(spectrum.singular[0], 1, lo, hi, rtol=ONSET_RTOL)
@@ -280,24 +282,19 @@ def morse_index(profile, mesh=1000, spectrum=None):
 
     ``per_ell`` runs over l = 0 .. l_max, the first certified-nonnegative
     degree (listed with count 0); the module docstring gives the method.
-    Two modes: a RadialProfile is counted on its own pencils, and takes no
-    ``spectrum`` (ValueError); a ``MappedProfile`` (mu = 0) is counted on the
-    SingularSpectrum of its (M, 0) image, ``spectrum`` or one made here,
-    against the ladder scaled by 1/beta^2, and needs no certification of its
-    own.  ``nu_hat`` lists the brackets of nu_1 .. nu_(c+1), c the count at
-    l = 1, as far as the counts kept so far have narrowed them.
+    The counts are those of ``spectrum``, or of a SingularSpectrum of the
+    profile's image made here; a given one must hold the image's params and
+    ``mesh`` (ValueError).  The ladder is scaled by 1/beta^2, beta = 1 for a
+    profile that is its own image.  ``nu_hat`` lists the brackets of
+    nu_1 .. nu_(c+1), c the count at l = 1, as far as the counts kept so far
+    have narrowed them.
     """
-    p = profile.params
-    if not isinstance(profile, MappedProfile):
-        if spectrum is not None:
-            raise ValueError("a RadialProfile is counted on its own pencils, not on a spectrum")
-        spectrum, scale = SingularSpectrum(profile, mesh), 1.0
-    else:
-        if spectrum is None:
-            spectrum = SingularSpectrum(profile.image, mesh)
-        if (spectrum.params, spectrum.mesh) != (lane_emden_params(p), mesh):
-            raise ValueError("the spectrum is of another Lane-Emden problem or mesh")
-        scale = profile.beta ** 2
+    p, image = profile.params, profile.image
+    if spectrum is None:
+        spectrum = SingularSpectrum(image, mesh)
+    if (spectrum.params, spectrum.mesh) != (image.params, mesh):
+        raise ValueError("the spectrum is not of the profile's image at this mesh")
+    scale = profile.beta ** 2
     spec, radial, singular = spectrum.spec, spectrum.radial, spectrum.singular
     ell_max, cert = ell_truncation(spec, p.N, scale)
     rung = [-lambda_ell(ell, p.N) / scale for ell in range(ell_max + 1)]

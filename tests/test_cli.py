@@ -169,6 +169,17 @@ def test_solve_malformed_params(tmp_path):
         assert main(["solve", "--params", str(pfile), "--out", str(tmp_path / f"z{i}")]) == 2
 
 
+def test_mu_positive_solve_stores_no_image(tmp_path):
+    # a mu > 0 profile is its own image: solve stores its r-grid profile alone
+    pfile = tmp_path / "params.json"
+    write_params(pfile, alpha=1.0, mu1=1.0, mu2=1.0, branch="nodal:1")
+    assert main(["solve", "--params", str(pfile), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "profile.csv").exists()
+    assert not hio.image_path(tmp_path / "run" / "profile").exists()
+    assert "image" not in json.loads((tmp_path / "run" / "profile.json").read_text())
+    assert hio.load_image(tmp_path / "run" / "profile") is None
+
+
 @pytest.mark.parametrize("overrides", [{"a2": 2.0}, {"mu2": 1.0}], ids=["a1-a2", "mu1-mu2"])
 def test_solve_rejects_asymmetric_coupled_system(tmp_path, capsys, overrides):
     pfile = tmp_path / "params.json"
@@ -532,6 +543,23 @@ def test_sweep_fails_rows_with_a_nonfinite_alpha(tmp_path):
     assert len(rows) == 2
     assert all(r["status"] == "failed" and r["reason"].startswith("ValueError: ")
                for r in rows)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("branches", []), ("alphas", [2, 2]), ("alphas", [4, 4.0]),
+    ("branches", ["positive", "positive"]),
+])
+def test_sweep_rejects_inputs_that_repeat_rows(tmp_path, capsys, field, value):
+    # no branch, or a repeated alpha or branch, is a parameter file error before any
+    # row runs, as an empty alpha list is: a repeat would write its rows twice
+    params = {"N": 2, "family": "pure_power", "p": 4,
+              "alphas": [2.0, 4.0], "branches": ["positive"], field: value}
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(params))
+    rc = main(["sweep", "--params", str(pfile), "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert f"parameter file error: '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "sw" / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("field, value", [("alphas", ["x"]), ("branches", "positive")])

@@ -22,8 +22,9 @@ from henon_morse.radial_bvp import (
     _taylor_start,
     action_energy,
     blowup_event,
+    image_shot,
     integrate_radial_ivp,
-    lane_emden_shot,
+    mapped_profile,
     nehari_defect,
     nehari_project,
     nonlinear_mass,
@@ -395,7 +396,7 @@ def assert_kernel_is_scipys(call, grid=None):
 
 def test_dop853_kernel_is_scipys_on_a_lane_emden_shot(monkeypatch):
     calls = captured_calls(monkeypatch, radial_bvp)
-    lane_emden_shot(params_for(2, 4.0), 1)
+    image_shot(params_for(2, 4.0), 1)
     (call,) = calls
     assert len(call[2].t) > 20 and call[2].status == 1
     assert_kernel_is_scipys(call)
@@ -583,11 +584,24 @@ def test_lane_emden_map_matches_bisection(N, alpha, nodes, f):
     # a given shot and the one shoot_nodal makes give the same profile, and the fixed-step
     # RK4 integration in r brackets its amplitude to rel 1e-9
     params = ProblemParams(N=N, alpha=alpha, mu1=0.0, mu2=0.0, f=f)
-    shared = shoot_nodal(params, nodes, shot=lane_emden_shot(params, nodes))
+    shared = shoot_nodal(params, nodes, shot=image_shot(params, nodes))
     alone = shoot_nodal(params, nodes)
     assert shared.amplitude == alone.amplitude
     assert np.array_equal(shared.u, alone.u) and np.array_equal(shared.du, alone.du)
     assert rk4_brackets(params, shared.amplitude[0], nodes, diagonal=f.b > 0)
+
+
+def test_mu_positive_problem_is_its_own_image():
+    # image_params maps a mu > 0 problem to itself: its row is the shot's own profile, on
+    # the shot's grid, and shoot_nodal makes the same arrays from a given shot or its own
+    params = params_for(3, 1.0, mu=1.0)
+    shot = image_shot(params, 1)
+    assert shot.profile.params is params
+    assert mapped_profile(params, 1, shot) is shot.profile
+    alone, given = shoot_nodal(params, 1), shoot_nodal(params, 1, shot=image_shot(params, 1))
+    assert alone.amplitude == given.amplitude
+    for name in ("grid", "u", "v", "du", "dv"):
+        assert np.array_equal(getattr(alone, name), getattr(given, name))
 
 
 def test_mu_positive_nodal_amplitude_matches_rk4(solve):

@@ -1,5 +1,6 @@
 """Sector counting, multiplicities and Morse index assembly."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from henon_morse.nonlinearity import pure_power
 from henon_morse.pencil import bisect_eigenvalue
 from henon_morse.radial_bvp import (
     ProblemParams,
+    image_shot,
     integrate_radial_ivp,
-    lane_emden_shot,
     mapped_profile,
     shoot_nodal,
     shoot_positive,
@@ -27,6 +28,7 @@ from henon_morse.spectral import (
     ell_truncation,
     lambda_ell,
     morse_index,
+    onset_alphas,
     sector_nonneg_certificate,
     sh_multiplicity,
 )
@@ -326,7 +328,7 @@ def test_singular_eigenvalue_scales_by_beta_squared(solve, N, alpha):
     # profile's own r-pencil and on its (M, 0) image's, each extrapolated
     # from mesh 1000 and 2000 (they agree to 1.6e-8 and 2.0e-6)
     prof = solve(N, alpha)
-    image = lane_emden_shot(prof.params, 0).profile
+    image = image_shot(prof.params, 0).profile
     assert image.params.N == 2.0 * (N + alpha) / (2.0 + alpha)
 
     def nu_1(profile):
@@ -345,7 +347,7 @@ def test_mapped_counts_match_own_pencil(nodes):
     # pencils, and each bracket of an eigenvalue below -l(l+N-2) at l = 1
     # overlaps the r-grid's (above it, N = 2 puts the continuous spectrum,
     # [0, inf), which the two discretizations sample differently)
-    shot = lane_emden_shot(params_for(2, 8.0), nodes)
+    shot = image_shot(params_for(2, 8.0), nodes)
     spectrum = SingularSpectrum(shot.profile, 1000)
     for alpha in (8.0, 2.0, 0.0):
         params = params_for(2, alpha)
@@ -359,12 +361,23 @@ def test_mapped_counts_match_own_pencil(nodes):
             if j <= own.counts()[1]:
                 assert max(a[0], b[0]) < min(a[1], b[1])
     # an image of another Lane-Emden problem (M = 2.5), and an r-grid profile,
-    # which is counted on its own pencils only
+    # which is its own image (2, 8): neither is counted on the (2, 0) spectrum
     params = params_for(3, 2.0)
-    with pytest.raises(ValueError, match="another Lane-Emden problem"):
-        morse_index(mapped_profile(params, 0, lane_emden_shot(params, 0)), 1000, spectrum)
-    with pytest.raises(ValueError, match="own pencils"):
+    with pytest.raises(ValueError, match="not of the profile's image"):
+        morse_index(mapped_profile(params, 0, image_shot(params, 0)), 1000, spectrum)
+    with pytest.raises(ValueError, match="not of the profile's image"):
         morse_index(shoot_positive(params_for(2, 8.0)), 1000, spectrum)
+
+
+def test_onset_alphas_need_a_planar_lane_emden_image(solve):
+    # alpha_k = 2k/sqrt(|nu_1|) - 2 holds for the rows of the (2, 0) image alone: a
+    # planar mu = 1 spectrum lists no enclosure, even with nu_1 bracketed below 0
+    spectrum = SingularSpectrum(solve(2, 4.0, mu=1.0), 500)
+    for nu in (-10.0, -1.0, -0.5):
+        spectrum.singular[0](nu)
+    lo, hi = spectrum.singular[0].bracket(1)
+    assert -math.inf < lo < hi < 0.0
+    assert onset_alphas(spectrum, 20.0) == []
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -376,7 +389,7 @@ def test_mu_zero_map_keeps_the_index(N, alpha, nodes):
     # example is skipped only when either side warns of a near-degenerate
     # sector or is not mesh-stable: there the two discretizations may differ
     params = params_for(N, alpha, p=3.0)
-    shot = lane_emden_shot(params, nodes)
+    shot = image_shot(params, nodes)
     mapped = morse_index(mapped_profile(params, nodes, shot), 400,
                          SingularSpectrum(shot.profile, 400))
     own = morse_index(shoot_nodal(params, nodes, shot=shot), 400)
